@@ -34,12 +34,10 @@ from .master import (
     MasterResult,
     PositivityError,
     ancilla_moment_oracle,
-    augmented_apply,
     augmented_initial_state,
     generator_spec,
     integrate_master,
     lindblad_apply,
-    markovian_baseline_apply,
     markovian_baseline_spec,
     reduce_to_qubit,
 )
@@ -61,9 +59,7 @@ from .slh import (
     build_ancilla_bank,
     build_augmented,
     build_probed,
-    concatenate,
     qubit_operator,
-    series,
 )
 from .spectra import (
     FitResult,

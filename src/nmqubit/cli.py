@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    COMMANDS,
     VERSION,
     ConfigError,
     ExperimentConfig,
@@ -111,15 +110,7 @@ def cmd_evolve(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_baseline(config: ExperimentConfig, out: Path) -> list[Path]:
-    result = run_baseline(config)
-    bloch = result.qubit_bloch()
-    path = write_table(
-        out / "baseline.csv",
-        _meta_lines(config, "baseline"),
-        ["t", "x", "y", "z", "tr_drift", "min_eig"],
-        [result.t_grid, bloch[:, 0], bloch[:, 1], bloch[:, 2], result.tr_drift, result.min_eig],
-    )
-    return [path]
+    return [_bloch_table(run_baseline(config), config, "baseline", out / "baseline.csv")]
 
 
 def cmd_filter(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -258,7 +249,7 @@ _DISPATCH = {
 def run_command(command: str, config: ExperimentConfig) -> list[Path]:
     """Execute one command and return the paths it wrote."""
     if command not in _DISPATCH:
-        raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
+        raise ConfigError(f"unknown command {command!r}; choose from {tuple(_DISPATCH)}")
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="nmqubit",
         description="Simulate and filter a qubit driven by Lorentzian colored noise.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--config", help="path to a key-value or JSON config file")
     parser.add_argument("--preset", help="built-in preset name (e.g. paper-fig4)")
     parser.add_argument("--out", help="output directory (default from config)")

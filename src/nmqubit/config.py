@@ -24,8 +24,6 @@ from .slh import FIELD_MODES, QUBIT_COUPLING_KINDS, AncillaParams
 
 VERSION = "0.1.0"
 
-COMMANDS = ("spectrum", "evolve", "baseline", "filter", "ensemble", "fit", "compare")
-
 
 class ConfigError(ValueError):
     """A configuration file is malformed or violates an invariant."""
@@ -120,25 +118,26 @@ def preset(name: str) -> ExperimentConfig:
     return PRESETS[name]()
 
 
+#: config key -> (ExperimentConfig attribute, value type)
 _SCALARS = {
-    "omega_q": float,
-    "probe.gamma_q": float,
-    "probe.kind": str,
-    "probe.scale": complex,
-    "field_mode": str,
-    "truncation": int,
-    "dt": float,
-    "t_final": float,
-    "n_traj": int,
-    "base_seed": int,
-    "out_dir": str,
-    "workers": int,
-    "spectrum.omega_min": float,
-    "spectrum.omega_max": float,
-    "spectrum.points": int,
-    "fit.input": str,
-    "fit.components": int,
+    "omega_q": ("omega_q", float),
+    "probe.gamma_q": ("gamma_q", float),
+    "probe.kind": ("probe_kind", str),
+    "probe.scale": ("probe_scale", complex),
+    "field_mode": ("field_mode", str),
+    "truncation": ("truncation", int),
+    "dt": ("dt", float),
+    "t_final": ("t_final", float),
+    "n_traj": ("n_traj", int),
+    "base_seed": ("base_seed", int),
+    "out_dir": ("out_dir", str),
+    "workers": ("workers", int),
+    "fit.input": ("fit_input", str),
+    "fit.components": ("fit_components", int),
 }
+
+#: keys that together set ``spectrum_grid``, in tuple order
+_GRID = {"spectrum.omega_min": float, "spectrum.omega_max": float, "spectrum.points": int}
 
 _ANCILLA_FIELDS = {
     "omega": float,
@@ -207,29 +206,13 @@ def config_from_mapping(flat: dict[str, object]) -> ExperimentConfig:
             ancilla_groups.setdefault(int(parts[1]), {})[parts[2]] = flat.pop(key)
 
     for key in flat:
-        if key not in _SCALARS and key != "init.bloch":
+        if key not in _SCALARS and key not in _GRID and key != "init.bloch":
             raise ConfigError(f"unknown field {key!r}")
 
     kwargs: dict[str, object] = {}
-    mapping = {
-        "omega_q": "omega_q",
-        "probe.gamma_q": "gamma_q",
-        "probe.kind": "probe_kind",
-        "probe.scale": "probe_scale",
-        "field_mode": "field_mode",
-        "truncation": "truncation",
-        "dt": "dt",
-        "t_final": "t_final",
-        "n_traj": "n_traj",
-        "base_seed": "base_seed",
-        "out_dir": "out_dir",
-        "workers": "workers",
-        "fit.input": "fit_input",
-        "fit.components": "fit_components",
-    }
-    for key, attr in mapping.items():
+    for key, (attr, to_type) in _SCALARS.items():
         if key in flat:
-            kwargs[attr] = _coerce(key, flat[key], _SCALARS[key])
+            kwargs[attr] = _coerce(key, flat[key], to_type)
 
     if "init.bloch" in flat:
         value = flat["init.bloch"]
@@ -238,15 +221,10 @@ def config_from_mapping(flat: dict[str, object]) -> ExperimentConfig:
             raise ConfigError(f"field 'init.bloch': expected three components, got {value!r}")
         kwargs["init_bloch"] = tuple(_coerce("init.bloch", p, float) for p in parts)
 
-    grid_keys = ("spectrum.omega_min", "spectrum.omega_max", "spectrum.points")
-    if any(k in flat for k in grid_keys):
-        if not all(k in flat for k in grid_keys):
+    if any(k in flat for k in _GRID):
+        if not all(k in flat for k in _GRID):
             raise ConfigError("spectrum grid needs omega_min, omega_max and points together")
-        kwargs["spectrum_grid"] = (
-            _coerce(grid_keys[0], flat[grid_keys[0]], float),
-            _coerce(grid_keys[1], flat[grid_keys[1]], float),
-            _coerce(grid_keys[2], flat[grid_keys[2]], int),
-        )
+        kwargs["spectrum_grid"] = tuple(_coerce(k, flat[k], t) for k, t in _GRID.items())
 
     if not ancilla_groups:
         raise ConfigError("missing required field 'ancilla.1.omega' (no ancilla groups)")

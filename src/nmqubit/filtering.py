@@ -16,7 +16,7 @@ almost-pure conditional state slightly negative; left alone these excursions
 accumulate diffusively.  Each step therefore ends with a positivity repair:
 when the updated state has an eigenvalue below a small screen, its spectrum is
 clipped at zero and the trace renormalized.  A raw eigenvalue below
-``abort_tol`` (before repair) is treated as an unrecoverable step - a
+``-SME_ABORT_TOL`` (before repair) is treated as an unrecoverable step - a
 corrupted record or a step size far too large - and aborts the trajectory.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .master import CompiledGenerator, GeneratorSpec, PositivityError
-from .operators import DensityMatrix, HilbertLayout, Operator
+from .operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch
 
 SME_ABORT_TOL = 0.25
 CLIP_SCREEN = 1e-12
@@ -99,21 +99,9 @@ class EnsembleResult:
     seeds: tuple[int, ...]
 
 
-def _qubit_bloch_batch(rho: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    rest = 1
-    for d in dims[1:]:
-        rest *= d
-    reduced = np.einsum("binjn->bij", rho.reshape(-1, 2, rest, 2, rest))
-    out = np.empty((rho.shape[0], 3))
-    out[:, 0] = 2.0 * reduced[:, 0, 1].real
-    out[:, 1] = -2.0 * reduced[:, 0, 1].imag
-    out[:, 2] = (reduced[:, 0, 0] - reduced[:, 1, 1]).real
-    return out
-
-
 def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.ndarray,
             *, increments: np.ndarray | None = None, record: np.ndarray | None = None,
-            seeds=(), abort_tol: float = SME_ABORT_TOL, store_states: bool = False):
+            seeds=(), store_states: bool = False):
     """Batched Euler-Maruyama propagation of the normalized SME.
 
     ``increments`` drives simulation mode (dW given, dY computed); ``record``
@@ -138,7 +126,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
 
     rho = np.array(rho0, dtype=complex)
     if track_bloch:
-        bloch[:, 0] = _qubit_bloch_batch(rho, dims)
+        bloch[:, 0] = qubit_bloch(rho, dims)
     if store_states:
         states[:, 0] = rho
 
@@ -146,9 +134,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         dt = dts[i]
         m = np.einsum("ij,...ji->...", lsum, rho).real
         dw = increments[:, i] if simulate else record[:, i] - m * dt
-        drift = gen.e @ rho + rho @ gen.edag
-        for nk, nkd in gen.n_pairs:
-            drift = drift + nk @ rho @ nkd
+        drift = gen.apply(rho)
         gain = l @ rho + rho @ ldag - m[:, None, None] * rho
         rho = rho + dt * drift + dw[:, None, None] * gain
         tr = np.einsum("...ii->...", rho).real
@@ -158,10 +144,10 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
             np.linalg.cholesky(rho + screen)
         except np.linalg.LinAlgError:
             w, v = np.linalg.eigh(rho)
-            bad = np.where(w[:, 0] < -abort_tol)[0]
+            bad = np.where(w[:, 0] < -SME_ABORT_TOL)[0]
             if bad.size:
                 err = PositivityError(
-                    f"conditional state eigenvalue {w[bad[0], 0]:.3e} < -{abort_tol:g} "
+                    f"conditional state eigenvalue {w[bad[0], 0]:.3e} < -{SME_ABORT_TOL:g} "
                     f"after step {i} (t={float(np.sum(dts[:i + 1])):.6g}); "
                     f"the record is corrupted or the step size far too large"
                 )
@@ -177,7 +163,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         rec_out[:, i] = m * dt + dw
         innov_out[:, i] = dw
         if track_bloch:
-            bloch[:, i + 1] = _qubit_bloch_batch(rho, dims)
+            bloch[:, i + 1] = qubit_bloch(rho, dims)
         if store_states:
             states[:, i + 1] = rho
 
@@ -194,13 +180,12 @@ def _grid_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
     return t, dts
 
 
-def sme_step(rho_hat, spec: GeneratorSpec, l_op: Operator, dt: float, dw: float,
-             abort_tol: float = SME_ABORT_TOL):
+def sme_step(rho_hat, spec: GeneratorSpec, l_op: Operator, dt: float, dw: float):
     """One Euler-Maruyama step of the normalized SME.
 
     Returns the renormalized (and, if needed, positivity-repaired) post-step
     state and the measurement increment dY = tr[(L+L^dag) rho] dt + dW.
-    Aborts if the raw update develops an eigenvalue below ``-abort_tol``.
+    Aborts if the raw update develops an eigenvalue below ``-SME_ABORT_TOL``.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -210,7 +195,7 @@ def sme_step(rho_hat, spec: GeneratorSpec, l_op: Operator, dt: float, dw: float,
     gen = CompiledGenerator(spec)
     _, states, rec, _ = _evolve(
         r[None, :, :], gen, l_op.entries, np.array([float(dt)]),
-        increments=np.zeros((1, 1)) + dw, abort_tol=abort_tol, store_states=True,
+        increments=np.zeros((1, 1)) + dw, store_states=True,
     )
     return DensityMatrix.wrap(spec.layout, states[0, 1]), float(rec[0, 0])
 
@@ -225,16 +210,14 @@ def stochastic_gain(rho_hat, l_op: Operator) -> np.ndarray:
 
 
 def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
-                        t_grid, seed: int, store_states: bool = False,
-                        abort_tol: float = SME_ABORT_TOL) -> Trajectory:
+                        t_grid, seed: int, store_states: bool = False) -> Trajectory:
     """Draw the innovation path from ``seed`` and propagate the SME along it."""
     t, dts = _grid_steps(t_grid)
     gen = CompiledGenerator(spec)
     dw = wiener_increments(seed, dts)
     bloch, states, rec, innov = _evolve(
         rho0.entries[None, :, :], gen, l_op.entries, dts,
-        increments=dw[None, :], seeds=(seed,), abort_tol=abort_tol,
-        store_states=store_states,
+        increments=dw[None, :], seeds=(seed,), store_states=store_states,
     )
     return Trajectory(
         t_grid=t,
@@ -248,7 +231,7 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
 
 
 def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
-                  record, t_grid, abort_tol: float = SME_ABORT_TOL) -> list[DensityMatrix]:
+                  record, t_grid) -> list[DensityMatrix]:
     """Reconstruct the conditional states from a measurement record alone."""
     t, dts = _grid_steps(t_grid)
     rec = np.asarray(record, dtype=float)
@@ -259,7 +242,7 @@ def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     gen = CompiledGenerator(spec)
     _, states, _, _ = _evolve(
         rho0.entries[None, :, :], gen, l_op.entries, dts,
-        record=rec[None, :], abort_tol=abort_tol, store_states=True,
+        record=rec[None, :], store_states=True,
     )
     return [DensityMatrix.wrap(spec.layout, s) for s in states[0]]
 
@@ -270,22 +253,17 @@ def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
         raise UnsupportedModeError(
             "trajectory stores expectations only; rerun with store_states=True"
         )
-    if trajectory.layout.dims[0] != 2:
-        raise ValueError("layout does not start with a qubit factor")
-    return _qubit_bloch_batch(trajectory.states, trajectory.layout.dims)
+    return qubit_bloch(trajectory.states, trajectory.layout.dims)
 
 
 def _ensemble_worker(args):
-    idx, rho0e, spec, l_op, dts, seeds, abort_tol = args
+    idx, rho0e, spec, l_op, dts, seeds = args
     gen = CompiledGenerator(spec)
     b = len(seeds)
     dw = np.stack([wiener_increments(s, dts) for s in seeds])
     rho0 = np.broadcast_to(rho0e, (b,) + rho0e.shape)
     try:
-        bloch, _, _, _ = _evolve(
-            rho0, gen, l_op.entries, dts,
-            increments=dw, seeds=seeds, abort_tol=abort_tol,
-        )
+        bloch, _, _, _ = _evolve(rho0, gen, l_op.entries, dts, increments=dw, seeds=seeds)
     except PositivityError as err:
         return idx, None, None, tuple(getattr(err, "seeds", ()) or seeds)
     return idx, bloch.sum(axis=0), (bloch * bloch).sum(axis=0), ()
@@ -293,8 +271,7 @@ def _ensemble_worker(args):
 
 def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                      t_grid, n_traj: int, base_seed: int,
-                     workers: int = 1, batch_size: int = 50,
-                     abort_tol: float = SME_ABORT_TOL) -> EnsembleResult:
+                     workers: int = 1, batch_size: int = 50) -> EnsembleResult:
     """Mean and standard error of the conditional qubit Bloch components over
     ``n_traj`` trajectories seeded base_seed .. base_seed + n_traj - 1.
 
@@ -309,10 +286,7 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     t, dts = _grid_steps(t_grid)
     seeds = tuple(int(base_seed) + k for k in range(n_traj))
     batches = [seeds[i:i + batch_size] for i in range(0, n_traj, batch_size)]
-    tasks = [
-        (i, rho0.entries, spec, l_op, dts, batch, abort_tol)
-        for i, batch in enumerate(batches)
-    ]
+    tasks = [(i, rho0.entries, spec, l_op, dts, batch) for i, batch in enumerate(batches)]
 
     results: dict[int, tuple] = {}
     if workers > 1 and len(tasks) > 1:

@@ -19,8 +19,12 @@ from .operators import (
     LayoutMismatchError,
     Operator,
     partial_trace,
+    qubit_bloch,
 )
 from .slh import SlhModel, qubit_operator
+
+#: smallest eigenvalue an integrated state may reach before the run aborts
+POSITIVITY_ABORT = 1e-6
 
 
 class PositivityError(RuntimeError):
@@ -71,7 +75,11 @@ def _check_layout(rho, layout: HilbertLayout) -> None:
 
 
 def lindblad_apply(rho, spec: GeneratorSpec) -> np.ndarray:
-    """Time derivative -i[H, rho] + sum of dissipators (+ direct terms)."""
+    """Time derivative -i[H, rho] + sum of dissipators (+ direct terms).
+
+    This is the term-by-term reference for ``CompiledGenerator``, which every
+    integrator and filter applies instead.
+    """
     _check_layout(rho, spec.layout)
     r = _entries(rho)
     h = spec.hamiltonian.entries
@@ -127,12 +135,6 @@ def generator_spec(model: SlhModel, form: str = "lindblad") -> GeneratorSpec:
     raise ValueError(f"unknown generator form {form!r}")
 
 
-def augmented_apply(rho, model: SlhModel) -> np.ndarray:
-    """Apply the augmented master equation in its written-out form:
-    -i[H_S + H_A, rho] + bank and probe dissipators + [D, rho] + [rho, D^dag]."""
-    return lindblad_apply(rho, generator_spec(model, form="direct"))
-
-
 class CompiledGenerator:
     """Precomputed arrays for fast repeated application.
 
@@ -158,6 +160,7 @@ class CompiledGenerator:
         self.edag = e.conj().T
 
     def apply(self, r: np.ndarray) -> np.ndarray:
+        """The generator on one (d, d) state or a (B, d, d) batch."""
         out = self.e @ r + r @ self.edag
         for n, nd in self.n_pairs:
             out = out + n @ r @ nd
@@ -180,29 +183,17 @@ class MasterResult:
     herm_dev: np.ndarray
     min_eig: np.ndarray
 
-    def density_matrices(self) -> list[DensityMatrix]:
-        return [DensityMatrix.wrap(self.layout, s) for s in self.states]
-
     def qubit_bloch(self) -> np.ndarray:
         """(n, 3) Bloch components of the reduced qubit over the grid."""
-        if self.layout.dims[0] != 2:
-            raise ValueError("layout does not start with a qubit factor")
-        rest = self.layout.total // 2
-        reduced = np.einsum("tinjn->tij", self.states.reshape(-1, 2, rest, 2, rest))
-        out = np.empty((len(self.states), 3))
-        out[:, 0] = 2.0 * reduced[:, 0, 1].real
-        out[:, 1] = -2.0 * reduced[:, 0, 1].imag
-        out[:, 2] = (reduced[:, 0, 0] - reduced[:, 1, 1]).real
-        return out
+        return qubit_bloch(self.states, self.layout.dims)
 
 
-def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid,
-                     positivity_abort: float = 1e-6) -> MasterResult:
+def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> MasterResult:
     """Propagate with classic fixed-step RK4 over the given time grid.
 
     Every stored state is renormalized by its trace; the pre-normalization
     drift is logged.  Aborts if any state develops an eigenvalue below
-    ``-positivity_abort``.
+    ``-POSITIVITY_ABORT``.
     """
     _check_layout(rho0, spec.layout)
     t = np.asarray(t_grid, dtype=float)
@@ -224,10 +215,10 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid,
         herm_dev[i] = np.max(np.abs(r - r.conj().T))
         w = np.linalg.eigvalsh(r)
         min_eig[i] = w[0]
-        if w[0] < -positivity_abort:
+        if w[0] < -POSITIVITY_ABORT:
             raise PositivityError(
                 f"state at t={t[i]:.6g} (grid point {i}) has eigenvalue {w[0]:.3e} "
-                f"< -{positivity_abort:g}; reduce the step size"
+                f"< -{POSITIVITY_ABORT:g}; reduce the step size"
             )
         states[i] = r
         return r
@@ -292,10 +283,3 @@ def markovian_baseline_spec(omega_q: float, ancillas, gamma_q: float,
     cops = [math.sqrt(p.kappa) * qubit_operator(p.sigma_kind, p.sigma_scale) for p in ancillas]
     cops.append(math.sqrt(gamma_q) * qubit_operator(probe_kind, probe_scale))
     return GeneratorSpec(h, tuple(cops))
-
-
-def markovian_baseline_apply(rho_q, omega_q: float, sigma_ops, probe_op) -> np.ndarray:
-    """Apply the memoryless qubit generator with explicit collapse operators."""
-    h = 0.5 * omega_q * qubit_operator("pauli_z")
-    spec = GeneratorSpec(h, tuple(sigma_ops) + (probe_op,))
-    return lindblad_apply(rho_q, spec)

@@ -38,9 +38,6 @@ class HilbertLayout:
     def total(self) -> int:
         return math.prod(self.dims) if self.dims else 1
 
-    def __len__(self) -> int:
-        return len(self.dims)
-
     def concat(self, other: HilbertLayout) -> HilbertLayout:
         return HilbertLayout(self.dims + other.dims)
 
@@ -75,10 +72,6 @@ class Operator:
     def identity(cls, layout: HilbertLayout) -> Operator:
         return cls(layout, np.eye(layout.total, dtype=complex))
 
-    @property
-    def dim(self) -> int:
-        return self.layout.total
-
     def dag(self) -> Operator:
         return Operator(self.layout, self.entries.conj().T)
 
@@ -87,9 +80,6 @@ class Operator:
 
     def herm_deviation(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.herm_deviation() <= tol
 
     def _check_same_layout(self, other: Operator) -> None:
         if self.layout != other.layout:
@@ -116,18 +106,6 @@ class Operator:
     def __matmul__(self, other: Operator) -> Operator:
         self._check_same_layout(other)
         return Operator(self.layout, self.entries @ other.entries)
-
-    def allclose(self, other: Operator, tol: float = 1e-12) -> bool:
-        return self.layout == other.layout and bool(
-            np.max(np.abs(self.entries - other.entries)) <= tol
-        )
-
-
-def require_hermitian(op: Operator, tol: float = 1e-12, what: str = "operator") -> Operator:
-    dev = op.herm_deviation()
-    if dev > tol:
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e} > {tol:.1e})")
-    return op
 
 
 class DensityMatrix:
@@ -170,39 +148,34 @@ class DensityMatrix:
         m = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
         return cls(HilbertLayout((2,)), m)
 
-    @classmethod
-    def from_ket(cls, layout: HilbertLayout, amplitudes) -> DensityMatrix:
-        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if v.size != layout.total:
-            raise ValueError(f"ket length {v.size} does not match layout total {layout.total}")
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("zero ket")
-        v = v / n
-        return cls(layout, np.outer(v, v.conj()))
-
-    def as_operator(self) -> Operator:
-        return Operator(self.layout, self.entries)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
 
     def bloch(self) -> tuple[float, float, float]:
         """Bloch components of a single-qubit state."""
         if self.layout.dims != (2,):
             raise ValueError("bloch() requires a single-qubit layout")
         m = self.entries
-        return (
-            float(2.0 * m[0, 1].real),
-            float(-2.0 * m[0, 1].imag),
-            float((m[0, 0] - m[1, 1]).real),
-        )
+        x, y, z = bloch_components(m[0, 0], m[0, 1], m[1, 1])
+        return float(x), float(y), float(z)
+
+
+def bloch_components(m00, m01, m11):
+    """Bloch components (2 Re m01, -2 Im m01, m00 - m11) of a qubit state from
+    its matrix entries, given as scalars or as equal-shape arrays."""
+    return 2.0 * m01.real, -2.0 * m01.imag, (m00 - m11).real
+
+
+def qubit_bloch(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Bloch components of the leading qubit factor of a stack of joint states
+    on ``dims``: shape (n, d, d) -> (n, 3)."""
+    if dims[0] != 2:
+        raise ValueError("layout does not start with a qubit factor")
+    rest = math.prod(dims[1:])
+    r = np.einsum("binjn->bij", states.reshape(-1, 2, rest, 2, rest))
+    out = np.empty((len(r), 3))
+    out[:, 0], out[:, 1], out[:, 2] = bloch_components(r[:, 0, 0], r[:, 0, 1], r[:, 1, 1])
+    return out
 
 
 _QUBIT_MATRICES = {

@@ -1,25 +1,18 @@
-"""Builders and composition products for (scattering, couplings, Hamiltonian) models.
+"""Builders for (couplings, Hamiltonian) models of the qubit and its mode bank.
 
-A model bundles a unitary scattering matrix ``S`` (one operator entry per pair
-of field channels), an ordered list of coupling operators ``L`` (one per
-channel) and a Hermitian Hamiltonian ``H``, all acting on a shared layout.
-Two components combine either side by side (``concatenate``) or by feeding the
-output fields of one into the inputs of the other (``series``):
-
-    series:  S = S2 S1,  L = L2 + S2 L1,  H = H1 + H2 + Im{L2^dag S2 L1}
-
-The builders assemble the physics used throughout this package: a bank of
-damped harmonic modes shaping Lorentzian noise, the qubit directly coupled to
-that bank, and a probe channel on the qubit for continuous monitoring.  None
-of the built models scatter fields, so every built ``S`` is the identity.
+A model bundles an ordered list of field coupling operators ``L`` (one per
+channel) and a Hermitian Hamiltonian ``H``, both acting on a shared layout;
+no built model scatters fields, so the scattering matrix of the SLH triple is
+always the identity and is not stored.  The builders assemble the physics
+used throughout this package: a bank of damped harmonic modes shaping
+Lorentzian noise, the qubit directly coupled to that bank, and a probe channel
+on the qubit for continuous monitoring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .operators import (
     HilbertLayout,
@@ -70,16 +63,15 @@ def qubit_operator(kind: str, scale: complex = 1.0) -> Operator:
 
 @dataclass(frozen=True)
 class SlhModel:
-    """An (S, L, H) component over a fixed layout.
+    """Field couplings and a Hamiltonian over a fixed layout.
 
-    ``scattering`` is a square matrix of operators indexed by channel,
-    ``couplings`` the channel column, ``hamiltonian`` Hermitian.  The optional
-    ``probe_index`` marks the measured channel appended by ``build_probed``;
-    ``direct_coupling`` stores the qubit-bank product operator used by the
-    explicit-commutator form of the augmented master equation.
+    ``couplings`` holds one operator per field channel and ``hamiltonian`` is
+    Hermitian.  The optional ``probe_index`` marks the measured channel
+    appended by ``build_probed``; ``direct_coupling`` stores the qubit-bank
+    product operator used by the explicit-commutator form of the augmented
+    master equation.
     """
 
-    scattering: tuple[tuple[Operator, ...], ...]
     couplings: tuple[Operator, ...]
     hamiltonian: Operator
     layout: HilbertLayout
@@ -90,11 +82,7 @@ class SlhModel:
     def __post_init__(self) -> None:
         if self.field_mode not in FIELD_MODES:
             raise ValueError(f"field_mode must be one of {FIELD_MODES}")
-        n = len(self.couplings)
-        if len(self.scattering) != n or any(len(row) != n for row in self.scattering):
-            raise ValueError("scattering must be square with one row per channel")
         ops = [self.hamiltonian, *self.couplings]
-        ops += [s for row in self.scattering for s in row]
         if self.direct_coupling is not None:
             ops.append(self.direct_coupling)
         for op in ops:
@@ -102,155 +90,10 @@ class SlhModel:
                 raise ValueError("all model operators must share the model layout")
         if self.hamiltonian.herm_deviation() > 1e-10:
             raise ValueError("hamiltonian must be Hermitian to 1e-10")
-        self._check_scattering_unitary()
-
-    def _check_scattering_unitary(self, tol: float = 1e-10) -> None:
-        n = len(self.couplings)
-        eye = np.eye(self.layout.total)
-        for i in range(n):
-            for j in range(n):
-                acc = sum(
-                    self.scattering[i][k].entries @ self.scattering[j][k].entries.conj().T
-                    for k in range(n)
-                )
-                want = eye if i == j else 0.0
-                if np.max(np.abs(acc - want)) > tol:
-                    raise ValueError("scattering matrix is not unitary")
 
     @property
     def n_channels(self) -> int:
         return len(self.couplings)
-
-    @classmethod
-    def empty(cls) -> SlhModel:
-        """The concatenation identity: no channels, scalar layout, zero H."""
-        layout = HilbertLayout(())
-        return cls((), (), Operator.zero(layout), layout)
-
-    @classmethod
-    def passthrough(cls, n_channels: int) -> SlhModel:
-        """An n-channel mirror (identity S, zero couplings and H); the series
-        identity element."""
-        layout = HilbertLayout(())
-        zero = Operator.zero(layout)
-        return cls(
-            identity_scattering(n_channels, layout),
-            (zero,) * n_channels,
-            zero,
-            layout,
-        )
-
-
-def identity_scattering(n: int, layout: HilbertLayout) -> tuple[tuple[Operator, ...], ...]:
-    eye = Operator.identity(layout)
-    zero = Operator.zero(layout)
-    return tuple(tuple(eye if i == j else zero for j in range(n)) for i in range(n))
-
-
-def _lift_pair(g_left: SlhModel, g_right: SlhModel):
-    """Joint layout (left factors first) and the two lifting maps."""
-    joint = g_left.layout.concat(g_right.layout)
-    eye_l = Operator.identity(g_left.layout)
-    eye_r = Operator.identity(g_right.layout)
-
-    def lift_l(op: Operator) -> Operator:
-        return kron(op, eye_r)
-
-    def lift_r(op: Operator) -> Operator:
-        return kron(eye_l, op)
-
-    return joint, lift_l, lift_r
-
-
-def _merge_field_mode(g1: SlhModel, g2: SlhModel) -> str:
-    return g1.field_mode if g1.field_mode == g2.field_mode else "independent"
-
-
-def _merge_direct(g1: SlhModel, g2: SlhModel, lift1, lift2) -> Operator | None:
-    parts = []
-    if g1.direct_coupling is not None:
-        parts.append(lift1(g1.direct_coupling))
-    if g2.direct_coupling is not None:
-        parts.append(lift2(g2.direct_coupling))
-    if not parts:
-        return None
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
-
-
-def concatenate(g1: SlhModel, g2: SlhModel) -> SlhModel:
-    """Assemble two components side by side: block-diagonal S, stacked L,
-    summed H, on the tensored layout (g1 factors first)."""
-    joint, lift1, lift2 = _lift_pair(g1, g2)
-    n1, n2 = g1.n_channels, g2.n_channels
-    zero = Operator.zero(joint)
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(lift1(g1.scattering[i][j]) for j in range(n1)) + (zero,) * n2)
-    for i in range(n2):
-        rows.append((zero,) * n1 + tuple(lift2(g2.scattering[i][j]) for j in range(n2)))
-    couplings = tuple(lift1(op) for op in g1.couplings) + tuple(lift2(op) for op in g2.couplings)
-    hamiltonian = lift1(g1.hamiltonian) + lift2(g2.hamiltonian)
-    probe = None
-    if g1.probe_index is not None and g2.probe_index is None:
-        probe = g1.probe_index
-    elif g2.probe_index is not None and g1.probe_index is None:
-        probe = n1 + g2.probe_index
-    return SlhModel(
-        tuple(rows),
-        couplings,
-        hamiltonian,
-        joint,
-        field_mode=_merge_field_mode(g1, g2),
-        probe_index=probe,
-        direct_coupling=_merge_direct(g1, g2, lift1, lift2),
-    )
-
-
-def series(g2: SlhModel, g1: SlhModel) -> SlhModel:
-    """Feed the output fields of ``g1`` into ``g2`` (the product g2 after g1).
-
-    Requires equal channel counts.  The joint layout carries g1's factors
-    first.
-    """
-    if g1.n_channels != g2.n_channels:
-        raise ValueError(
-            f"series requires equal channel counts, got {g1.n_channels} and {g2.n_channels}"
-        )
-    n = g1.n_channels
-    joint, lift1, lift2 = _lift_pair(g1, g2)
-    s1 = [[lift1(g1.scattering[i][j]) for j in range(n)] for i in range(n)]
-    s2 = [[lift2(g2.scattering[i][j]) for j in range(n)] for i in range(n)]
-    l1 = [lift1(op) for op in g1.couplings]
-    l2 = [lift2(op) for op in g2.couplings]
-
-    zero = Operator.zero(joint)
-    s_out = tuple(
-        tuple(
-            sum((s2[i][k] @ s1[k][j] for k in range(n)), zero)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    s2l1 = [sum((s2[i][k] @ l1[k] for k in range(n)), zero) for i in range(n)]
-    couplings = tuple(l2[i] + s2l1[i] for i in range(n))
-    cross = sum((l2[i].dag() @ s2l1[i] for i in range(n)), zero)
-    # Im{X} = (X - X^dag) / (2i)
-    hamiltonian = (
-        lift1(g1.hamiltonian)
-        + lift2(g2.hamiltonian)
-        + (cross - cross.dag()) * (-0.5j)
-    )
-    return SlhModel(
-        s_out,
-        couplings,
-        hamiltonian,
-        joint,
-        field_mode=_merge_field_mode(g1, g2),
-        direct_coupling=_merge_direct(g1, g2, lift1, lift2),
-    )
 
 
 def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
@@ -267,31 +110,16 @@ def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
         a = embed(make_standard_operator("annihilation", p.truncation), k, layout)
         couplings.append(math.sqrt(p.gamma) * a)
         h = h + p.omega * (a.dag() @ a)
-    return SlhModel(
-        identity_scattering(len(params), layout),
-        tuple(couplings),
-        h,
-        layout,
-        field_mode=field_mode,
-    )
-
-
-def bank_fictitious_output(params, layout: HilbertLayout, qubit_offset: int = 1) -> list[Operator]:
-    """Per-mode operators -(sqrt(gamma_k)/2) a_k lifted into ``layout``; the
-    internal noise channel the qubit couples to."""
-    ops = []
-    for k, p in enumerate(params):
-        a = embed(make_standard_operator("annihilation", p.truncation), qubit_offset + k, layout)
-        ops.append((-math.sqrt(p.gamma) / 2.0) * a)
-    return ops
+    return SlhModel(tuple(couplings), h, layout, field_mode=field_mode)
 
 
 def build_augmented(omega_q: float, bank: SlhModel,
                     params: list[AncillaParams] | tuple[AncillaParams, ...]) -> SlhModel:
     """Couple a qubit (slot 0) directly to the bank's internal noise channel.
 
-    H = (omega_q/2) sigma_z + H_bank + i(C^dag S - S^dag C) with C the
-    fictitious bank output and S the weighted qubit coupling column.
+    H = (omega_q/2) sigma_z + H_bank + i(D - D^dag) with the direct coupling
+    D = sum_k sqrt(kappa_k) C_k^dag sigma_k, where C_k = -(sqrt(gamma_k)/2) a_k
+    is the bank's internal noise channel and sigma_k the qubit coupling.
     """
     params = tuple(params)
     if bank.layout.dims != tuple(p.truncation for p in params):
@@ -304,15 +132,15 @@ def build_augmented(omega_q: float, bank: SlhModel,
     h_s = embed(0.5 * omega_q * make_standard_operator("pauli_z", 2), 0, layout)
     h_a = kron(eye_q, bank.hamiltonian)
 
-    c_ops = bank_fictitious_output(params, layout)
     direct = Operator.zero(layout)
     for k, p in enumerate(params):
+        a = embed(make_standard_operator("annihilation", p.truncation), 1 + k, layout)
+        c_k = (-math.sqrt(p.gamma) / 2.0) * a
         sigma_k = embed(qubit_operator(p.sigma_kind, p.sigma_scale), 0, layout)
-        direct = direct + math.sqrt(p.kappa) * (c_ops[k].dag() @ sigma_k)
+        direct = direct + math.sqrt(p.kappa) * (c_k.dag() @ sigma_k)
     h_i = 1j * (direct - direct.dag())
 
     return SlhModel(
-        identity_scattering(bank.n_channels, layout),
         tuple(kron(eye_q, op) for op in bank.couplings),
         h_s + h_a + h_i,
         layout,
@@ -331,13 +159,11 @@ def build_probed(augmented: SlhModel, gamma_q: float, probe_kind: str,
     probe = embed(
         math.sqrt(gamma_q) * qubit_operator(probe_kind, probe_scale), 0, augmented.layout
     )
-    n = augmented.n_channels
     return SlhModel(
-        identity_scattering(n + 1, augmented.layout),
         augmented.couplings + (probe,),
         augmented.hamiltonian,
         augmented.layout,
         field_mode=augmented.field_mode,
-        probe_index=n,
+        probe_index=augmented.n_channels,
         direct_coupling=augmented.direct_coupling,
     )

@@ -84,6 +84,8 @@ class SpectrumSamples:
                     continue
                 w, v = line.split(",")[:2]
                 rows.append((float(w), float(v)))
+        if not rows:
+            raise ValueError(f"spectrum file {path} has no data rows")
         return cls.from_pairs(rows)
 
 

@@ -106,6 +106,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bloch"):
             dataclasses.replace(preset("paper-fig4"), init_bloch=(1.0, 0.5, 0.0)).validate()
 
+    def test_preset_hash_pinned(self):
+        # the hash is embedded in every CSV header; it must not drift
+        assert config_hash(preset("paper-fig4")) == "019c88ddb6de5e56"
+
     def test_hash_tracks_content(self):
         cfg = preset("paper-fig4")
         assert config_hash(cfg) == config_hash(preset("paper-fig4"))
@@ -247,6 +251,18 @@ class TestMainEntry:
         ])
         assert rc == 0
         assert (tmp_path / "filter_record_seed99.csv").exists()
+
+    def test_header_only_spectrum_is_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("omega,psd\n")
+        cfg = dataclasses.replace(preset("paper-fig4"), out_dir=str(tmp_path),
+                                  fit_input=str(empty))
+        path = tmp_path / "fit.cfg"
+        path.write_text(serialize_config(cfg))
+        assert main(["fit", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "empty.csv" in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -265,7 +265,7 @@ class TestEngineConsistency:
         single = simulate_trajectory(rho0, spec, l_op, grid, seed=60)
         dts = np.diff(grid)
         idx, s, sq, failed = _ensemble_worker(
-            (0, rho0.entries, spec, l_op, dts, (60, 61, 62), 0.25)
+            (0, rho0.entries, spec, l_op, dts, (60, 61, 62))
         )
         three = [simulate_trajectory(rho0, spec, l_op, grid, seed=s_) for s_ in (60, 61, 62)]
         total = sum(t.bloch for t in three)

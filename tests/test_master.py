@@ -7,17 +7,17 @@ from numpy.testing import assert_allclose
 
 import nmqubit as nq
 from nmqubit.experiments import build_probed_model, config_grid
+from nmqubit.filtering import Trajectory, conditional_qubit
 from nmqubit.master import (
     CompiledGenerator,
     GeneratorSpec,
+    MasterResult,
     PositivityError,
     ancilla_moment_oracle,
-    augmented_apply,
     augmented_initial_state,
     generator_spec,
     integrate_master,
     lindblad_apply,
-    markovian_baseline_apply,
     markovian_baseline_spec,
     reduce_to_qubit,
 )
@@ -83,7 +83,7 @@ class TestGeneratorForms:
         for _ in range(20):
             rho = unit_trace_hermitian(rng, model.layout.total)
             d1 = lindblad_apply(rho, spec)
-            d2 = augmented_apply(rho, model)
+            d2 = lindblad_apply(rho, generator_spec(model, form="direct"))
             worst = max(worst, float(np.max(np.abs(d1 - d2))))
         assert worst <= 1e-12
 
@@ -178,6 +178,25 @@ class TestReduce:
         x, y, z = reduce_to_qubit(rho).bloch()
         assert math.sqrt(x * x + y * y + z * z) <= 1 + 1e-10
 
+    @pytest.mark.parametrize("dims", [(2,), (2, 3), (2, 3, 4)])
+    def test_bloch_reductions_match_reshape_trace(self, rng, dims):
+        layout = HilbertLayout(dims)
+        states = np.stack([rand_density(rng, dims).entries for _ in range(4)])
+        rest = layout.total // 2
+        paulis = [make_standard_operator(k, 2).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
+        want = np.array([
+            [np.trace(p @ np.trace(s.reshape(2, rest, 2, rest), axis1=1, axis2=3)).real
+             for p in paulis]
+            for s in states
+        ])
+        t = np.arange(len(states), dtype=float)
+        result = MasterResult(t, layout, states, *(np.zeros(len(t)),) * 3)
+        traj = Trajectory(t, layout, None, states, np.zeros(3), np.zeros(3), seed=0)
+        singles = [reduce_to_qubit(DensityMatrix.wrap(layout, s)).bloch() for s in states]
+        assert_allclose(result.qubit_bloch(), want, atol=1e-12)
+        assert_allclose(conditional_qubit(traj), want, atol=1e-12)
+        assert_allclose(singles, want, atol=1e-12)
+
     def test_linearity(self, rng):
         lay = (2, 3)
         r1, r2 = rand_density(rng, lay), rand_density(rng, lay)
@@ -217,28 +236,22 @@ class TestMarkovianBaseline:
         # the sigma_x probe channel leaves <sx> untouched
         kappa, gamma_q, omega_q = 1.0, 0.8, 2.0
         rho = DensityMatrix.from_bloch(1, 0, 0)
-        out = markovian_baseline_apply(
-            rho, omega_q,
-            (math.sqrt(kappa) * qubit_operator("pauli_y"),),
-            math.sqrt(gamma_q) * qubit_operator("pauli_x"),
-        )
+        bank = [AncillaParams(omega=2.0, gamma=0.6, kappa=kappa, sigma_kind="pauli_y")]
+        out = lindblad_apply(rho, markovian_baseline_spec(omega_q, bank, gamma_q, "pauli_x"))
         sx = qubit_operator("pauli_x").entries
         rate = float(np.real(np.trace(sx @ out)))
         assert rate == pytest.approx(-2.0 * kappa)
 
     def test_pure_precession(self):
         rho = DensityMatrix.from_bloch(1, 0, 0)
-        out = markovian_baseline_apply(rho, 2.0, (), 0.0 * qubit_operator("pauli_x"))
+        out = lindblad_apply(rho, markovian_baseline_spec(2.0, (), 0.0, "pauli_x"))
         sz = qubit_operator("pauli_z").entries
         assert abs(np.trace(sz @ out)) < 1e-14
 
     def test_trace_preserved(self, rng):
         rho = rand_density(rng, (2,))
-        out = markovian_baseline_apply(
-            rho, 1.3,
-            (qubit_operator("pauli_y"),),
-            0.5 * qubit_operator("pauli_x"),
-        )
+        bank = [AncillaParams(omega=1.0, gamma=0.5, kappa=1.0, sigma_kind="pauli_y")]
+        out = lindblad_apply(rho, markovian_baseline_spec(1.3, bank, 0.25, "pauli_x"))
         assert abs(np.trace(out)) < 1e-13
 
     def test_spec_builder_matches(self, rng):
@@ -247,11 +260,11 @@ class TestMarkovianBaseline:
                                        cfg.probe_kind)
         rho = rand_density(rng, (2,))
         via_spec = lindblad_apply(rho, spec)
-        direct = markovian_baseline_apply(
-            rho, cfg.omega_q,
-            (math.sqrt(1.0) * qubit_operator("pauli_y"),),
-            math.sqrt(0.8) * qubit_operator("pauli_x"),
+        hand = GeneratorSpec(
+            0.5 * cfg.omega_q * qubit_operator("pauli_z"),
+            (math.sqrt(1.0) * qubit_operator("pauli_y"), math.sqrt(0.8) * qubit_operator("pauli_x")),
         )
+        direct = lindblad_apply(rho, hand)
         assert_allclose(via_spec, direct, atol=1e-14)
 
 

@@ -4,24 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nmqubit.operators import HilbertLayout, Operator, embed, kron, make_standard_operator
+from nmqubit.operators import HilbertLayout, Operator, embed, make_standard_operator
 from nmqubit.slh import (
     AncillaParams,
-    SlhModel,
     build_ancilla_bank,
     build_augmented,
     build_probed,
-    concatenate,
     qubit_operator,
-    series,
 )
 
 from conftest import rand_density
-
-
-def single_mode(omega, gamma, n=3):
-    return build_ancilla_bank([AncillaParams(omega=omega, gamma=gamma, kappa=0.0,
-                                             truncation=n)])
 
 
 class TestAncillaParams:
@@ -68,80 +60,22 @@ class TestBank:
         c0, c1 = bank.couplings
         assert_allclose((c0 @ c1 - c1 @ c0).entries, 0, atol=1e-14)
 
-
-class TestConcatenate:
-    def test_reproduces_bank(self):
+    def test_three_mode_entries(self):
         params = [
             AncillaParams(omega=1.0, gamma=0.4, kappa=0.0, truncation=3),
-            AncillaParams(omega=2.0, gamma=0.9, kappa=0.0, truncation=3),
-            AncillaParams(omega=3.0, gamma=0.2, kappa=0.0, truncation=3),
+            AncillaParams(omega=2.0, gamma=0.9, kappa=0.0, truncation=4),
+            AncillaParams(omega=3.0, gamma=0.2, kappa=0.0, truncation=2),
         ]
         bank = build_ancilla_bank(params)
-        joined = concatenate(
-            concatenate(build_ancilla_bank(params[:1]), build_ancilla_bank(params[1:2])),
-            build_ancilla_bank(params[2:]),
-        )
-        assert joined.layout == bank.layout
-        assert_allclose(joined.hamiltonian.entries, bank.hamiltonian.entries, atol=1e-12)
-        for got, want in zip(joined.couplings, bank.couplings):
-            assert_allclose(got.entries, want.entries, atol=1e-12)
-
-    def test_empty_identity(self):
-        g = single_mode(1.5, 0.7)
-        out = concatenate(g, SlhModel.empty())
-        assert out.layout == g.layout
-        assert_allclose(out.hamiltonian.entries, g.hamiltonian.entries)
-        assert len(out.couplings) == g.n_channels
-
-    def test_layout_total_multiplies(self):
-        g1 = single_mode(1.0, 0.5, n=3)
-        g2 = single_mode(2.0, 0.5, n=4)
-        assert concatenate(g1, g2).layout.total == g1.layout.total * g2.layout.total
-
-
-class TestSeries:
-    def test_passthrough_identity(self):
-        g = single_mode(1.5, 0.7)
-        out = series(SlhModel.passthrough(g.n_channels), g)
-        assert out.layout == g.layout
-        assert_allclose(out.hamiltonian.entries, g.hamiltonian.entries, atol=1e-14)
-        assert_allclose(out.couplings[0].entries, g.couplings[0].entries, atol=1e-14)
-
-    def test_couplings_add_for_identity_scattering(self):
-        g1 = single_mode(1.0, 0.5)
-        g2 = single_mode(2.0, 0.8)
-        out = series(g2, g1)
-        i1 = Operator.identity(g1.layout)
-        i2 = Operator.identity(g2.layout)
-        want = kron(g1.couplings[0], i2) + kron(i1, g2.couplings[0])
-        assert_allclose(out.couplings[0].entries, want.entries, atol=1e-12)
-
-    def test_hamiltonian_cross_term(self):
-        # hand-expanded: H = H1 + H2 + (X - X^dag)/(2i), X = L2^dag L1
-        g1 = single_mode(1.0, 0.5)
-        g2 = single_mode(2.0, 0.8)
-        out = series(g2, g1)
-        i1 = Operator.identity(g1.layout)
-        i2 = Operator.identity(g2.layout)
-        l1 = kron(g1.couplings[0], i2)
-        l2 = kron(i1, g2.couplings[0])
-        x = l2.dag() @ l1
-        want = (
-            kron(g1.hamiltonian, i2)
-            + kron(i1, g2.hamiltonian)
-            + (x - x.dag()) * (-0.5j)
-        ).entries
-        assert_allclose(out.hamiltonian.entries, want, atol=1e-12)
-        assert out.hamiltonian.herm_deviation() < 1e-12
-
-    def test_channel_count_mismatch(self):
-        g1 = single_mode(1.0, 0.5)
-        params = [
-            AncillaParams(omega=1.0, gamma=0.4, kappa=0.0, truncation=3),
-            AncillaParams(omega=2.0, gamma=0.9, kappa=0.0, truncation=3),
-        ]
-        with pytest.raises(ValueError):
-            series(build_ancilla_bank(params), g1)
+        lay = HilbertLayout((3, 4, 2))
+        assert bank.layout == lay
+        assert bank.n_channels == 3
+        h = Operator.zero(lay)
+        for k, p in enumerate(params):
+            a = embed(make_standard_operator("annihilation", p.truncation), k, lay)
+            assert np.array_equal(bank.couplings[k].entries, (math.sqrt(p.gamma) * a).entries)
+            h = h + p.omega * (a.dag() @ a)
+        assert np.array_equal(bank.hamiltonian.entries, h.entries)
 
 
 class TestAugmented:
@@ -215,13 +149,6 @@ class TestProbed:
     def test_zero_gamma_probe(self):
         model = self.make(gamma_q=0.0)
         assert_allclose(model.couplings[model.probe_index].entries, 0, atol=1e-14)
-
-    def test_scattering_identity(self):
-        model = self.make()
-        eye = np.eye(model.layout.total)
-        for i, row in enumerate(model.scattering):
-            for j, op in enumerate(row):
-                assert_allclose(op.entries, eye if i == j else 0.0, atol=1e-14)
 
 
 class TestQubitOperatorMenu:
