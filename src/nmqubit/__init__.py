@@ -26,7 +26,6 @@ from .filtering import (
     measurement_signal,
     replay_filter,
     simulate_trajectory,
-    sme_step,
     wiener_increments,
 )
 from .master import (

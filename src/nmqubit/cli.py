@@ -272,6 +272,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: command-line flag (argparse dest) -> the ExperimentConfig field it overrides
+_OVERRIDES = {"out": "out_dir", "seed": "base_seed", "n_traj": "n_traj", "dt": "dt",
+              "workers": "workers"}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -283,17 +288,8 @@ def main(argv=None) -> int:
             config = preset(args.preset)
         else:
             raise ConfigError("one of --config or --preset is required")
-        overrides = {}
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.seed is not None:
-            overrides["base_seed"] = args.seed
-        if args.n_traj is not None:
-            overrides["n_traj"] = args.n_traj
-        if args.dt is not None:
-            overrides["dt"] = args.dt
-        if args.workers is not None:
-            overrides["workers"] = args.workers
+        overrides = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
+                     if getattr(args, flag) is not None}
         if overrides:
             config = dataclasses.replace(config, **overrides).validate()
         paths = run_command(args.command, config)

@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ConfigError(f"truncation must be >= 2, got {self.truncation}")
         if self.n_traj < 1:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.gamma_q < 0:
             raise ConfigError(f"probe.gamma_q must be >= 0, got {self.gamma_q}")
         if self.probe_kind not in QUBIT_COUPLING_KINDS:

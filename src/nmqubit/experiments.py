@@ -48,13 +48,12 @@ def initial_state(config: ExperimentConfig, model: SlhModel) -> DensityMatrix:
     return augmented_initial_state(config.init_bloch, model.layout)
 
 
-def run_unconditional(config: ExperimentConfig, truncation: int | None = None) -> MasterResult:
+def run_unconditional(config: ExperimentConfig) -> MasterResult:
     """Integrate the augmented master equation for the configured experiment."""
-    cfg = config if truncation is None else with_truncation(config, truncation)
-    model = build_probed_model(cfg)
+    model = build_probed_model(config)
     spec = generator_spec(model)
-    rho0 = initial_state(cfg, model)
-    return integrate_master(rho0, spec, config_grid(cfg))
+    rho0 = initial_state(config, model)
+    return integrate_master(rho0, spec, config_grid(config))
 
 
 def run_baseline(config: ExperimentConfig) -> MasterResult:
@@ -95,7 +94,7 @@ def truncation_deviation(config: ExperimentConfig, factor: int = 2) -> float:
     """Max qubit Bloch deviation when every mode's truncation is multiplied by
     ``factor``; the convergence check for the finite ladder."""
     base = run_unconditional(config).qubit_bloch()
-    refined = run_unconditional(config, truncation=factor * config.truncation).qubit_bloch()
+    refined = run_unconditional(with_truncation(config, factor * config.truncation)).qubit_bloch()
     return float(np.max(np.abs(base - refined)))
 
 

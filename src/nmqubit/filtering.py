@@ -57,17 +57,14 @@ def wiener_increments(seed: int, dts) -> np.ndarray:
     return gen.standard_normal(len(dts)) * np.sqrt(dts)
 
 
-def measurement_signal(states, l_op: Operator | np.ndarray) -> np.ndarray:
-    """tr[(L + L^dag) rho] for one state or a stack of states.
+def measurement_signal(states, l_op: Operator) -> np.ndarray:
+    """tr[(L + L^dag) rho] for each state of a stack.
 
     Each state goes through the exact arithmetic path the trajectory engine
     uses per step, so record bookkeeping can be re-verified bit for bit.
     """
-    l = l_op.entries if isinstance(l_op, Operator) else np.asarray(l_op)
-    lsum = l + l.conj().T
+    lsum = l_op.entries + l_op.entries.conj().T
     arr = np.asarray(states)
-    if arr.ndim == 2:
-        return float(np.einsum("ij,...ji->...", lsum, arr[None]).real[0])
     return np.array(
         [np.einsum("ij,...ji->...", lsum, arr[i:i + 1]).real[0] for i in range(len(arr))]
     )
@@ -75,12 +72,13 @@ def measurement_signal(states, l_op: Operator | np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """One conditional path: states (or just qubit Bloch components), the
-    measurement record, the innovations that generated it, and the seed."""
+    """One conditional path: qubit Bloch components (and, if stored, the full
+    states), the measurement record, the innovations that generated it, and
+    the seed."""
 
     t_grid: np.ndarray
     layout: HilbertLayout
-    bloch: np.ndarray | None
+    bloch: np.ndarray
     states: np.ndarray | None
     record: np.ndarray
     innovations: np.ndarray
@@ -109,24 +107,22 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
     Returns (bloch, states, record_out, innovations_out).
     """
     simulate = increments is not None
-    if simulate == (record is not None):
-        raise ValueError("exactly one of increments/record must be given")
+    dims = gen.layout.dims
+    if dims[0] != 2:
+        raise ValueError("layout does not start with a qubit factor")
     b, d, _ = rho0.shape
     n = len(dts)
-    dims = gen.layout.dims
     ldag = l.conj().T
     lsum = l + ldag
     screen = CLIP_SCREEN * np.eye(d)
 
-    track_bloch = dims[0] == 2
-    bloch = np.empty((b, n + 1, 3)) if track_bloch else None
+    bloch = np.empty((b, n + 1, 3))
     states = np.empty((b, n + 1, d, d), dtype=complex) if store_states else None
     rec_out = np.empty((b, n))
     innov_out = np.empty((b, n))
 
     rho = np.array(rho0, dtype=complex)
-    if track_bloch:
-        bloch[:, 0] = qubit_bloch(rho, dims)
+    bloch[:, 0] = qubit_bloch(rho, dims)
     if store_states:
         states[:, 0] = rho
 
@@ -162,8 +158,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
 
         rec_out[:, i] = m * dt + dw
         innov_out[:, i] = dw
-        if track_bloch:
-            bloch[:, i + 1] = qubit_bloch(rho, dims)
+        bloch[:, i + 1] = qubit_bloch(rho, dims)
         if store_states:
             states[:, i + 1] = rho
 
@@ -180,49 +175,19 @@ def _grid_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
     return t, dts
 
 
-def sme_step(rho_hat, spec: GeneratorSpec, l_op: Operator, dt: float, dw: float):
-    """One Euler-Maruyama step of the normalized SME.
-
-    Returns the renormalized (and, if needed, positivity-repaired) post-step
-    state and the measurement increment dY = tr[(L+L^dag) rho] dt + dW.
-    Aborts if the raw update develops an eigenvalue below ``-SME_ABORT_TOL``.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if not np.isfinite(dw):
-        raise ValueError("dW must be finite")
-    r = rho_hat.entries if isinstance(rho_hat, (DensityMatrix, Operator)) else np.asarray(rho_hat)
-    gen = CompiledGenerator(spec)
-    _, states, rec, _ = _evolve(
-        r[None, :, :], gen, l_op.entries, np.array([float(dt)]),
-        increments=np.zeros((1, 1)) + dw, store_states=True,
-    )
-    return DensityMatrix.wrap(spec.layout, states[0, 1]), float(rec[0, 0])
-
-
-def stochastic_gain(rho_hat, l_op: Operator) -> np.ndarray:
-    """The measurement back-action term L rho + rho L^dag - tr[(L+L^dag)rho] rho;
-    traceless for unit-trace input."""
-    r = rho_hat.entries if isinstance(rho_hat, (DensityMatrix, Operator)) else np.asarray(rho_hat)
-    l = l_op.entries
-    m = measurement_signal(r, l_op)
-    return l @ r + r @ l.conj().T - m * r
-
-
 def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                         t_grid, seed: int, store_states: bool = False) -> Trajectory:
     """Draw the innovation path from ``seed`` and propagate the SME along it."""
     t, dts = _grid_steps(t_grid)
-    gen = CompiledGenerator(spec)
     dw = wiener_increments(seed, dts)
     bloch, states, rec, innov = _evolve(
-        rho0.entries[None, :, :], gen, l_op.entries, dts,
+        rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
         increments=dw[None, :], seeds=(seed,), store_states=store_states,
     )
     return Trajectory(
         t_grid=t,
         layout=spec.layout,
-        bloch=bloch[0] if bloch is not None else None,
+        bloch=bloch[0],
         states=states[0] if states is not None else None,
         record=rec[0],
         innovations=innov[0],
@@ -239,9 +204,11 @@ def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
         raise ValueError(
             f"record length {rec.shape} does not match the {len(dts)} grid steps"
         )
-    gen = CompiledGenerator(spec)
+    bad = np.flatnonzero(~np.isfinite(rec))
+    if bad.size:
+        raise ValueError(f"record entry {rec[bad[0]]} at step {bad[0]} is not finite")
     _, states, _, _ = _evolve(
-        rho0.entries[None, :, :], gen, l_op.entries, dts,
+        rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
         record=rec[None, :], store_states=True,
     )
     return [DensityMatrix.wrap(spec.layout, s) for s in states[0]]
@@ -257,16 +224,16 @@ def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
 
 
 def _ensemble_worker(args):
-    idx, rho0e, spec, l_op, dts, seeds = args
-    gen = CompiledGenerator(spec)
+    rho0e, spec, l_op, dts, seeds = args
     b = len(seeds)
     dw = np.stack([wiener_increments(s, dts) for s in seeds])
     rho0 = np.broadcast_to(rho0e, (b,) + rho0e.shape)
     try:
-        bloch, _, _, _ = _evolve(rho0, gen, l_op.entries, dts, increments=dw, seeds=seeds)
+        bloch, _, _, _ = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dts,
+                                 increments=dw, seeds=seeds)
     except PositivityError as err:
-        return idx, None, None, tuple(getattr(err, "seeds", ()) or seeds)
-    return idx, bloch.sum(axis=0), (bloch * bloch).sum(axis=0), ()
+        return None, None, tuple(getattr(err, "seeds", ()) or seeds)
+    return bloch.sum(axis=0), (bloch * bloch).sum(axis=0), ()
 
 
 def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
@@ -281,28 +248,20 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
-    if spec.layout.dims[0] != 2:
-        raise ValueError("layout does not start with a qubit factor")
     t, dts = _grid_steps(t_grid)
     seeds = tuple(int(base_seed) + k for k in range(n_traj))
-    batches = [seeds[i:i + batch_size] for i in range(0, n_traj, batch_size)]
-    tasks = [(i, rho0.entries, spec, l_op, dts, batch) for i, batch in enumerate(batches)]
-
-    results: dict[int, tuple] = {}
+    tasks = [(rho0.entries, spec, l_op, dts, seeds[i:i + batch_size])
+             for i in range(0, n_traj, batch_size)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, s, sq, failed in pool.map(_ensemble_worker, tasks):
-                results[idx] = (s, sq, failed)
+            results = list(pool.map(_ensemble_worker, tasks))
     else:
-        for task in tasks:
-            idx, s, sq, failed = _ensemble_worker(task)
-            results[idx] = (s, sq, failed)
+        results = map(_ensemble_worker, tasks)
 
     failing: list[int] = []
     total = np.zeros((len(t), 3))
     total_sq = np.zeros((len(t), 3))
-    for idx in range(len(batches)):
-        s, sq, failed = results[idx]
+    for s, sq, failed in results:
         if failed:
             failing.extend(failed)
             continue

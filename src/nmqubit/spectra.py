@@ -16,6 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+#: iteration budget of the damped Gauss-Newton fit loop
+FIT_MAX_ITER = 200
+#: the fit converges when the squared residual changes by less than this share
+FIT_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class LorentzianComponent:
@@ -256,9 +261,7 @@ def default_initialization(samples: SpectrumSamples, n: int) -> tuple[Lorentzian
     return tuple(comps)
 
 
-def fit_lorentzian_mixture(samples: SpectrumSamples, n: int,
-                           init=None, max_iter: int = 200,
-                           rel_tol: float = 1e-10) -> FitResult:
+def fit_lorentzian_mixture(samples: SpectrumSamples, n: int, init=None) -> FitResult:
     """Fit an n-component Lorentzian mixture to sampled spectrum values.
 
     Parameters
@@ -269,10 +272,6 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, n: int,
         Number of components.
     init : sequence of LorentzianComponent, optional
         Starting components; peak picking on the residual spectrum otherwise.
-    max_iter : int
-        Iteration budget for the damped Gauss-Newton loop.
-    rel_tol : float
-        Convergence threshold on the relative change of the squared residual.
 
     Returns
     -------
@@ -299,7 +298,7 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, n: int,
     lam = 1e-3
     converged = cost <= 1e-30
     iterations = 0
-    while not converged and iterations < max_iter:
+    while not converged and iterations < FIT_MAX_ITER:
         iterations += 1
         a = jac.T @ jac
         g = jac.T @ resid
@@ -317,7 +316,7 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, n: int,
             change = (cost - trial_cost) / max(cost, 1e-300)
             theta, resid, jac, cost = trial, trial_resid, trial_jac, trial_cost
             lam = max(lam / 3.0, 1e-12)
-            if change < rel_tol or cost <= 1e-30:
+            if change < FIT_REL_TOL or cost <= 1e-30:
                 converged = True
                 break
         else:
@@ -344,7 +343,7 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, n: int,
     )
 
 
-def nested_fits(samples: SpectrumSamples, n_max: int, max_iter: int = 200) -> list[FitResult]:
+def nested_fits(samples: SpectrumSamples, n_max: int) -> list[FitResult]:
     """Fits for n = 1 .. n_max where each initialization reuses the previous
     components plus one candidate picked from the residual peak.
 
@@ -355,7 +354,7 @@ def nested_fits(samples: SpectrumSamples, n_max: int, max_iter: int = 200) -> li
     results: list[FitResult] = []
     for n in range(1, n_max + 1):
         if n == 1 or not results:
-            fit = fit_lorentzian_mixture(samples, n, max_iter=max_iter)
+            fit = fit_lorentzian_mixture(samples, n)
         else:
             prev = results[-1].components
             resid = samples.values - mixture_psd(samples.omega, prev)
@@ -370,6 +369,6 @@ def nested_fits(samples: SpectrumSamples, n_max: int, max_iter: int = 200) -> li
                 if c < best_cost:
                     best_cost = c
                     best_init = comps
-            fit = fit_lorentzian_mixture(samples, n, init=best_init, max_iter=max_iter)
+            fit = fit_lorentzian_mixture(samples, n, init=best_init)
         results.append(fit)
     return results

@@ -269,3 +269,11 @@ class TestMainEntry:
         bad.write_text("omega_q = 2.0\n")
         assert main(["evolve", "--config", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_names_field(self, tmp_path, capsys):
+        rc = main([
+            "filter", "--preset", "paper-fig4", "--out", str(tmp_path),
+            "--dt", "0.01", "--seed", "-3",
+        ])
+        assert rc == 1
+        assert "base_seed" in capsys.readouterr().err

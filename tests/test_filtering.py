@@ -22,11 +22,9 @@ from nmqubit.filtering import (
     measurement_signal,
     replay_filter,
     simulate_trajectory,
-    sme_step,
-    stochastic_gain,
     wiener_increments,
 )
-from nmqubit.master import GeneratorSpec, PositivityError, generator_spec, integrate_master
+from nmqubit.master import GeneratorSpec, PositivityError, generator_spec, integrate_master, lindblad_apply
 from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, embed, expectation, make_standard_operator
 from nmqubit.slh import qubit_operator
 
@@ -55,52 +53,50 @@ class TestWienerIncrements:
 
 class TestSmeStep:
     def test_zero_noise_zero_probe_is_euler_step(self, rng):
-        # with dW = 0 and L = 0 a step is one plain Euler step of the
-        # deterministic master equation
+        # with dY = 0 and L = 0 a one-step replay is one plain Euler step of
+        # the deterministic master equation
         cfg = short_cfg()
         model = build_probed_model(dataclasses.replace(cfg, gamma_q=0.0))
         spec = generator_spec(model)
         zero_l = Operator.zero(model.layout)
         rho0 = rand_density(rng, model.layout.dims)
         dt = 1e-3
-        new, dy = sme_step(rho0, spec, zero_l, dt, 0.0)
-        from nmqubit.master import lindblad_apply
-
+        new = replay_filter(rho0, spec, zero_l, [0.0], [0.0, dt])[-1]
         euler = rho0.entries + dt * lindblad_apply(rho0.entries, spec)
         euler = euler / np.trace(euler).real
         assert_allclose(new.entries, euler, atol=1e-14)
-        assert dy == 0.0
-
-    def test_gain_traceless(self, rng):
-        cfg = short_cfg()
-        rho0, spec, l_op = filter_ingredients(cfg)
-        rho = rand_density(rng, spec.layout.dims)
-        out = stochastic_gain(rho, l_op)
-        assert abs(np.trace(out)) < 1e-12
 
     def test_single_step_readout_value(self):
         # from the +x product state: tr[(L+L^dag) rho] = 2 sqrt(0.8)
         cfg = nq.preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
+        m = measurement_signal(rho0.entries[None], l_op)[0]
+        assert m == pytest.approx(2 * math.sqrt(0.8), rel=1e-12)
         dt = 1e-3
-        dw = math.sqrt(dt)
-        new, dy = sme_step(rho0, spec, l_op, dt, dw)
-        assert dy == pytest.approx(2 * math.sqrt(0.8) * dt + dw, rel=1e-12)
+        traj = simulate_trajectory(rho0, spec, l_op, [0.0, dt], seed=1)
+        assert traj.record[0] == m * dt + traj.innovations[0]
 
     def test_invalid_arguments(self):
         cfg = short_cfg()
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(ValueError):
-            sme_step(rho0, spec, l_op, 0.0, 0.1)
+            replay_filter(rho0, spec, l_op, [0.1], [0.0, 0.0])
         with pytest.raises(ValueError):
-            sme_step(rho0, spec, l_op, 1e-3, float("nan"))
+            replay_filter(rho0, spec, l_op, [float("nan")], [0.0, 1e-3])
 
     def test_positivity_abort_on_huge_kick(self):
         # start away from the probe eigenbasis so the gain term is nonzero
         cfg = short_cfg(init_bloch=(0.0, 0.0, 1.0))
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(PositivityError):
-            sme_step(rho0, spec, l_op, 1e-3, 1e6)
+            replay_filter(rho0, spec, l_op, [1e6], [0.0, 1e-3])
+
+    def test_layout_without_qubit_factor(self):
+        lay = HilbertLayout((3,))
+        spec = GeneratorSpec(Operator.zero(lay), ())
+        rho0 = DensityMatrix(lay, np.eye(3, dtype=complex) / 3)
+        with pytest.raises(ValueError, match="qubit factor"):
+            simulate_trajectory(rho0, spec, Operator.zero(lay), [0.0, 1e-3], seed=1)
 
 
 class TestTrajectory:
@@ -168,6 +164,16 @@ class TestReplay:
         bad = traj.record.copy()
         bad[100] += 1e6
         with pytest.raises(PositivityError):
+            replay_filter(rho0, spec, l_op, bad, traj.t_grid)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_record_rejected(self, value):
+        cfg = short_cfg()
+        traj = run_filter_trajectory(cfg, seed=4)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        bad = traj.record.copy()
+        bad[10] = value
+        with pytest.raises(ValueError, match="step 10"):
             replay_filter(rho0, spec, l_op, bad, traj.t_grid)
 
     def test_length_mismatch(self):
@@ -264,9 +270,7 @@ class TestEngineConsistency:
         grid = config_grid(cfg)
         single = simulate_trajectory(rho0, spec, l_op, grid, seed=60)
         dts = np.diff(grid)
-        idx, s, sq, failed = _ensemble_worker(
-            (0, rho0.entries, spec, l_op, dts, (60, 61, 62))
-        )
+        s, sq, failed = _ensemble_worker((rho0.entries, spec, l_op, dts, (60, 61, 62)))
         three = [simulate_trajectory(rho0, spec, l_op, grid, seed=s_) for s_ in (60, 61, 62)]
         total = sum(t.bloch for t in three)
         assert not failed
