@@ -62,6 +62,11 @@ class ExperimentConfig:
             raise ConfigError(f"n_traj must be >= 1, got {self.n_traj}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.base_seed + self.n_traj > 2**128:
+            raise ConfigError(
+                f"base_seed + n_traj must be <= 2**128 (each seed keys a Philox stream), "
+                f"got base_seed = {self.base_seed}"
+            )
         if self.gamma_q < 0:
             raise ConfigError(f"probe.gamma_q must be >= 0, got {self.gamma_q}")
         if self.probe_kind not in QUBIT_COUPLING_KINDS:

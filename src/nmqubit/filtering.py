@@ -15,9 +15,12 @@ Euler-Maruyama kicks of size |L| |dW| push the near-zero eigenvalues of an
 almost-pure conditional state slightly negative; left alone these excursions
 accumulate diffusively.  Each step therefore ends with a positivity repair:
 when the updated state has an eigenvalue below a small screen, its spectrum is
-clipped at zero and the trace renormalized.  A raw eigenvalue below
-``-SME_ABORT_TOL`` (before repair) is treated as an unrecoverable step - a
-corrupted record or a step size far too large - and aborts the trajectory.
+clipped at zero and the trace renormalized.  A Cholesky screen on the whole
+batch finds the steps that need it; only the paths that fail the screen are
+then decomposed and repaired, so a path's repair depends on its own state
+alone, never on its batch mates.  A raw eigenvalue below ``-SME_ABORT_TOL``
+(before repair) is treated as an unrecoverable step - a corrupted record or a
+step size far too large - and aborts the trajectory.
 """
 
 from __future__ import annotations
@@ -97,6 +100,18 @@ class EnsembleResult:
     seeds: tuple[int, ...]
 
 
+def _failing_paths(a: np.ndarray) -> np.ndarray:
+    """Indices of the matrices in the stack ``a`` that have no Cholesky factor.
+
+    numpy's batched Cholesky kernel fills the factor of each failing matrix
+    with NaN and flags an invalid value; ``np.linalg.cholesky`` runs the same
+    kernel and turns that flag into one error for the whole stack.
+    """
+    with np.errstate(invalid="ignore"):
+        chol = np.linalg._umath_linalg.cholesky_lo(a, signature="D->D")
+    return np.flatnonzero(np.isnan(chol[:, 0, 0].real))
+
+
 def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.ndarray,
             *, increments: np.ndarray | None = None, record: np.ndarray | None = None,
             seeds=(), store_states: bool = False):
@@ -136,10 +151,12 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         tr = np.einsum("...ii->...", rho).real
         rho = rho / tr[:, None, None]
 
+        shifted = rho + screen
         try:
-            np.linalg.cholesky(rho + screen)
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            w, v = np.linalg.eigh(rho)
+            failed = _failing_paths(shifted)
+            w, v = np.linalg.eigh(rho[failed])
             bad = np.where(w[:, 0] < -SME_ABORT_TOL)[0]
             if bad.size:
                 err = PositivityError(
@@ -147,14 +164,14 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
                     f"after step {i} (t={float(np.sum(dts[:i + 1])):.6g}); "
                     f"the record is corrupted or the step size far too large"
                 )
-                err.seeds = tuple(seeds[j] for j in bad) if len(seeds) else ()
+                err.seeds = tuple(seeds[failed[j]] for j in bad) if len(seeds) else ()
                 err.step = i
                 raise err
             # positivity repair: clip the offending spectra at zero, renormalize
             fix = np.where(w[:, 0] < -CLIP_SCREEN)[0]
             wc = np.clip(w[fix], 0.0, None)
             rebuilt = np.einsum("bik,bk,bjk->bij", v[fix], wc, v[fix].conj())
-            rho[fix] = rebuilt / wc.sum(axis=1)[:, None, None]
+            rho[failed[fix]] = rebuilt / wc.sum(axis=1)[:, None, None]
 
         rec_out[:, i] = m * dt + dw
         innov_out[:, i] = dw

@@ -277,3 +277,11 @@ class TestMainEntry:
         ])
         assert rc == 1
         assert "base_seed" in capsys.readouterr().err
+
+    def test_seed_above_philox_key_range_names_field(self, tmp_path, capsys):
+        rc = main([
+            "filter", "--preset", "paper-fig4", "--out", str(tmp_path),
+            "--dt", "0.01", "--seed", str(2**128),
+        ])
+        assert rc == 1
+        assert "base_seed" in capsys.readouterr().err

@@ -14,9 +14,12 @@ from nmqubit.experiments import (
     run_unconditional,
 )
 from nmqubit.filtering import (
+    CLIP_SCREEN,
     EnsembleError,
     UnsupportedModeError,
     _ensemble_worker,
+    _evolve,
+    _failing_paths,
     conditional_qubit,
     ensemble_average,
     measurement_signal,
@@ -24,11 +27,11 @@ from nmqubit.filtering import (
     simulate_trajectory,
     wiener_increments,
 )
-from nmqubit.master import GeneratorSpec, PositivityError, generator_spec, integrate_master, lindblad_apply
+from nmqubit.master import CompiledGenerator, GeneratorSpec, PositivityError, generator_spec, integrate_master, lindblad_apply
 from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, embed, expectation, make_standard_operator
 from nmqubit.slh import qubit_operator
 
-from conftest import rand_density
+from conftest import rand_density, rand_hermitian
 
 
 def short_cfg(t_final=0.5, **kw):
@@ -276,3 +279,61 @@ class TestEngineConsistency:
         assert not failed
         assert np.max(np.abs(s - total)) < 1e-12
         assert np.max(np.abs(single.bloch - three[0].bloch)) == 0.0
+
+    def test_abort_seeds_map_through_failing_subset(self):
+        # only path 1 gets a huge kick, at step 22, where path 0 passes the
+        # positivity screen: path 1 is then index 0 of the repaired subset,
+        # and the abort must name its seed, not the seed of path 0
+        cfg = nq.preset("paper-fig4")
+        rho0, spec, l_op = filter_ingredients(cfg)
+        seeds = (60, 61, 62)
+        dts = np.full(50, cfg.dt)
+        dw = np.stack([wiener_increments(s_, dts) for s_ in seeds])
+        dw[1, 22] = 1e6
+        batch = np.broadcast_to(rho0.entries, (3,) + rho0.entries.shape)
+        with pytest.raises(PositivityError) as err:
+            _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+                    increments=dw, seeds=seeds)
+        assert err.value.seeds == (61,)
+        assert err.value.step == 22
+
+    def test_path_independent_of_batch_mates(self):
+        # repairs fire over 3000 steps; each path in a batch of ten must
+        # reproduce its own single-trajectory run bit for bit
+        cfg = nq.preset("paper-fig4")
+        rho0, spec, l_op = filter_ingredients(cfg)
+        seeds = tuple(range(60, 70))
+        grid = cfg.dt * np.arange(3001)
+        dts = np.diff(grid)
+        dw = np.stack([wiener_increments(s_, dts) for s_ in seeds])
+        batch = np.broadcast_to(rho0.entries, (len(seeds),) + rho0.entries.shape)
+        bloch, _, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+                                 increments=dw, seeds=seeds)
+        for row, s_ in zip(bloch, seeds):
+            single = simulate_trajectory(rho0, spec, l_op, grid, seed=s_)
+            assert np.max(np.abs(row - single.bloch)) == 0.0
+
+
+class TestFailingPaths:
+    @pytest.mark.parametrize("shift", [0.0, CLIP_SCREEN])
+    def test_matches_per_matrix_cholesky(self, rng, shift):
+        # the private batched kernel must flag exactly the matrices that the
+        # public np.linalg.cholesky rejects one at a time
+        d = 10
+        lowest = [0.1, -1e-3, 0.1, 0.1, -1e-3, 0.0, 0.1, -1e-3]
+        mats = []
+        for w0 in lowest:
+            w, v = np.linalg.eigh(rand_hermitian(rng, d))
+            w = np.abs(w) + 0.1
+            w[0] = w0
+            mats.append((v * w) @ v.conj().T)
+        a = np.stack(mats) + shift * np.eye(d)
+
+        expected = []
+        for j, m in enumerate(a):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                expected.append(j)
+        assert {1, 4, 7} <= set(expected) <= {1, 4, 5, 7}
+        assert _failing_paths(a).tolist() == expected
