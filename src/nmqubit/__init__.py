@@ -7,6 +7,7 @@ state filter; tracing out the modes returns the qubit's colored-noise
 (memory-carrying) evolution.
 """
 
+from .config import VERSION as __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -71,5 +72,3 @@ from .spectra import (
     mixture_psd,
     nested_fits,
 )
-
-__version__ = "0.1.0"

@@ -13,6 +13,7 @@ The text format is one ``key = value`` per line with dotted section names,
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from .slh import FIELD_MODES, QUBIT_COUPLING_KINDS, AncillaParams
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 
 class ConfigError(ValueError):
@@ -52,6 +53,15 @@ class ExperimentConfig:
     def validate(self) -> ExperimentConfig:
         if not self.ancillas:
             raise ConfigError("at least one ancilla.<k> group is required")
+        numeric = [(k, getattr(self, f)) for k, (f, t) in _SCALARS.items() if t in (float, complex)]
+        numeric += [("init.bloch", c) for c in self.init_bloch]
+        numeric += zip(_GRID, (self.spectrum_grid or ())[:2])
+        numeric += [(f"ancilla.{k}.{f}", v) for k, a in enumerate(self.ancillas, start=1)
+                    for f, v in (("omega", a.omega), ("gamma", a.gamma), ("kappa", a.kappa),
+                                 ("scale", a.sigma_scale))]
+        for key, value in numeric:
+            if not cmath.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.t_final <= 0:
@@ -164,7 +174,7 @@ def _coerce(key: str, value, to_type):
         if to_type is complex and isinstance(value, str):
             return complex(value.replace(" ", ""))
         return to_type(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {key!r}: cannot parse {value!r} as {to_type.__name__}") from exc
 
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,3 +289,50 @@ class TestMainEntry:
         ])
         assert rc == 1
         assert "base_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_final", "inf"),
+        ("dt", "nan"),
+        ("omega_q", "nan"),
+        ("probe.gamma_q", "nan"),
+        ("probe.scale", "nan"),
+        ("ancilla.1.omega", "-inf"),
+        ("ancilla.1.gamma", "nan"),
+        ("ancilla.1.kappa", "nan"),
+        ("ancilla.1.scale", "inf+1j"),
+        ("init.bloch", "nan, 0, 0"),
+        ("spectrum.omega_min", "nan"),
+        ("spectrum.omega_max", "inf"),
+    ])
+    def test_non_finite_value_names_field(self, tmp_path, capsys, key, value):
+        fields = {"spectrum.omega_min": "0", "spectrum.omega_max": "4",
+                  "spectrum.points": "11", key: value}
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(MINIMAL + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        rc = main(["evolve", "--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_json_integer_overflow_names_field(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "omega_q": 2.0, "probe": {"gamma_q": 0.8}, "n_traj": 1e400,
+            "ancilla": [{"omega": 2.0, "gamma": 0.6, "kappa": 1.0}],
+        }))
+        assert main(["evolve", "--config", str(path)]) == 1
+        assert "n_traj" in capsys.readouterr().err
+
+    def test_module_entry_point_writes_artifact(self, tmp_path):
+        src = str(Path(nq.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "d"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmqubit.cli", "spectrum", "--preset", "paper-fig4",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "spectrum.csv").exists()
