@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .slh import FIELD_MODES, QUBIT_COUPLING_KINDS, AncillaParams
 
-VERSION = "0.2.0"
+VERSION = "0.2.1"
 
 
 class ConfigError(ValueError):

@@ -99,15 +99,16 @@ def truncation_deviation(config: ExperimentConfig, factor: int = 2) -> float:
 
 
 def decay_time(t: np.ndarray, series: np.ndarray, fraction: float = 1.0 / math.e) -> float:
-    """First time the series falls below fraction * series[0], linearly
-    interpolated between grid points; inf if it never does."""
-    threshold = fraction * series[0]
-    below = np.nonzero(series < threshold)[0]
+    """First time |series| falls below fraction * |series[0]|, linearly
+    interpolated on |series| between grid points; inf if it never does."""
+    mag = np.abs(series)
+    threshold = fraction * mag[0]
+    below = np.nonzero(mag < threshold)[0]
     if below.size == 0:
         return math.inf
     i = int(below[0])
     if i == 0:
         return float(t[0])
-    s0, s1 = series[i - 1], series[i]
+    s0, s1 = mag[i - 1], mag[i]
     frac = (s0 - threshold) / (s0 - s1)
     return float(t[i - 1] + frac * (t[i] - t[i - 1]))

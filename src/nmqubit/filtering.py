@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import CompiledGenerator, GeneratorSpec, PositivityError
+from .master import CompiledGenerator, GeneratorSpec, JumpGather, PositivityError
 from .operators import POSITIVITY_TOL, DensityMatrix, HilbertLayout, Operator, qubit_bloch
 
 #: a path aborts when the trace of its unnormalized Kraus update leaves
@@ -112,9 +112,10 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
     n = len(dts)
     bloch = np.empty((b, n + 1, 3))
     bloch[:, 0] = qubit_bloch(rho0, dims)  # rejects a layout without a leading qubit
-    unmonitored = [p for p in gen.n_pairs if not np.array_equal(p[0], l)]
+    unmonitored = [op for op, _ in gen.n_pairs if not np.array_equal(op, l)]
     if len(gen.n_pairs) - len(unmonitored) != 1:
         raise ValueError("the probe operator must equal exactly one collapse operator")
+    jumps = JumpGather(unmonitored, d)
     ident = np.eye(d)
     try:  # the Kraus map preserves positivity, so the initial state must have it
         np.linalg.cholesky(rho0 + POSITIVITY_TOL * ident)
@@ -142,9 +143,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
             dw = dy - m * dt
         k = (ident + dt * gen.e + dy[:, None, None] * l
              + (0.5 * (dy * dy - dt))[:, None, None] * l2)
-        rho_next = k @ rho @ k.conj().transpose(0, 2, 1)
-        for nk, nkd in unmonitored:
-            rho_next = rho_next + dt * (nk @ rho @ nkd)
+        rho_next = k @ rho @ k.conj().transpose(0, 2, 1) + jumps(rho, dt * jumps.w)
         tr = np.einsum("...ii->...", rho_next).real
         bad = np.flatnonzero(~((tr >= 1.0 / NORM_BOUND) & (tr <= NORM_BOUND)))
         if bad.size:

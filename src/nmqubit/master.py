@@ -135,14 +135,66 @@ def generator_spec(model: SlhModel, form: str = "lindblad") -> GeneratorSpec:
     raise ValueError(f"unknown generator form {form!r}")
 
 
+class JumpGather:
+    """sum_k N_k rho N_k^dag as one gather on the row-major flattened state,
+    out[p] = sum_s w[s, p] rho_flat[idx[s, p]].
+
+    Entry (i, j) of N rho N^dag is sum_{k,l} N[i,k] conj(N[j,l]) rho[k, l], so
+    every pair of non-zeros of N adds one weight at source (k, l).  Pairs that
+    land on the same (target, source), across rows with several entries (a
+    ``shared`` bank) or across operators, are summed; rows are padded with
+    zero weights to a common length S.  Every operator ``collapse_operators``
+    returns for a bank of K modes has at most K non-zeros per row, so S is
+    small and the gather costs O(S d^2) instead of two dense d^3 products per
+    operator.
+    """
+
+    __slots__ = ("idx", "w")
+
+    def __init__(self, ops, d: int) -> None:
+        dd = d * d
+        keys, weights = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
+        for n in ops:
+            r, c = np.nonzero(n)
+            v = n[r, c]
+            keys.append(((r[:, None] * d + r) * dd + (c[:, None] * d + c)).ravel())
+            weights.append(np.outer(v, v.conj()).ravel())
+        key, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        wt = np.concatenate(weights)
+        w = np.bincount(inv, wt.real, len(key)) + 1j * np.bincount(inv, wt.imag, len(key))
+        target, source = np.divmod(key, dd)
+        counts = np.bincount(target, minlength=dd)
+        rank = np.arange(len(key)) - (np.cumsum(counts) - counts)[target]
+        self.idx = np.zeros((counts.max(initial=0), dd), dtype=np.intp)
+        self.w = np.zeros(self.idx.shape, dtype=complex)
+        self.idx[rank, target] = source
+        self.w[rank, target] = w
+
+    def __call__(self, r: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        """The jump sum on one (d, d) state or a (B, d, d) batch; ``w``
+        replaces the stored weights, e.g. scaled by a step size."""
+        w = self.w if w is None else w
+        if not len(w):
+            return np.zeros(r.shape, dtype=complex)
+        flat = r.reshape(r.shape[:-2] + (-1,))
+        out = w[0] * flat[..., self.idx[0]]
+        for s in range(1, len(w)):
+            out += w[s] * flat[..., self.idx[s]]
+        return out.reshape(r.shape)
+
+
 class CompiledGenerator:
     """Precomputed arrays for fast repeated application.
 
     The generator is rewritten as E rho + rho E^dag + sum_k N_k rho N_k^dag
     with E = -iH - (1/2) sum N^dag N (+ D - D^dag when direct terms exist).
+    ``apply`` takes one product X = E rho and forms E rho + rho E^dag as
+    X + X^dag, which holds only for a Hermitian rho; the jump sum is a
+    ``JumpGather``.  numpy fancy indexing is used rather than ``scipy.sparse``,
+    whose import alone would double the start-up time of the command line.
     """
 
-    __slots__ = ("layout", "e", "edag", "n_pairs")
+    __slots__ = ("layout", "e", "edag", "n_pairs", "jumps")
 
     def __init__(self, spec: GeneratorSpec) -> None:
         self.layout = spec.layout
@@ -158,13 +210,13 @@ class CompiledGenerator:
             e = e + d - ddag
         self.e = e
         self.edag = e.conj().T
+        self.jumps = JumpGather([n for n, _ in self.n_pairs], spec.layout.total)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """The generator on one (d, d) state or a (B, d, d) batch."""
-        out = self.e @ r + r @ self.edag
-        for n, nd in self.n_pairs:
-            out = out + n @ r @ nd
-        return out
+        """The generator on one Hermitian (d, d) state or a (B, d, d) batch of
+        them; a non-Hermitian input gets a wrong result."""
+        x = self.e @ r
+        return x + x.conj().swapaxes(-1, -2) + self.jumps(r)
 
 
 @dataclass
@@ -191,8 +243,10 @@ class MasterResult:
 def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> MasterResult:
     """Propagate with classic fixed-step RK4 over the given time grid.
 
-    Every stored state is renormalized by its trace; the pre-normalization
-    drift is logged.  Aborts if any state develops an eigenvalue below
+    rho0 is made exactly Hermitian first, as ``CompiledGenerator.apply``
+    requires; a ``DensityMatrix`` may deviate by up to 1e-10.  Every stored
+    state is renormalized by its trace; the pre-normalization drift is
+    logged.  Aborts if any state develops an eigenvalue below
     ``-POSITIVITY_ABORT``.
     """
     _check_layout(rho0, spec.layout)
@@ -208,6 +262,7 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     min_eig = np.empty(n)
 
     rho = rho0.entries.astype(complex)
+    rho = 0.5 * (rho + rho.conj().T)  # apply needs a Hermitian input
 
     def record(i: int, r: np.ndarray, pre_trace: float) -> np.ndarray:
         tr_drift[i] = abs(pre_trace - 1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from nmqubit.config import (
     preset,
     serialize_config,
 )
+from nmqubit.experiments import decay_time
 
 
 def coarse(cfg, **kw):
@@ -205,6 +207,13 @@ class TestCommands:
         tau_nm = float(header["decay_time_non_markovian"])
         assert tau_m < tau_nm
 
+    def test_decay_time_ignores_sign(self):
+        t = np.linspace(0.0, 3.0, 301)
+        tau = decay_time(t, np.exp(-t))
+        assert tau == pytest.approx(1.0, abs=1e-4)
+        assert decay_time(t, -np.exp(-t)) == tau
+        assert decay_time(t, -np.ones_like(t)) == math.inf
+
     def test_unknown_command(self):
         with pytest.raises(ConfigError):
             run_command("render", preset("paper-fig4"))
@@ -336,3 +345,24 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "spectrum.csv").exists()
+
+    def test_cli_imports_only_stdlib_and_numpy(self):
+        # the declared dependencies are numpy alone, and scipy alone would add
+        # about 0.2 s to every start-up; __mp_main__ is multiprocessing's
+        # alias of __main__
+        src = str(Path(nq.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import nmqubit.cli\n"
+            "print(' '.join(sorted({m.partition('.')[0] for m in set(sys.modules) - before})))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert {"nmqubit", "numpy"} <= loaded
+        allowed = set(sys.stdlib_module_names) | {"nmqubit", "numpy", "__mp_main__"}
+        assert sorted(loaded - allowed) == []

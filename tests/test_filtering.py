@@ -80,6 +80,32 @@ class TestSmeStep:
         kraus = kraus / np.trace(kraus).real
         assert_allclose(new.entries, kraus, atol=1e-14)
 
+    def test_one_kraus_step_two_mode_shared_bank(self, rng):
+        # one replayed step against the Kraus map written out with dense
+        # products: M rho M^dag + dt N rho N^dag for the merged bank operator N,
+        # M = I + E dt + dY L + (dY^2 - dt) L^2 / 2, normalized
+        base = nq.with_truncation(nq.preset("paper-fig4"), 4)
+        extra = dataclasses.replace(base.ancillas[0], omega=1.5, gamma=0.8, kappa=0.5)
+        cfg = dataclasses.replace(base, ancillas=base.ancillas + (extra,), field_mode="shared")
+        model = build_probed_model(cfg.validate())
+        spec = generator_spec(model)
+        l_op = model.couplings[model.probe_index]
+        (bank,) = [op.entries for op in spec.collapse_ops
+                   if not np.array_equal(op.entries, l_op.entries)]
+        rho0 = rand_density(rng, model.layout.dims)
+        dt, dy = 1e-3, 0.05
+        new = replay_filter(rho0, spec, l_op, [dy], [0.0, dt])[-1]
+        d = model.layout.total
+        e = -1j * spec.hamiltonian.entries
+        for op in spec.collapse_ops:
+            e = e - 0.5 * (op.entries.conj().T @ op.entries)
+        l = l_op.entries
+        m = np.eye(d) + dt * e + dy * l + 0.5 * (dy * dy - dt) * (l @ l)
+        r = rho0.entries
+        want = m @ r @ m.conj().T + dt * (bank @ r @ bank.conj().T)
+        want = want / np.trace(want).real
+        assert_allclose(new.entries, want, rtol=0, atol=1e-14)
+
     def test_single_step_readout_value(self):
         # from the +x product state: tr[(L+L^dag) rho] = 2 sqrt(0.8)
         cfg = nq.preset("paper-fig4")

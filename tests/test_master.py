@@ -109,6 +109,61 @@ class TestGeneratorForms:
         )
 
 
+def bank2_model(field_mode):
+    """The paper-fig4 mode plus a second Lorentzian mode, 4 levels each (d = 32),
+    probed through sigma_y, whose entries are imaginary."""
+    base = nq.with_truncation(nq.preset("paper-fig4"), 4)
+    extra = AncillaParams(omega=1.5, gamma=0.8, kappa=0.5, truncation=4)
+    cfg = dataclasses.replace(base, ancillas=base.ancillas + (extra,), field_mode=field_mode,
+                              probe_kind="pauli_y")
+    return build_probed_model(cfg.validate())
+
+
+class TestJumpGather:
+    # CompiledGenerator.apply forms the jump sum as a gather and E rho + rho E^dag
+    # as X + X^dag; lindblad_apply is the term-by-term dense reference
+
+    def assert_matches_literal(self, spec, rng):
+        gen = CompiledGenerator(spec)
+        for _ in range(3):
+            rho = unit_trace_hermitian(rng, spec.layout.total)
+            assert_allclose(gen.apply(rho), lindblad_apply(rho, spec), rtol=0, atol=1e-13)
+
+    def test_independent_bank(self, rng):
+        self.assert_matches_literal(generator_spec(bank2_model("independent")), rng)
+
+    def test_shared_bank(self, rng):
+        spec = generator_spec(bank2_model("shared"))
+        # the merged bank operator has two entries in some rows
+        assert max(np.count_nonzero(op.entries, axis=1).max() for op in spec.collapse_ops) == 2
+        self.assert_matches_literal(spec, rng)
+
+    def test_direct_form(self, rng):
+        self.assert_matches_literal(generator_spec(bank2_model("independent"), form="direct"), rng)
+
+    def test_no_collapse_operators(self, rng):
+        spec = GeneratorSpec(Operator(HilbertLayout((2, 3)), rand_hermitian(rng, 6)), ())
+        assert CompiledGenerator(spec).jumps.idx.shape == (0, 36)
+        self.assert_matches_literal(spec, rng)
+
+    def test_overlapping_supports_summed(self, rng):
+        # sigma_x and sigma_y share their non-zero positions, so both add a
+        # weight at the same (target, source) pair
+        bank = (AncillaParams(omega=1.0, gamma=0.5, kappa=0.7, sigma_kind="pauli_y"),)
+        self.assert_matches_literal(markovian_baseline_spec(1.3, bank, 0.4, "pauli_x"), rng)
+
+    def test_batch_rows_match_single_calls(self, rng):
+        spec = generator_spec(bank2_model("shared"))
+        gen = CompiledGenerator(spec)
+        d = spec.layout.total
+        batch = np.stack([unit_trace_hermitian(rng, d) for _ in range(4)])
+        out = gen.apply(batch)
+        assert out.shape == batch.shape
+        for row, rho in zip(out, batch):
+            assert np.array_equal(row, gen.apply(rho))
+            assert_allclose(row, lindblad_apply(rho, spec), rtol=0, atol=1e-13)
+
+
 class TestIntegrate:
     def test_hamiltonian_only_matches_exponential(self, rng):
         # eigendecomposition-based propagation as an independent oracle
