@@ -16,6 +16,17 @@ through the same step recovers the conditional states.  The trace before
 normalization stays near 1 on a healthy path; a value outside
 [1/NORM_BOUND, NORM_BOUND], or not finite, means a corrupted record or a step
 far too large, and aborts the trajectory.
+
+A step of a batch of paths takes one small product per path to build M: its
+coefficient row (1, dY, (dY^2 - dt)/2) times the stacked basis
+[I + dt E, L, L^2], on the interleaved real view of the complex entries, with
+only row 0 refreshed per step.  The state is normalized by multiplying with
+the reciprocal trace, and one real contraction (``operators.readout``) reads
+the qubit Bloch components and the next signal m = tr[(L+L^dag) rho] together.
+Every per-path product is a stacked per-row matmul, (B, 1, k) @ (k, n), never
+one 2-D product over the batch: a BLAS 2-D product may round a row
+differently depending on how many rows it holds, and a path must not depend
+on its batch mates.
 """
 
 from __future__ import annotations
@@ -26,7 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .master import CompiledGenerator, GeneratorSpec, JumpGather, PositivityError
-from .operators import POSITIVITY_TOL, DensityMatrix, HilbertLayout, Operator, qubit_bloch
+from .operators import (
+    POSITIVITY_TOL,
+    DensityMatrix,
+    HilbertLayout,
+    Operator,
+    qubit_bloch,
+    readout,
+    readout_weights,
+)
 
 #: a path aborts when the trace of its unnormalized Kraus update leaves
 #: [1/NORM_BOUND, NORM_BOUND]: healthy preset paths stay in [0.76, 1.34], about
@@ -57,17 +76,19 @@ def wiener_increments(seed: int, dts) -> np.ndarray:
     return gen.standard_normal(len(dts)) * np.sqrt(dts)
 
 
+def _readout_weights(dims: tuple[int, ...], l: np.ndarray) -> np.ndarray:
+    """Weights of the filter's one per-step contraction: the qubit Bloch
+    components x, y, z, then the signal m = tr[(L + L^dag) rho]."""
+    return readout_weights(dims, l + l.conj().T)
+
+
 def measurement_signal(states, l_op: Operator) -> np.ndarray:
     """tr[(L + L^dag) rho] for each state of a stack.
 
     Each state goes through the exact arithmetic path the trajectory engine
     uses per step, so record bookkeeping can be re-verified bit for bit.
     """
-    lsum = l_op.entries + l_op.entries.conj().T
-    arr = np.asarray(states)
-    return np.array(
-        [np.einsum("ij,...ji->...", lsum, arr[i:i + 1]).real[0] for i in range(len(arr))]
-    )
+    return readout(states, _readout_weights(l_op.layout.dims, l_op.entries))[:, 3]
 
 
 @dataclass
@@ -99,19 +120,18 @@ class EnsembleResult:
 
 def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.ndarray,
             *, increments: np.ndarray | None = None, record: np.ndarray | None = None,
-            seeds=(), store_states: bool = False):
+            seeds=(), store_states: bool = False, t0: float = 0.0):
     """Batched Kraus-map propagation of the normalized SME.
 
     ``increments`` drives simulation mode (dW given, dY computed); ``record``
     drives replay mode (dY given, dW recovered as dY - tr[(L+L^dag)rho] dt).
-    ``l`` must equal exactly one collapse operator of ``gen``.
+    ``l`` must equal exactly one collapse operator of ``gen``; ``t0`` is the
+    time of the first grid point, named with the later ones in an abort.
     Returns (bloch, states, record_out, innovations_out).
     """
-    dims = gen.layout.dims
     b, d, _ = rho0.shape
     n = len(dts)
-    bloch = np.empty((b, n + 1, 3))
-    bloch[:, 0] = qubit_bloch(rho0, dims)  # rejects a layout without a leading qubit
+    w = _readout_weights(gen.layout.dims, l)  # rejects a layout without a leading qubit
     unmonitored = [op for op, _ in gen.n_pairs if not np.array_equal(op, l)]
     if len(gen.n_pairs) - len(unmonitored) != 1:
         raise ValueError("the probe operator must equal exactly one collapse operator")
@@ -121,45 +141,53 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         np.linalg.cholesky(rho0 + POSITIVITY_TOL * ident)
     except np.linalg.LinAlgError:
         raise ValueError(f"initial state has an eigenvalue below -{POSITIVITY_TOL:g}") from None
-    lsum = l + l.conj().T
-    l2 = l @ l
+    basis = np.array([ident, l, l @ l], dtype=complex)  # row 0 becomes I + dt E per step
+    basis_re = basis.reshape(3, -1).view(float)
+    coef = np.ones((b, 1, 3))
 
+    bloch = np.empty((b, n + 1, 3))
     states = np.empty((b, n + 1, d, d), dtype=complex) if store_states else None
     rec_out = np.empty((b, n))
     innov_out = np.empty((b, n))
 
     rho = np.array(rho0, dtype=complex)
+    out = readout(rho, w)
+    bloch[:, 0] = out[:, :3]
     if store_states:
         states[:, 0] = rho
 
     for i in range(n):
         dt = dts[i]
-        m = np.einsum("ij,...ji->...", lsum, rho).real
+        m = out[:, 3]
         if increments is not None:
             dw = increments[:, i]
             dy = m * dt + dw
         else:
             dy = record[:, i]
             dw = dy - m * dt
-        k = (ident + dt * gen.e + dy[:, None, None] * l
-             + (0.5 * (dy * dy - dt))[:, None, None] * l2)
-        rho_next = k @ rho @ k.conj().transpose(0, 2, 1) + jumps(rho, dt * jumps.w)
-        tr = np.einsum("...ii->...", rho_next).real
-        bad = np.flatnonzero(~((tr >= 1.0 / NORM_BOUND) & (tr <= NORM_BOUND)))
-        if bad.size:
+        basis[0] = ident + dt * gen.e
+        coef[:, 0, 1] = dy
+        coef[:, 0, 2] = 0.5 * (dy * dy - dt)
+        k = (coef @ basis_re).view(complex).reshape(b, d, d)
+        rho = k @ rho @ k.conj().transpose(0, 2, 1) + jumps(rho, dt * jumps.w)
+        tr = rho.trace(axis1=1, axis2=2).real
+        ok = (tr >= 1.0 / NORM_BOUND) & (tr <= NORM_BOUND)
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
             err = PositivityError(
                 f"normalization factor {tr[bad[0]]:.3e} outside [1/{NORM_BOUND:g}, "
-                f"{NORM_BOUND:g}] after step {i} (t={float(np.sum(dts[:i + 1])):.6g}); "
+                f"{NORM_BOUND:g}] after step {i} (t={t0 + float(np.sum(dts[:i + 1])):.6g}); "
                 f"the record is corrupted or the step size far too large"
             )
             err.seeds = tuple(seeds[j] for j in bad) if len(seeds) else ()
             err.step = i
             raise err
-        rho = rho_next / tr[:, None, None]
+        rho *= (1.0 / tr)[:, None, None]
+        out = readout(rho, w)
 
         rec_out[:, i] = m * dt + dw
         innov_out[:, i] = dw
-        bloch[:, i + 1] = qubit_bloch(rho, dims)
+        bloch[:, i + 1] = out[:, :3]
         if store_states:
             states[:, i + 1] = rho
 
@@ -183,7 +211,7 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
     dw = wiener_increments(seed, dts)
     bloch, states, rec, innov = _evolve(
         rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
-        increments=dw[None, :], seeds=(seed,), store_states=store_states,
+        increments=dw[None, :], seeds=(seed,), store_states=store_states, t0=t[0],
     )
     return Trajectory(
         t_grid=t,
@@ -210,7 +238,7 @@ def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
         raise ValueError(f"record entry {rec[bad[0]]} at step {bad[0]} is not finite")
     _, states, _, _ = _evolve(
         rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
-        record=rec[None, :], store_states=True,
+        record=rec[None, :], store_states=True, t0=t[0],
     )
     return [DensityMatrix.wrap(spec.layout, s) for s in states[0]]
 

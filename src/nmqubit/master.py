@@ -190,11 +190,13 @@ class CompiledGenerator:
     with E = -iH - (1/2) sum N^dag N (+ D - D^dag when direct terms exist).
     ``apply`` takes one product X = E rho and forms E rho + rho E^dag as
     X + X^dag, which holds only for a Hermitian rho; the jump sum is a
-    ``JumpGather``.  numpy fancy indexing is used rather than ``scipy.sparse``,
-    whose import alone would double the start-up time of the command line.
+    ``JumpGather`` over all channels, built on the first ``apply`` (the filter
+    builds its own over the unmonitored ones and never needs it).  numpy fancy
+    indexing is used rather than ``scipy.sparse``, whose import alone would
+    double the start-up time of the command line.
     """
 
-    __slots__ = ("layout", "e", "edag", "n_pairs", "jumps")
+    __slots__ = ("layout", "e", "edag", "n_pairs", "_jumps")
 
     def __init__(self, spec: GeneratorSpec) -> None:
         self.layout = spec.layout
@@ -210,7 +212,13 @@ class CompiledGenerator:
             e = e + d - ddag
         self.e = e
         self.edag = e.conj().T
-        self.jumps = JumpGather([n for n, _ in self.n_pairs], spec.layout.total)
+        self._jumps = None
+
+    @property
+    def jumps(self) -> JumpGather:
+        if self._jumps is None:
+            self._jumps = JumpGather([n for n, _ in self.n_pairs], self.layout.total)
+        return self._jumps
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """The generator on one Hermitian (d, d) state or a (B, d, d) batch of

@@ -8,6 +8,7 @@ the cost of a known commutator defect at the top level.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,27 +156,52 @@ class DensityMatrix:
         """Bloch components of a single-qubit state."""
         if self.layout.dims != (2,):
             raise ValueError("bloch() requires a single-qubit layout")
-        m = self.entries
-        x, y, z = bloch_components(m[0, 0], m[0, 1], m[1, 1])
+        x, y, z = qubit_bloch(self.entries, self.layout.dims)[0]
         return float(x), float(y), float(z)
 
 
-def bloch_components(m00, m01, m11):
-    """Bloch components (2 Re m01, -2 Im m01, m00 - m11) of a qubit state from
-    its matrix entries, given as scalars or as equal-shape arrays."""
-    return 2.0 * m01.real, -2.0 * m01.imag, (m00 - m11).real
+def readout_weights(dims: tuple[int, ...], *ops: np.ndarray) -> np.ndarray:
+    """Real weights W, shape (2 d^2, 3 + len(ops)), for ``readout``: the
+    columns give the Bloch components (2 Re q01, -2 Im q01, q00 - q11) of the
+    leading qubit's reduced state q, then Re tr[A rho] for each (d, d) array A
+    of ``ops``."""
+    if dims[0] != 2:
+        raise ValueError("layout does not start with a qubit factor")
+    d = math.prod(dims)
+    r = np.arange(d // 2)
+    top = r + d // 2
+    # axis 2 picks Re or Im of rho[i, j], the interleaved pair of a complex
+    w = np.zeros((d, d, 2, 3 + len(ops)))
+    w[r, top, 0, 0] = 2.0
+    w[r, top, 1, 1] = -2.0
+    w[r, r, 0, 2] = 1.0
+    w[top, top, 0, 2] = -1.0
+    for col, a in enumerate(ops, 3):
+        w[:, :, 0, col] = a.T.real  # Re tr[A rho] = sum_ij Re A_ji Re rho_ij - Im A_ji Im rho_ij
+        w[:, :, 1, col] = -a.T.imag
+    return w.reshape(2 * d * d, -1)
+
+
+def readout(states: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Contract a stack of (d, d) states with ``readout_weights``: shape
+    (n, d, d) -> (n, k).  Each state is viewed as 2 d^2 reals and multiplied
+    as its own (1, 2 d^2) @ (2 d^2, k) product; a single 2-D product over the
+    stack may round a row differently depending on how many rows it holds."""
+    flat = np.ascontiguousarray(states, dtype=complex).reshape(-1, 1, w.shape[0] // 2)
+    return (flat.view(float) @ w)[:, 0]
+
+
+@functools.lru_cache(maxsize=8)
+def _bloch_weights(dims: tuple[int, ...]) -> np.ndarray:
+    w = readout_weights(dims)
+    w.setflags(write=False)  # shared by every caller
+    return w
 
 
 def qubit_bloch(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Bloch components of the leading qubit factor of a stack of joint states
     on ``dims``: shape (n, d, d) -> (n, 3)."""
-    if dims[0] != 2:
-        raise ValueError("layout does not start with a qubit factor")
-    rest = math.prod(dims[1:])
-    r = np.einsum("binjn->bij", states.reshape(-1, 2, rest, 2, rest))
-    out = np.empty((len(r), 3))
-    out[:, 0], out[:, 1], out[:, 2] = bloch_components(r[:, 0, 0], r[:, 0, 1], r[:, 1, 1])
-    return out
+    return readout(states, _bloch_weights(tuple(dims)))
 
 
 _QUBIT_MATRICES = {

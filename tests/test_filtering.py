@@ -18,6 +18,7 @@ from nmqubit.filtering import (
     UnsupportedModeError,
     _ensemble_worker,
     _evolve,
+    _readout_weights,
     conditional_qubit,
     ensemble_average,
     measurement_signal,
@@ -33,11 +34,13 @@ from nmqubit.operators import (
     embed,
     expectation,
     make_standard_operator,
+    partial_trace,
     qubit_bloch,
+    readout,
 )
 from nmqubit.slh import qubit_operator
 
-from conftest import rand_density
+from conftest import bank2_model, rand_density
 
 
 def short_cfg(t_final=0.5, **kw):
@@ -106,6 +109,41 @@ class TestSmeStep:
         want = want / np.trace(want).real
         assert_allclose(new.entries, want, rtol=0, atol=1e-14)
 
+    def test_fused_step_batch_of_three(self, rng):
+        # one replayed step of three paths, each with its own state and dY,
+        # against the Kraus map written out with dense per-path products; the
+        # sigma_y probe makes L complex and the shared bank merges two modes
+        model = bank2_model("shared")
+        spec = generator_spec(model)
+        l = model.couplings[model.probe_index].entries
+        (bank,) = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
+        rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
+        dt, dys = 1e-3, np.array([0.05, -0.03, 0.011])
+        _, states, _, _ = _evolve(rho0, CompiledGenerator(spec), l, np.array([dt]),
+                                  record=dys[:, None], store_states=True)
+        d = model.layout.total
+        e = -1j * spec.hamiltonian.entries
+        for op in spec.collapse_ops:
+            e = e - 0.5 * (op.entries.conj().T @ op.entries)
+        for r, dy, got in zip(rho0, dys, states[:, 1]):
+            m = np.eye(d) + dt * e + dy * l + 0.5 * (dy * dy - dt) * (l @ l)
+            want = m @ r @ m.conj().T + dt * (bank @ r @ bank.conj().T)
+            assert_allclose(got, want / np.trace(want).real, rtol=0, atol=1e-14)
+
+    def test_readout_columns(self, rng):
+        # the filter's one contraction: Bloch components of the reduced qubit,
+        # then the signal tr[(L + L^dag) rho]
+        model = bank2_model("shared")
+        l = model.couplings[model.probe_index].entries
+        states = [rand_density(rng, model.layout.dims) for _ in range(4)]
+        out = readout(np.stack([s.entries for s in states]), _readout_weights(model.layout.dims, l))
+        paulis = [make_standard_operator(k, 2).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
+        for row, s in zip(out, states):
+            q = partial_trace(s, keep={0}).entries
+            assert_allclose(row[:3], [np.trace(p @ q).real for p in paulis], rtol=0, atol=1e-14)
+            assert_allclose(row[3], np.trace((l + l.conj().T) @ s.entries).real, rtol=0, atol=1e-14)
+            assert_allclose(qubit_bloch(s.entries, s.layout.dims)[0], row[:3], rtol=0, atol=1e-14)
+
     def test_single_step_readout_value(self):
         # from the +x product state: tr[(L+L^dag) rho] = 2 sqrt(0.8)
         cfg = nq.preset("paper-fig4")
@@ -130,6 +168,18 @@ class TestSmeStep:
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(PositivityError):
             replay_filter(rho0, spec, l_op, [1e6], [0.0, 1e-3])
+
+    @pytest.mark.parametrize("record, grid, t_abort", [
+        ([0.0, 1e6], [5.0, 5.001, 5.002], "5.002"),
+        ([1e6], [2.5, 2.501], "2.501"),
+    ])
+    def test_abort_names_grid_time(self, record, grid, t_abort):
+        # the abort names the grid time of the failing step, not the time
+        # elapsed since the first grid point
+        cfg = short_cfg(init_bloch=(0.0, 0.0, 1.0))
+        rho0, spec, l_op = filter_ingredients(cfg)
+        with pytest.raises(PositivityError, match=rf"\(t={t_abort}\)"):
+            replay_filter(rho0, spec, l_op, record, grid)
 
     def test_layout_without_qubit_factor(self):
         lay = HilbertLayout((3,))

@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 
 import nmqubit as nq
 from nmqubit.experiments import build_probed_model, config_grid
-from nmqubit.filtering import Trajectory, conditional_qubit
+from nmqubit.filtering import Trajectory, conditional_qubit, simulate_trajectory
 from nmqubit.master import (
     CompiledGenerator,
     GeneratorSpec,
+    JumpGather,
     MasterResult,
     PositivityError,
     ancilla_moment_oracle,
@@ -31,7 +32,7 @@ from nmqubit.operators import (
 )
 from nmqubit.slh import AncillaParams, qubit_operator
 
-from conftest import rand_density, rand_hermitian
+from conftest import bank2_model, rand_density, rand_hermitian
 
 
 def unit_trace_hermitian(rng, d):
@@ -109,16 +110,6 @@ class TestGeneratorForms:
         )
 
 
-def bank2_model(field_mode):
-    """The paper-fig4 mode plus a second Lorentzian mode, 4 levels each (d = 32),
-    probed through sigma_y, whose entries are imaginary."""
-    base = nq.with_truncation(nq.preset("paper-fig4"), 4)
-    extra = AncillaParams(omega=1.5, gamma=0.8, kappa=0.5, truncation=4)
-    cfg = dataclasses.replace(base, ancillas=base.ancillas + (extra,), field_mode=field_mode,
-                              probe_kind="pauli_y")
-    return build_probed_model(cfg.validate())
-
-
 class TestJumpGather:
     # CompiledGenerator.apply forms the jump sum as a gather and E rho + rho E^dag
     # as X + X^dag; lindblad_apply is the term-by-term dense reference
@@ -162,6 +153,25 @@ class TestJumpGather:
         for row, rho in zip(out, batch):
             assert np.array_equal(row, gen.apply(rho))
             assert_allclose(row, lindblad_apply(rho, spec), rtol=0, atol=1e-13)
+
+    def test_one_build_per_call(self, monkeypatch):
+        # the all-channel gather is built on the first apply, so a filter
+        # call builds only its own over the unmonitored channels
+        builds = []
+        init = JumpGather.__init__
+
+        def counting(self, ops, d):
+            builds.append(d)
+            init(self, ops, d)
+
+        monkeypatch.setattr(JumpGather, "__init__", counting)
+        model = bank2_model("independent")
+        spec = generator_spec(model)
+        rho0 = augmented_initial_state((1, 0, 0), model.layout)
+        simulate_trajectory(rho0, spec, model.couplings[model.probe_index], [0.0, 1e-3, 2e-3], seed=1)
+        assert len(builds) == 1
+        integrate_master(rho0, spec, [0.0, 1e-3, 2e-3])
+        assert len(builds) == 2
 
 
 class TestIntegrate:
