@@ -53,15 +53,13 @@ class ExperimentConfig:
     def validate(self) -> ExperimentConfig:
         if not self.ancillas:
             raise ConfigError("at least one ancilla.<k> group is required")
-        numeric = [(k, getattr(self, f)) for k, (f, t) in _SCALARS.items() if t in (float, complex)]
-        numeric += [("init.bloch", c) for c in self.init_bloch]
-        numeric += zip(_GRID, (self.spectrum_grid or ())[:2])
-        numeric += [(f"ancilla.{k}.{f}", v) for k, a in enumerate(self.ancillas, start=1)
-                    for f, v in (("omega", a.omega), ("gamma", a.gamma), ("kappa", a.kappa),
-                                 ("scale", a.sigma_scale))]
-        for key, value in numeric:
-            if not cmath.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+        for key, value in _all_items(self):
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+                    raise ConfigError(f"{key} must be finite, got {v}")
+            if isinstance(value, str) and (value != value.strip() or "#" in value
+                                           or len(value.splitlines()) > 1):
+                raise ConfigError(f"{key} {value!r} cannot be written as one config line")
         if self.dt <= 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.t_final <= 0:
@@ -92,7 +90,8 @@ class ExperimentConfig:
         if self.spectrum_grid is not None:
             lo, hi, pts = self.spectrum_grid
             if hi <= lo or pts < 2:
-                raise ConfigError(f"spectrum grid must satisfy max > min, points >= 2")
+                raise ConfigError("spectrum.omega_max must exceed spectrum.omega_min, "
+                                  "and spectrum.points must be >= 2")
         for k, a in enumerate(self.ancillas, start=1):
             if a.truncation != self.truncation:
                 raise ConfigError(f"ancilla.{k} truncation differs from config truncation")
@@ -135,13 +134,16 @@ def preset(name: str) -> ExperimentConfig:
     return PRESETS[name]()
 
 
-#: config key -> (ExperimentConfig attribute, value type)
-_SCALARS = {
+#: config key -> (ExperimentConfig attribute, value type), in the order
+#: ``serialize_config`` writes them; consecutive keys sharing an attribute fill
+#: its tuple in order, and the ``tuple`` type is three comma-separated floats
+_KEYS = {
     "omega_q": ("omega_q", float),
     "probe.gamma_q": ("gamma_q", float),
     "probe.kind": ("probe_kind", str),
     "probe.scale": ("probe_scale", complex),
     "field_mode": ("field_mode", str),
+    "init.bloch": ("init_bloch", tuple),
     "truncation": ("truncation", int),
     "dt": ("dt", float),
     "t_final": ("t_final", float),
@@ -149,50 +151,103 @@ _SCALARS = {
     "base_seed": ("base_seed", int),
     "out_dir": ("out_dir", str),
     "workers": ("workers", int),
+    "spectrum.omega_min": ("spectrum_grid", float),
+    "spectrum.omega_max": ("spectrum_grid", float),
+    "spectrum.points": ("spectrum_grid", int),
     "fit.input": ("fit_input", str),
     "fit.components": ("fit_components", int),
 }
 
-#: keys that together set ``spectrum_grid``, in tuple order
-_GRID = {"spectrum.omega_min": float, "spectrum.omega_max": float, "spectrum.points": int}
-
-_ANCILLA_FIELDS = {
-    "omega": float,
-    "gamma": float,
-    "kappa": float,
-    "sigma": str,
-    "scale": complex,
+#: ancilla.<k>.<key> -> (AncillaParams attribute, value type), in written order
+_ANCILLA_KEYS = {
+    "omega": ("omega", float),
+    "gamma": ("gamma", float),
+    "kappa": ("kappa", float),
+    "sigma": ("sigma_kind", str),
+    "scale": ("sigma_scale", complex),
 }
 
-_REQUIRED = ("omega_q", "probe.gamma_q")
+
+def _by_attr(table: dict) -> dict[str, list[str]]:
+    grouped: dict[str, list[str]] = {}
+    for key, (attr, _) in table.items():
+        grouped.setdefault(attr, []).append(key)
+    return grouped
 
 
 def _coerce(key: str, value, to_type):
     if isinstance(value, str):
         value = value.strip()
     try:
+        if to_type is tuple:
+            x, y, z = (float(p) for p in (value.split(",") if isinstance(value, str) else value))
+            return x, y, z
         if to_type is complex and isinstance(value, str):
             return complex(value.replace(" ", ""))
         return to_type(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"field {key!r}: cannot parse {value!r} as {to_type.__name__}") from exc
+        kind = "three floats" if to_type is tuple else to_type.__name__
+        raise ConfigError(f"field {key!r}: cannot parse {value!r} as {kind}") from exc
 
 
-def _flatten_json(data, prefix: str = "") -> dict[str, object]:
-    flat: dict[str, object] = {}
+def _fields(cls, table: dict, flat: dict[str, object], prefix: str = "") -> dict[str, object]:
+    """Keyword arguments of ``cls`` from the ``table`` keys in ``flat``; a key
+    whose attribute has no default in ``cls`` is required."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs: dict[str, object] = {}
+    for attr, keys in _by_attr(table).items():
+        given = [k for k in keys if k in flat]
+        if not given:
+            if defaults[attr] is dataclasses.MISSING:
+                raise ConfigError(f"missing required field {prefix + keys[0]!r}")
+            continue
+        if len(given) < len(keys):
+            raise ConfigError(f"fields {[prefix + k for k in keys]} must be given together")
+        values = tuple(_coerce(prefix + k, flat[k], table[k][1]) for k in keys)
+        kwargs[attr] = values if len(keys) > 1 else values[0]
+    return kwargs
+
+
+def _items(obj, table: dict, prefix: str = ""):
+    """(key, value) of every set ``table`` key of ``obj``, in table order."""
+    for attr, keys in _by_attr(table).items():
+        value = getattr(obj, attr)
+        if value is not None:
+            yield from zip((prefix + k for k in keys), value if len(keys) > 1 else (value,))
+
+
+def _all_items(config: ExperimentConfig):
+    yield from _items(config, _KEYS)
+    for k, a in enumerate(config.ancillas, start=1):
+        yield from _items(a, _ANCILLA_KEYS, f"ancilla.{k}.")
+
+
+def _unique(pairs) -> dict:
+    """A dict of (key, value) pairs, rejecting a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _flatten_json(data: dict, prefix: str = ""):
+    """(dotted key, value) pairs of a JSON object; the groups of a top-level
+    ``ancilla`` list are numbered from 1 and lists elsewhere join with commas."""
     for key, value in data.items():
         name = f"{prefix}{key}"
-        if key == "ancilla" and isinstance(value, list):
+        if name == "ancilla" and isinstance(value, list):
             for i, group in enumerate(value, start=1):
-                for f, v in group.items():
-                    flat[f"ancilla.{i}.{f}"] = v
+                if not isinstance(group, dict):
+                    raise ConfigError(f"ancilla.{i}: expected an object, got {group!r}")
+                yield from _flatten_json(group, f"ancilla.{i}.")
         elif isinstance(value, dict):
-            flat.update(_flatten_json(value, prefix=f"{name}."))
+            yield from _flatten_json(value, f"{name}.")
         elif isinstance(value, list):
-            flat[name] = ", ".join(str(v) for v in value)
+            yield name, ", ".join(str(v) for v in value)
         else:
-            flat[name] = value
-    return flat
+            yield name, value
 
 
 def _parse_text(text: str) -> dict[str, object]:
@@ -203,134 +258,68 @@ def _parse_text(text: str) -> dict[str, object]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        flat[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in flat:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        flat[key] = value
     return flat
 
 
 def config_from_mapping(flat: dict[str, object]) -> ExperimentConfig:
-    flat = dict(flat)
-    for req in _REQUIRED:
-        if req not in flat:
-            raise ConfigError(f"missing required field {req!r}")
-
-    ancilla_groups: dict[int, dict[str, object]] = {}
-    for key in list(flat):
-        if key.startswith("ancilla."):
-            parts = key.split(".")
-            if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in _ANCILLA_FIELDS:
-                raise ConfigError(f"unknown field {key!r}")
-            ancilla_groups.setdefault(int(parts[1]), {})[parts[2]] = flat.pop(key)
-
+    kwargs = _fields(ExperimentConfig, _KEYS, flat)
+    groups: dict[int, dict[str, object]] = {}
     for key in flat:
-        if key not in _SCALARS and key not in _GRID and key != "init.bloch":
+        if key in _KEYS:
+            continue
+        parts = key.split(".")
+        if (len(parts) != 3 or parts[0] != "ancilla" or not parts[1].isdecimal()
+                or parts[1] != str(int(parts[1])) or parts[2] not in _ANCILLA_KEYS):
             raise ConfigError(f"unknown field {key!r}")
+        groups.setdefault(int(parts[1]), {})[parts[2]] = flat[key]
 
-    kwargs: dict[str, object] = {}
-    for key, (attr, to_type) in _SCALARS.items():
-        if key in flat:
-            kwargs[attr] = _coerce(key, flat[key], to_type)
-
-    if "init.bloch" in flat:
-        value = flat["init.bloch"]
-        parts = value.split(",") if isinstance(value, str) else list(value)
-        if len(parts) != 3:
-            raise ConfigError(f"field 'init.bloch': expected three components, got {value!r}")
-        kwargs["init_bloch"] = tuple(_coerce("init.bloch", p, float) for p in parts)
-
-    if any(k in flat for k in _GRID):
-        if not all(k in flat for k in _GRID):
-            raise ConfigError("spectrum grid needs omega_min, omega_max and points together")
-        kwargs["spectrum_grid"] = tuple(_coerce(k, flat[k], t) for k, t in _GRID.items())
-
-    if not ancilla_groups:
-        raise ConfigError("missing required field 'ancilla.1.omega' (no ancilla groups)")
-    truncation = kwargs.get("truncation", 5)
+    truncation = kwargs.get("truncation", ExperimentConfig.truncation)
     ancillas = []
-    for k in range(1, max(ancilla_groups) + 1):
-        if k not in ancilla_groups:
-            raise ConfigError(f"ancilla groups must be numbered 1..n; missing ancilla.{k}")
-        group = ancilla_groups[k]
-        for req in ("omega", "gamma", "kappa"):
-            if req not in group:
-                raise ConfigError(f"missing required field 'ancilla.{k}.{req}'")
+    for k in range(1, len(groups) + 1):
+        if k not in groups:
+            raise ConfigError(f"ancilla groups must be numbered 1..n, got {sorted(groups)}")
+        fields = _fields(AncillaParams, _ANCILLA_KEYS, groups[k], f"ancilla.{k}.")
         try:
-            ancillas.append(
-                AncillaParams(
-                    omega=_coerce(f"ancilla.{k}.omega", group["omega"], float),
-                    gamma=_coerce(f"ancilla.{k}.gamma", group["gamma"], float),
-                    kappa=_coerce(f"ancilla.{k}.kappa", group["kappa"], float),
-                    sigma_kind=_coerce(f"ancilla.{k}.sigma", group.get("sigma", "pauli_y"), str),
-                    sigma_scale=_coerce(f"ancilla.{k}.scale", group.get("scale", 1.0), complex),
-                    truncation=int(truncation),
-                )
-            )
+            ancillas.append(AncillaParams(**fields, truncation=truncation))
         except ValueError as exc:
-            raise ConfigError(f"ancilla.{k}: {exc}") from exc
-    kwargs["ancillas"] = tuple(ancillas)
-
-    try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config.validate()
+            raise ConfigError(f"ancilla.{k}.{exc}") from exc
+    return ExperimentConfig(ancillas=tuple(ancillas), **kwargs).validate()
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a key-value or JSON config file into a validated ExperimentConfig."""
+    """Read a key-value or JSON config file into a validated ExperimentConfig.
+
+    A repeated key is an error; a JSON file must hold one object."""
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        flat = _flatten_json(data)
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        flat = _unique(_flatten_json(data))
     else:
         flat = _parse_text(text)
     return config_from_mapping(flat)
 
 
-def _fmt_complex(z: complex) -> str:
-    return repr(z).strip("()")
+def _format(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return repr(value).strip("()")  # a complex repr is parenthesized
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; ``parse`` of the result reproduces the config."""
-    lines = [
-        f"omega_q = {config.omega_q!r}",
-        f"probe.gamma_q = {config.gamma_q!r}",
-        f"probe.kind = {config.probe_kind}",
-        f"probe.scale = {_fmt_complex(config.probe_scale)}",
-        f"field_mode = {config.field_mode}",
-        "init.bloch = " + ", ".join(repr(c) for c in config.init_bloch),
-        f"truncation = {config.truncation}",
-        f"dt = {config.dt!r}",
-        f"t_final = {config.t_final!r}",
-        f"n_traj = {config.n_traj}",
-        f"base_seed = {config.base_seed}",
-        f"out_dir = {config.out_dir}",
-        f"workers = {config.workers}",
-    ]
-    if config.spectrum_grid is not None:
-        lo, hi, pts = config.spectrum_grid
-        lines += [
-            f"spectrum.omega_min = {lo!r}",
-            f"spectrum.omega_max = {hi!r}",
-            f"spectrum.points = {pts}",
-        ]
-    if config.fit_input is not None:
-        lines.append(f"fit.input = {config.fit_input}")
-    lines.append(f"fit.components = {config.fit_components}")
-    for k, a in enumerate(config.ancillas, start=1):
-        lines += [
-            f"ancilla.{k}.omega = {a.omega!r}",
-            f"ancilla.{k}.gamma = {a.gamma!r}",
-            f"ancilla.{k}.kappa = {a.kappa!r}",
-            f"ancilla.{k}.sigma = {a.sigma_kind}",
-            f"ancilla.{k}.scale = {_fmt_complex(a.sigma_scale)}",
-        ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format(value)}\n" for key, value in _all_items(config))
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -132,8 +132,8 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
     b, d, _ = rho0.shape
     n = len(dts)
     w = _readout_weights(gen.layout.dims, l)  # rejects a layout without a leading qubit
-    unmonitored = [op for op, _ in gen.n_pairs if not np.array_equal(op, l)]
-    if len(gen.n_pairs) - len(unmonitored) != 1:
+    unmonitored = [op for op in gen.collapse if not np.array_equal(op, l)]
+    if len(gen.collapse) - len(unmonitored) != 1:
         raise ValueError("the probe operator must equal exactly one collapse operator")
     jumps = JumpGather(unmonitored, d)
     ident = np.eye(d)
@@ -282,7 +282,7 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     tasks = [(rho0.entries, spec, l_op, dts, seeds[i:i + batch_size])
              for i in range(0, n_traj, batch_size)]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_ensemble_worker, tasks))
     else:
         results = map(_ensemble_worker, tasks)

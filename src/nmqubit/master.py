@@ -95,43 +95,23 @@ def lindblad_apply(rho, spec: GeneratorSpec) -> np.ndarray:
     return out
 
 
-def collapse_operators(model: SlhModel) -> tuple[Operator, ...]:
-    """Collapse operators implied by a model's couplings and field mode.
-
-    ``independent`` treats every field channel as its own dissipation channel;
-    ``shared`` merges the bank channels (all non-probe couplings) into the
-    single operator sum_k sqrt(gamma_k) a_k, reflecting one common drive field.
-    """
-    if model.field_mode == "independent":
-        return model.couplings
-    bank = [op for i, op in enumerate(model.couplings) if i != model.probe_index]
-    merged: list[Operator] = []
-    if bank:
-        total = bank[0]
-        for op in bank[1:]:
-            total = total + op
-        merged.append(total)
-    if model.probe_index is not None:
-        merged.append(model.couplings[model.probe_index])
-    return tuple(merged)
-
-
 def generator_spec(model: SlhModel, form: str = "lindblad") -> GeneratorSpec:
     """Build the generator of a model in one of its two equivalent forms.
 
     ``lindblad`` keeps the full Hamiltonian (including the qubit-bank
     interaction); ``direct`` splits that interaction out as explicit
     commutator terms, exactly as the augmented master equation is written.
+    Every field channel of the model is one collapse operator.
     """
-    cops = collapse_operators(model)
     if form == "lindblad":
-        return GeneratorSpec(model.hamiltonian, cops)
+        return GeneratorSpec(model.hamiltonian, model.couplings)
     if form == "direct":
         if model.direct_coupling is None:
             raise ValueError("model carries no direct qubit-bank coupling")
         d = model.direct_coupling
         h_i = 1j * (d - d.dag())
-        return GeneratorSpec(model.hamiltonian - h_i, cops, direct_terms=(d, d.dag()))
+        return GeneratorSpec(model.hamiltonian - h_i, model.couplings,
+                             direct_terms=(d, d.dag()))
     raise ValueError(f"unknown generator form {form!r}")
 
 
@@ -143,10 +123,9 @@ class JumpGather:
     every pair of non-zeros of N adds one weight at source (k, l).  Pairs that
     land on the same (target, source), across rows with several entries (a
     ``shared`` bank) or across operators, are summed; rows are padded with
-    zero weights to a common length S.  Every operator ``collapse_operators``
-    returns for a bank of K modes has at most K non-zeros per row, so S is
-    small and the gather costs O(S d^2) instead of two dense d^3 products per
-    operator.
+    zero weights to a common length S.  Every channel of a bank of K modes has
+    at most K non-zeros per row, so S is small and the gather costs O(S d^2)
+    instead of two dense d^3 products per operator.
     """
 
     __slots__ = ("idx", "w")
@@ -196,28 +175,24 @@ class CompiledGenerator:
     double the start-up time of the command line.
     """
 
-    __slots__ = ("layout", "e", "edag", "n_pairs", "_jumps")
+    __slots__ = ("layout", "e", "collapse", "_jumps")
 
     def __init__(self, spec: GeneratorSpec) -> None:
         self.layout = spec.layout
         e = -1j * spec.hamiltonian.entries
-        self.n_pairs = []
-        for op in spec.collapse_ops:
-            n = op.entries
-            nd = n.conj().T
-            e = e - 0.5 * (nd @ n)
-            self.n_pairs.append((n, nd))
+        self.collapse = [op.entries for op in spec.collapse_ops]
+        for n in self.collapse:
+            e = e - 0.5 * (n.conj().T @ n)
         if spec.direct_terms is not None:
             d, ddag = (op.entries for op in spec.direct_terms)
             e = e + d - ddag
         self.e = e
-        self.edag = e.conj().T
         self._jumps = None
 
     @property
     def jumps(self) -> JumpGather:
         if self._jumps is None:
-            self._jumps = JumpGather([n for n, _ in self.n_pairs], self.layout.total)
+            self._jumps = JumpGather(self.collapse, self.layout.total)
         return self._jumps
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -75,13 +75,10 @@ class SlhModel:
     couplings: tuple[Operator, ...]
     hamiltonian: Operator
     layout: HilbertLayout
-    field_mode: str = "independent"
     probe_index: int | None = None
     direct_coupling: Operator | None = None
 
     def __post_init__(self) -> None:
-        if self.field_mode not in FIELD_MODES:
-            raise ValueError(f"field_mode must be one of {FIELD_MODES}")
         ops = [self.hamiltonian, *self.couplings]
         if self.direct_coupling is not None:
             ops.append(self.direct_coupling)
@@ -99,10 +96,17 @@ class SlhModel:
 def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
                        field_mode: str = "independent") -> SlhModel:
     """The noise-shaping bank: mode k couples to the field as sqrt(gamma_k) a_k
-    and oscillates at omega_k."""
+    and oscillates at omega_k.
+
+    ``independent`` gives every mode its own field channel; ``shared`` drives
+    the whole bank with one common field, the single channel
+    sum_k sqrt(gamma_k) a_k.
+    """
     params = tuple(params)
     if not params:
         raise ValueError("at least one ancilla is required")
+    if field_mode not in FIELD_MODES:
+        raise ValueError(f"field_mode must be one of {FIELD_MODES}")
     layout = HilbertLayout(tuple(p.truncation for p in params))
     couplings = []
     h = Operator.zero(layout)
@@ -110,7 +114,9 @@ def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
         a = embed(make_standard_operator("annihilation", p.truncation), k, layout)
         couplings.append(math.sqrt(p.gamma) * a)
         h = h + p.omega * (a.dag() @ a)
-    return SlhModel(tuple(couplings), h, layout, field_mode=field_mode)
+    if field_mode == "shared":
+        couplings = [sum(couplings[1:], couplings[0])]
+    return SlhModel(tuple(couplings), h, layout)
 
 
 def build_augmented(omega_q: float, bank: SlhModel,
@@ -124,8 +130,6 @@ def build_augmented(omega_q: float, bank: SlhModel,
     params = tuple(params)
     if bank.layout.dims != tuple(p.truncation for p in params):
         raise ValueError("bank layout does not match the given ancilla parameters")
-    if bank.n_channels != len(params):
-        raise ValueError("bank channel count does not match the given ancilla parameters")
     layout = HilbertLayout((2,) + bank.layout.dims)
     eye_q = Operator.identity(HilbertLayout((2,)))
 
@@ -144,7 +148,6 @@ def build_augmented(omega_q: float, bank: SlhModel,
         tuple(kron(eye_q, op) for op in bank.couplings),
         h_s + h_a + h_i,
         layout,
-        field_mode=bank.field_mode,
         direct_coupling=direct,
     )
 
@@ -163,7 +166,6 @@ def build_probed(augmented: SlhModel, gamma_q: float, probe_kind: str,
         augmented.couplings + (probe,),
         augmented.hamiltonian,
         augmented.layout,
-        field_mode=augmented.field_mode,
         probe_index=augmented.n_channels,
         direct_coupling=augmented.direct_coupling,
     )

@@ -112,6 +112,38 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bloch"):
             dataclasses.replace(preset("paper-fig4"), init_bloch=(1.0, 0.5, 0.0)).validate()
 
+    def test_repeated_text_key_named_with_line(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text(MINIMAL + "dt = 0.1\ndt = 0.001\n")
+        with pytest.raises(ConfigError, match="line 8: repeated key 'dt'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"omega_q": 2.0, "omega_q": 3.0}', "omega_q"),
+        ('{"probe": {"gamma_q": 0.8, "gamma_q": 0.9}}', "gamma_q"),
+        ('{"probe": {"kind": "pauli_x"}, "probe.kind": "pauli_z"}', "probe.kind"),
+    ])
+    def test_repeated_json_key_named(self, tmp_path, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", ["ancilla.01.gamma", "ancilla.\u0661.gamma"])
+    def test_ancilla_number_spelled_one_way(self, tmp_path, key):
+        # another spelling of ancilla.1 would silently override its value
+        path = tmp_path / "alias.cfg"
+        path.write_text(MINIMAL + f"{key} = 0.9\n")
+        with pytest.raises(ConfigError, match=f"unknown field '{key}'"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("field,key", [("out_dir", "out_dir"), ("fit_input", "fit.input")])
+    @pytest.mark.parametrize("value", ["runs#1", " runs", "runs\n2"])
+    def test_string_that_does_not_fit_one_line_named(self, field, key, value):
+        # the text form would read such a value back differently
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(preset("paper-fig4"), **{field: value}).validate()
+
     def test_preset_hash_pinned(self):
         # the hash is embedded in every CSV header; it must not drift
         assert config_hash(preset("paper-fig4")) == "019c88ddb6de5e56"
@@ -323,6 +355,20 @@ class TestMainEntry:
         assert rc == 1
         assert key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("data,named", [
+        ([1, 2], "bad.json"),
+        ({"omega_q": 2.0, "probe": {"gamma_q": 0.8}, "ancilla": [1]}, "ancilla.1"),
+        ({"omega_q": 2.0, "probe": {"gamma_q": 0.8}, "init": {"bloch": 5},
+          "ancilla": [{"omega": 2.0, "gamma": 0.6, "kappa": 1.0}]}, "init.bloch"),
+    ])
+    def test_malformed_json_names_key_or_file(self, tmp_path, capsys, data, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["evolve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
 
     def test_json_integer_overflow_names_field(self, tmp_path, capsys):
         path = tmp_path / "big.json"

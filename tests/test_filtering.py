@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nmqubit as nq
+from nmqubit import filtering
 from nmqubit.experiments import (
     build_probed_model,
     config_grid,
@@ -399,6 +400,31 @@ class TestEnsemble:
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(ValueError):
             ensemble_average(rho0, spec, l_op, config_grid(cfg), 1, 42)
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        # a fork pool starts all its workers up front, so 5000 workers must not
+        # reach it when there are only two batches to run
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(filtering, "ProcessPoolExecutor", SerialPool)
+        cfg = short_cfg(t_final=0.01)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        ens = ensemble_average(rho0, spec, l_op, config_grid(cfg), 100, 0, workers=5000)
+        assert sizes == [2]
+        assert ens.n_traj == 100
 
     def test_failures_reported_with_seeds(self):
         # a huge dt makes every trajectory abort; the error must name seeds

@@ -78,6 +78,21 @@ class TestBank:
         assert np.array_equal(bank.hamiltonian.entries, h.entries)
 
 
+    def test_shared_field_is_one_channel(self):
+        params = [
+            AncillaParams(omega=1.0, gamma=0.4, kappa=0.0, truncation=3),
+            AncillaParams(omega=2.0, gamma=0.9, kappa=0.0, truncation=4),
+        ]
+        independent = build_ancilla_bank(params)
+        shared = build_ancilla_bank(params, "shared")
+        c0, c1 = independent.couplings
+        assert shared.n_channels == 1
+        assert np.array_equal(shared.couplings[0].entries, (c0 + c1).entries)
+        assert np.array_equal(shared.hamiltonian.entries, independent.hamiltonian.entries)
+        with pytest.raises(ValueError, match="field_mode"):
+            build_ancilla_bank(params, "common")
+
+
 class TestAugmented:
     def params(self, kappa=1.0):
         return [AncillaParams(omega=2.0, gamma=0.6, kappa=kappa,
