@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .slh import FIELD_MODES, QUBIT_COUPLING_KINDS, AncillaParams
 
-VERSION = "0.2.2"
+VERSION = "0.2.3"
 
 
 class ConfigError(ValueError):
@@ -314,6 +314,8 @@ def _format(value) -> str:
         return value
     if isinstance(value, tuple):
         return ", ".join(map(repr, value))
+    if isinstance(value, complex) and value.imag == 0:
+        value = value.real  # one form for a real scale, held as float or complex
     return repr(value).strip("()")  # a complex repr is parenthesized
 
 

@@ -18,9 +18,9 @@ normalization stays near 1 on a healthy path; a value outside
 far too large, and aborts the trajectory.
 
 A step of a batch of paths takes one small product per path to build M: its
-coefficient row (1, dY, (dY^2 - dt)/2) times the stacked basis
-[I + dt E, L, L^2], on the interleaved real view of the complex entries, with
-only row 0 refreshed per step.  The state is normalized by multiplying with
+coefficient row (1, dt, dY, (dY^2 - dt)/2) times the stacked basis
+[I, E, L, L^2], built once, on the interleaved real view of the complex
+entries.  The state is normalized by multiplying with
 the reciprocal trace, and one real contraction (``operators.readout``) reads
 the qubit Bloch components and the next signal m = tr[(L+L^dag) rho] together.
 Every per-path product is a stacked per-row matmul, (B, 1, k) @ (k, n), never
@@ -141,9 +141,9 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         np.linalg.cholesky(rho0 + POSITIVITY_TOL * ident)
     except np.linalg.LinAlgError:
         raise ValueError(f"initial state has an eigenvalue below -{POSITIVITY_TOL:g}") from None
-    basis = np.array([ident, l, l @ l], dtype=complex)  # row 0 becomes I + dt E per step
-    basis_re = basis.reshape(3, -1).view(float)
-    coef = np.ones((b, 1, 3))
+    basis = np.array([ident, gen.e, l, l @ l], dtype=complex)
+    basis_re = basis.reshape(4, -1).view(float)
+    coef = np.ones((b, 1, 4))
 
     bloch = np.empty((b, n + 1, 3))
     states = np.empty((b, n + 1, d, d), dtype=complex) if store_states else None
@@ -165,9 +165,9 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         else:
             dy = record[:, i]
             dw = dy - m * dt
-        basis[0] = ident + dt * gen.e
-        coef[:, 0, 1] = dy
-        coef[:, 0, 2] = 0.5 * (dy * dy - dt)
+        coef[:, 0, 1] = dt
+        coef[:, 0, 2] = dy
+        coef[:, 0, 3] = 0.5 * (dy * dy - dt)
         k = (coef @ basis_re).view(complex).reshape(b, d, d)
         rho = k @ rho @ k.conj().transpose(0, 2, 1) + jumps(rho, dt * jumps.w)
         tr = rho.trace(axis1=1, axis2=2).real

@@ -26,6 +26,20 @@ from .slh import SlhModel, qubit_operator
 #: smallest eigenvalue an integrated state may reach before the run aborts
 POSITIVITY_ABORT = 1e-6
 
+#: largest joint dimension whose RK4 step is a tabulated map of the state's
+#: real coordinates; above it a step applies the generator four times.  The
+#: map takes d^4 multiply-adds per step against about 4 d^3 for the applies,
+#: but numpy's per-call overhead dominates small d (see README, Numerical notes)
+TABLE_MAX_DIM = 16
+
+#: step maps a tabulated run keeps, one per distinct step size; a uniform grid
+#: built as ``arange(n + 1) * dt`` has 13 to 16 distinct differences
+_STEP_MAPS = 32
+
+#: bytes of stored states whose Hermiticity and eigenvalues are checked in one
+#: stacked call
+DIAG_BLOCK_BYTES = 1 << 18
+
 
 class PositivityError(RuntimeError):
     """The integrated state left the positive cone beyond tolerance."""
@@ -223,6 +237,129 @@ class MasterResult:
         return qubit_bloch(self.states, self.layout.dims)
 
 
+class _HermitianCoordinates:
+    """The d^2 real coordinates of a Hermitian (d, d) matrix: its diagonal,
+    then the real and the imaginary parts of its strict upper triangle."""
+
+    __slots__ = ("d", "rows", "cols")
+
+    def __init__(self, d: int) -> None:
+        self.d = d
+        self.rows, self.cols = np.triu_indices(d, 1)
+
+    def read(self, x: np.ndarray) -> np.ndarray:
+        """(..., d, d) -> (..., d^2); reads the diagonal and upper triangle."""
+        up = x[..., self.rows, self.cols]
+        return np.concatenate([x.diagonal(axis1=-2, axis2=-1).real, up.real, up.imag], axis=-1)
+
+    def write(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(n, d^2) -> the n Hermitian matrices, written into ``out``."""
+        d, m = self.d, len(self.rows)
+        diag = np.arange(d)
+        up = v[:, d:d + m] + 1j * v[:, d + m:]
+        out[:, diag, diag] = v[:, :d]
+        out[:, self.rows, self.cols] = up
+        out[:, self.cols, self.rows] = up.conj()
+        return out
+
+
+def _norm_bound(d: int) -> float:
+    """A unit-trace Hermitian (d, d) matrix with no eigenvalue below
+    -POSITIVITY_ABORT has a squared Frobenius norm below this, so a larger one
+    certainly fails the positivity check."""
+    return (1.0 + d * POSITIVITY_ABORT) ** 2
+
+
+def _apply_steps(gen: CompiledGenerator, rho: np.ndarray, dts, states: np.ndarray,
+                 tr_drift: np.ndarray, block: int):
+    """Classic RK4 with four generator applies per step from the normalized
+    ``rho`` at grid point 0.  Fills ``states``, and ``tr_drift`` from grid
+    point 1, and yields each (lo, hi) range of stored points, ``block`` long
+    or cut short after a state that cannot be positive, so a diverging run
+    stops before it overflows."""
+    bound = _norm_bound(len(rho))
+    states[0] = rho
+    lo = 0
+    for i, dt in enumerate(dts, 1):
+        k1 = gen.apply(rho)
+        k2 = gen.apply(rho + 0.5 * dt * k1)
+        k3 = gen.apply(rho + 0.5 * dt * k2)
+        k4 = gen.apply(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pre_trace = float(np.trace(rho).real)
+        tr_drift[i] = abs(pre_trace - 1.0)
+        rho = rho / pre_trace
+        states[i] = rho
+        if i + 1 - lo == block or not np.vdot(rho, rho).real <= bound:
+            yield lo, i + 1
+            lo = i + 1
+    if lo < len(states):
+        yield lo, len(states)
+
+
+def _table_steps(gen: CompiledGenerator, rho: np.ndarray, dts, states: np.ndarray,
+                 tr_drift: np.ndarray, block: int):
+    """The same RK4 step as ``_apply_steps``, tabulated.  For a linear,
+    time-independent generator a step is v -> P(h) v = sum_{j<=4} (h L)^j/j! v
+    on the state's real coordinates v; L^j/j! is read once from ``gen.apply`` on
+    the d^2 Hermitian basis matrices, and P(h), with one more row that gives the
+    trace of the result, is formed once per distinct step size.  Coordinates are
+    written into ``states`` one block at a time."""
+    d = len(rho)
+    n2 = d * d
+    coords = _HermitianCoordinates(d)
+    x = coords.write(np.eye(n2), np.empty((n2, d, d), dtype=complex))
+    powers = []
+    for j in range(1, 5):
+        x = gen.apply(x) / j
+        powers.append(coords.read(x).T)  # column k: coordinates of L^j/j! on basis matrix k
+    powers = np.array(powers)
+    ident = np.eye(n2 + 1, n2)  # each map's last row sums the diagonal: the trace
+    ident[n2, :d] = 1.0
+    table = np.concatenate([powers, powers[:, :d].sum(axis=1, keepdims=True)], axis=1)
+    table = table.reshape(4, -1)
+    maps: dict[float, np.ndarray] = {}
+
+    bound = _norm_bound(d)
+    buf = np.empty((block, n2))
+    v = buf[0] = coords.read(rho)
+    lo = 0
+    for i, h in enumerate(dts.tolist(), 1):
+        p = maps.get(h)
+        if p is None:
+            if len(maps) == _STEP_MAPS:
+                maps.clear()
+            p = maps[h] = ident + (np.array([h, h * h, h**3, h**4]) @ table).reshape(n2 + 1, n2)
+        u = p @ v
+        pre_trace = u[n2]
+        tr_drift[i] = abs(pre_trace - 1.0)
+        v = np.divide(u[:n2], pre_trace, out=buf[i - lo])
+        if i + 1 - lo == block or not v @ v <= bound:
+            coords.write(buf[:i + 1 - lo], states[lo:i + 1])
+            yield lo, i + 1
+            lo = i + 1
+    if lo < len(states):
+        coords.write(buf[:len(states) - lo], states[lo:])
+        yield lo, len(states)
+
+
+def _diagnose(states: np.ndarray, t: np.ndarray, herm_dev: np.ndarray, min_eig: np.ndarray,
+              lo: int, hi: int) -> None:
+    """Hermiticity and smallest eigenvalue of stored points lo..hi - 1, as one
+    stacked call each; aborts at the first state below -POSITIVITY_ABORT."""
+    s = states[lo:hi]
+    herm_dev[lo:hi] = np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    w = np.linalg.eigvalsh(s)[:, 0]
+    min_eig[lo:hi] = w
+    bad = np.flatnonzero(w < -POSITIVITY_ABORT)
+    if bad.size:
+        i = lo + int(bad[0])
+        raise PositivityError(
+            f"state at t={t[i]:.6g} (grid point {i}) has eigenvalue {w[bad[0]]:.3e} "
+            f"< -{POSITIVITY_ABORT:g}; reduce the step size"
+        )
+
+
 def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> MasterResult:
     """Propagate with classic fixed-step RK4 over the given time grid.
 
@@ -230,7 +367,10 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     requires; a ``DensityMatrix`` may deviate by up to 1e-10.  Every stored
     state is renormalized by its trace; the pre-normalization drift is
     logged.  Aborts if any state develops an eigenvalue below
-    ``-POSITIVITY_ABORT``.
+    ``-POSITIVITY_ABORT``.  Up to ``TABLE_MAX_DIM`` a step is one small
+    product with a tabulated map, above it four generator applies; Hermiticity
+    and eigenvalues are checked over blocks of about ``DIAG_BLOCK_BYTES`` of
+    stored states.
     """
     _check_layout(rho0, spec.layout)
     t = np.asarray(t_grid, dtype=float)
@@ -246,31 +386,12 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
 
     rho = rho0.entries.astype(complex)
     rho = 0.5 * (rho + rho.conj().T)  # apply needs a Hermitian input
-
-    def record(i: int, r: np.ndarray, pre_trace: float) -> np.ndarray:
-        tr_drift[i] = abs(pre_trace - 1.0)
-        r = r / pre_trace
-        herm_dev[i] = np.max(np.abs(r - r.conj().T))
-        w = np.linalg.eigvalsh(r)
-        min_eig[i] = w[0]
-        if w[0] < -POSITIVITY_ABORT:
-            raise PositivityError(
-                f"state at t={t[i]:.6g} (grid point {i}) has eigenvalue {w[0]:.3e} "
-                f"< -{POSITIVITY_ABORT:g}; reduce the step size"
-            )
-        states[i] = r
-        return r
-
-    rho = record(0, rho, float(np.trace(rho).real))
-    for i in range(n - 1):
-        dt = t[i + 1] - t[i]
-        k1 = gen.apply(rho)
-        k2 = gen.apply(rho + 0.5 * dt * k1)
-        k3 = gen.apply(rho + 0.5 * dt * k2)
-        k4 = gen.apply(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = record(i + 1, rho, float(np.trace(rho).real))
-
+    pre_trace = float(np.trace(rho).real)
+    tr_drift[0] = abs(pre_trace - 1.0)
+    steps = _table_steps if d <= TABLE_MAX_DIM else _apply_steps
+    block = max(2, DIAG_BLOCK_BYTES // states[0].nbytes)
+    for lo, hi in steps(gen, rho / pre_trace, np.diff(t), states, tr_drift, block):
+        _diagnose(states, t, herm_dev, min_eig, lo, hi)
     return MasterResult(t, spec.layout, states, tr_drift, herm_dev, min_eig)
 
 

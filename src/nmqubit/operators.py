@@ -18,6 +18,9 @@ HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
 
+#: bytes of state entries ``qubit_bloch`` gathers for one product
+GATHER_BYTES = 1 << 18
+
 
 class LayoutMismatchError(ValueError):
     """Two operands do not share the same Hilbert-space layout."""
@@ -156,8 +159,8 @@ class DensityMatrix:
         """Bloch components of a single-qubit state."""
         if self.layout.dims != (2,):
             raise ValueError("bloch() requires a single-qubit layout")
-        x, y, z = qubit_bloch(self.entries, self.layout.dims)[0]
-        return float(x), float(y), float(z)
+        m = self.entries  # tr(sigma_k m), read from the entries
+        return (m[0, 1] + m[1, 0]).real, (m[1, 0] - m[0, 1]).imag, (m[0, 0] - m[1, 1]).real
 
 
 def readout_weights(dims: tuple[int, ...], *ops: np.ndarray) -> np.ndarray:
@@ -192,16 +195,32 @@ def readout(states: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _bloch_weights(dims: tuple[int, ...]) -> np.ndarray:
+def _bloch_weights(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The non-zero rows of ``readout_weights(dims)`` and their positions in
+    the real view of a state: the qubit's coherence and populations."""
     w = readout_weights(dims)
-    w.setflags(write=False)  # shared by every caller
-    return w
+    rows = np.flatnonzero(w.any(axis=1))
+    w = w[rows]
+    for a in (rows, w):
+        a.setflags(write=False)  # shared by every caller
+    return rows, w
 
 
 def qubit_bloch(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Bloch components of the leading qubit factor of a stack of joint states
-    on ``dims``: shape (n, d, d) -> (n, 3)."""
-    return readout(states, _bloch_weights(tuple(dims)))
+    on ``dims``: shape (n, d, d) -> (n, 3).  The entries that carry them are
+    gathered, ``GATHER_BYTES`` at a time, and contracted with
+    ``readout_weights`` in one 2-D product per chunk, so a row may round
+    differently with the stack's size; the filter reads its paths with
+    ``readout`` instead."""
+    rows, w = _bloch_weights(tuple(dims))
+    d = math.prod(dims)
+    flat = np.ascontiguousarray(states, dtype=complex).reshape(-1, d * d).view(float)
+    out = np.empty((len(flat), w.shape[1]))
+    chunk = max(1, GATHER_BYTES // (8 * len(rows)))
+    for lo in range(0, len(flat), chunk):
+        out[lo:lo + chunk] = flat[lo:lo + chunk, rows] @ w
+    return out
 
 
 _QUBIT_MATRICES = {

@@ -392,6 +392,16 @@ class TestMainEntry:
         assert proc.returncode == 0, proc.stderr
         assert (out / "spectrum.csv").exists()
 
+    def test_package_runs_as_module(self):
+        src = str(Path(nq.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "nmqubit", "--help"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: nmqubit")
+        assert "compare" in proc.stdout
+
     def test_cli_imports_only_stdlib_and_numpy(self):
         # the declared dependencies are numpy alone, and scipy alone would add
         # about 0.2 s to every start-up; __mp_main__ is multiprocessing's

@@ -81,8 +81,6 @@ def test_round_trip_keeps_config_and_hash(workdir, config):
     assert config_hash(parsed) == config_hash(config)
 
 
-@pytest.mark.xfail(strict=True, reason="a real scale held as the float default 1.0 is "
-                   "written '1.0' but read back as complex and rewritten '1+0j'")
 def test_preset_round_trip_keeps_hash(tmp_path):
     path = tmp_path / "preset.cfg"
     path.write_text(serialize_config(preset("paper-fig4")))
