@@ -41,18 +41,7 @@ from .master import (
     markovian_baseline_spec,
     reduce_to_qubit,
 )
-from .operators import (
-    DensityMatrix,
-    HilbertLayout,
-    LayoutMismatchError,
-    Operator,
-    commutator,
-    embed,
-    expectation,
-    kron,
-    make_standard_operator,
-    partial_trace,
-)
+from .operators import DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, kron
 from .slh import (
     AncillaParams,
     SlhModel,

@@ -206,11 +206,12 @@ def emit_figure_data(uncond, ensemble, markov, path: Path, meta_lines: list[str]
 
 
 def cmd_compare(config: ExperimentConfig, out: Path) -> list[Path]:
-    uncond = run_unconditional(config)
+    # only Bloch columns are written; the unconditional states (16 MB at
+    # preset size) are dropped before the ensemble runs
+    bloch_u = run_unconditional(config).qubit_bloch()
     ens = run_ensemble(config)
     markov = run_baseline(config)
-    t = uncond.t_grid
-    bloch_u = uncond.qubit_bloch()
+    t = markov.t_grid
     bloch_m = markov.qubit_bloch()
     tau_nm = decay_time(t, bloch_u[:, 0])
     tau_m = decay_time(t, bloch_m[:, 0])

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    DensityMatrix,
-    HilbertLayout,
-    LayoutMismatchError,
-    Operator,
-    partial_trace,
-    qubit_bloch,
-)
+from .operators import DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bloch
 from .slh import SlhModel, qubit_operator
 
 #: smallest eigenvalue an integrated state may reach before the run aborts
@@ -396,10 +389,13 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
 
 
 def reduce_to_qubit(rho: DensityMatrix) -> DensityMatrix:
-    """Trace out everything but the leading qubit factor."""
+    """Trace out everything but the leading qubit factor: the state viewed as
+    (2, D, 2, D), traced over both bank axes."""
     if rho.layout.dims[0] != 2:
         raise ValueError("layout does not start with a qubit factor")
-    return partial_trace(rho, keep={0})
+    d = rho.layout.total // 2
+    return DensityMatrix.wrap(HilbertLayout((2,)),
+                              np.trace(rho.entries.reshape(2, d, 2, d), axis1=1, axis2=3))
 
 
 def ancilla_moment_oracle(t: float, params, a0) -> np.ndarray:
@@ -412,25 +408,25 @@ def ancilla_moment_oracle(t: float, params, a0) -> np.ndarray:
     return np.exp(-rates * t) * a0
 
 
-def augmented_initial_state(bloch, layout: HilbertLayout, ancilla_kets=None) -> DensityMatrix:
-    """Product state: qubit with the given Bloch vector, each mode in a pure
-    ket (vacuum when unspecified)."""
+def augmented_initial_state(bloch, layout: HilbertLayout, bank_ket=None) -> DensityMatrix:
+    """Product state: qubit with the given Bloch vector, the bank in a pure
+    ket on its joint basis (the vacuum when unspecified)."""
     if layout.dims[0] != 2:
         raise ValueError("layout does not start with a qubit factor")
+    d = layout.total // 2
+    if bank_ket is None:
+        v = np.zeros(d, dtype=complex)
+        v[0] = 1.0
+    else:
+        v = np.asarray(bank_ket, dtype=complex).reshape(-1)
+        norm = float(np.linalg.norm(v))
+        if v.size != d or not 0.0 < norm < math.inf:
+            raise ValueError(f"bank ket must be {d} finite entries, not all zero "
+                             f"(got {v.size} entries of norm {norm})")
+        v = v / norm
     x, y, z = bloch
-    rho_q = DensityMatrix.from_bloch(x, y, z).entries
-    rho = rho_q
-    for slot, dim in enumerate(layout.dims[1:]):
-        if ancilla_kets is not None and ancilla_kets[slot] is not None:
-            v = np.asarray(ancilla_kets[slot], dtype=complex).reshape(-1)
-            if v.size != dim:
-                raise ValueError(f"ancilla ket {slot} has length {v.size}, expected {dim}")
-            v = v / np.linalg.norm(v)
-        else:
-            v = np.zeros(dim, dtype=complex)
-            v[0] = 1.0
-        rho = np.kron(rho, np.outer(v, v.conj()))
-    return DensityMatrix(layout, rho)
+    return DensityMatrix(layout, np.kron(DensityMatrix.from_bloch(x, y, z).entries,
+                                         np.outer(v, v.conj())))
 
 
 def markovian_baseline_spec(omega_q: float, ancillas, gamma_q: float,

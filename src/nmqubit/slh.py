@@ -14,18 +14,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .operators import (
-    HilbertLayout,
-    Operator,
-    embed,
-    kron,
-    make_standard_operator,
-)
+import numpy as np
+
+from .operators import HilbertLayout, Operator, kron
 
 FIELD_MODES = ("independent", "shared")
 
+_QUBIT_MATRICES = {
+    "pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "pauli_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "pauli_z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "sigma_plus": np.array([[0, 1], [0, 0]], dtype=complex),
+    "sigma_minus": np.array([[0, 0], [1, 0]], dtype=complex),
+}
+
 #: qubit operators admissible as direct couplings and probes
-QUBIT_COUPLING_KINDS = ("pauli_x", "pauli_y", "pauli_z", "sigma_plus", "sigma_minus")
+QUBIT_COUPLING_KINDS = tuple(_QUBIT_MATRICES)
 
 
 @dataclass(frozen=True)
@@ -54,11 +58,33 @@ class AncillaParams:
 
 
 def qubit_operator(kind: str, scale: complex = 1.0) -> Operator:
-    """A menu qubit operator times an optional complex scalar."""
+    """A menu qubit operator times an optional complex scalar; the excited
+    state is the first basis vector, so sigma_minus maps it to the second."""
     if kind not in QUBIT_COUPLING_KINDS:
         raise ValueError(f"kind {kind!r} not in {QUBIT_COUPLING_KINDS}")
-    op = make_standard_operator(kind, 2)
+    op = Operator(HilbertLayout((2,)), _QUBIT_MATRICES[kind])
     return op if scale == 1.0 else op * scale
+
+
+def ladder_operators(truncations) -> tuple[Operator, ...]:
+    """The annihilation operator of every mode of a bank, on the bank's joint
+    basis: the occupation tuples (n_1, ..., n_K) with n_k < truncations[k],
+    in lexicographic order with mode 1 most significant, which is the order a
+    Kronecker product of per-mode ladders gives.  a_k maps the tuple n to
+    n - e_k with weight sqrt(n_k); truncation leaves [a_k, a_k^dag] = 1 - N_k
+    at the top level n_k = N_k - 1."""
+    dims = tuple(int(t) for t in truncations)
+    if not dims or min(dims) < 2:
+        raise ValueError(f"every truncation must be >= 2, got {dims}")
+    layout = HilbertLayout((math.prod(dims),))
+    occupation = np.indices(dims).reshape(len(dims), -1)  # n_k of each basis state
+    ladders = []
+    for k, n in enumerate(occupation):
+        src = np.flatnonzero(n)
+        a = np.zeros((layout.total, layout.total), dtype=complex)
+        a[src - math.prod(dims[k + 1:]), src] = np.sqrt(n[src])
+        ladders.append(Operator(layout, a))
+    return tuple(ladders)
 
 
 @dataclass(frozen=True)
@@ -107,47 +133,46 @@ def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
         raise ValueError("at least one ancilla is required")
     if field_mode not in FIELD_MODES:
         raise ValueError(f"field_mode must be one of {FIELD_MODES}")
-    layout = HilbertLayout(tuple(p.truncation for p in params))
-    couplings = []
-    h = Operator.zero(layout)
-    for k, p in enumerate(params):
-        a = embed(make_standard_operator("annihilation", p.truncation), k, layout)
-        couplings.append(math.sqrt(p.gamma) * a)
+    ladders = ladder_operators(p.truncation for p in params)
+    couplings = [math.sqrt(p.gamma) * a for p, a in zip(params, ladders)]
+    h = Operator.zero(ladders[0].layout)
+    for p, a in zip(params, ladders):
         h = h + p.omega * (a.dag() @ a)
     if field_mode == "shared":
         couplings = [sum(couplings[1:], couplings[0])]
-    return SlhModel(tuple(couplings), h, layout)
+    return SlhModel(tuple(couplings), h, ladders[0].layout)
 
 
 def build_augmented(omega_q: float, bank: SlhModel,
                     params: list[AncillaParams] | tuple[AncillaParams, ...]) -> SlhModel:
-    """Couple a qubit (slot 0) directly to the bank's internal noise channel.
+    """Couple a qubit (factor 0 of the layout (2, D)) directly to the bank's
+    internal noise channel.
 
     H = (omega_q/2) sigma_z + H_bank + i(D - D^dag) with the direct coupling
     D = sum_k sqrt(kappa_k) C_k^dag sigma_k, where C_k = -(sqrt(gamma_k)/2) a_k
     is the bank's internal noise channel and sigma_k the qubit coupling.
     """
     params = tuple(params)
-    if bank.layout.dims != tuple(p.truncation for p in params):
+    ladders = ladder_operators(p.truncation for p in params)
+    if bank.layout != ladders[0].layout:
         raise ValueError("bank layout does not match the given ancilla parameters")
-    layout = HilbertLayout((2,) + bank.layout.dims)
     eye_q = Operator.identity(HilbertLayout((2,)))
+    eye_b = Operator.identity(bank.layout)
 
-    h_s = embed(0.5 * omega_q * make_standard_operator("pauli_z", 2), 0, layout)
+    h_s = kron(0.5 * omega_q * qubit_operator("pauli_z"), eye_b)
     h_a = kron(eye_q, bank.hamiltonian)
 
-    direct = Operator.zero(layout)
-    for k, p in enumerate(params):
-        a = embed(make_standard_operator("annihilation", p.truncation), 1 + k, layout)
-        c_k = (-math.sqrt(p.gamma) / 2.0) * a
-        sigma_k = embed(qubit_operator(p.sigma_kind, p.sigma_scale), 0, layout)
+    direct = Operator.zero(h_s.layout)
+    for p, a in zip(params, ladders):
+        c_k = (-math.sqrt(p.gamma) / 2.0) * kron(eye_q, a)
+        sigma_k = kron(qubit_operator(p.sigma_kind, p.sigma_scale), eye_b)
         direct = direct + math.sqrt(p.kappa) * (c_k.dag() @ sigma_k)
     h_i = 1j * (direct - direct.dag())
 
     return SlhModel(
         tuple(kron(eye_q, op) for op in bank.couplings),
         h_s + h_a + h_i,
-        layout,
+        h_s.layout,
         direct_coupling=direct,
     )
 
@@ -158,10 +183,9 @@ def build_probed(augmented: SlhModel, gamma_q: float, probe_kind: str,
     if gamma_q < 0:
         raise ValueError(f"gamma_q must be >= 0, got {gamma_q}")
     if augmented.layout.dims[:1] != (2,):
-        raise ValueError("probed model requires the qubit at slot 0")
-    probe = embed(
-        math.sqrt(gamma_q) * qubit_operator(probe_kind, probe_scale), 0, augmented.layout
-    )
+        raise ValueError("probed model requires the qubit as factor 0")
+    probe = kron(math.sqrt(gamma_q) * qubit_operator(probe_kind, probe_scale),
+                 Operator.identity(HilbertLayout(augmented.layout.dims[1:])))
     return SlhModel(
         augmented.couplings + (probe,),
         augmented.hamiltonian,

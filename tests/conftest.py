@@ -32,6 +32,25 @@ def rand_density(rng, dims):
     return DensityMatrix(layout, m)
 
 
+def ladder(n):
+    """The truncated annihilation operator of one mode: a[m - 1, m] = sqrt(m)."""
+    return np.diag(np.sqrt(np.arange(1, n)), k=1).astype(complex)
+
+
+def on_factor(op, k, dims):
+    """``op`` on factor k of ``dims``, identities on every other factor."""
+    out = np.eye(1)
+    for j, d in enumerate(dims):
+        out = np.kron(out, op if j == k else np.eye(d))
+    return out
+
+
+def reduce_ref(rho):
+    """The leading qubit's reduced state of a joint (2 D, 2 D) matrix."""
+    d = len(rho) // 2
+    return np.trace(rho.reshape(2, d, 2, d), axis1=1, axis2=3)
+
+
 def bank2_model(field_mode):
     """The paper-fig4 mode plus a second Lorentzian mode, 4 levels each (d = 32),
     probed through sigma_y, whose entries are imaginary."""

@@ -28,7 +28,6 @@ from nmqubit.master import (
     integrate_master,
     lindblad_apply,
 )
-from nmqubit.operators import embed, make_standard_operator
 from nmqubit.spectra import (
     LorentzianComponent,
     SpectrumSamples,
@@ -37,6 +36,8 @@ from nmqubit.spectra import (
     mixture_psd,
     nested_fits,
 )
+
+from conftest import ladder
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -134,10 +135,10 @@ def test_criterion_3_linear_ancilla_oracle(preset_cfg):
     model = build_probed_model(cfg)
     ket = np.zeros(cfg.truncation)
     ket[0] = ket[1] = 1.0
-    rho0 = augmented_initial_state(cfg.init_bloch, model.layout, ancilla_kets=[ket])
+    rho0 = augmented_initial_state(cfg.init_bloch, model.layout, bank_ket=ket)
     result = integrate_master(rho0, generator_spec(model), config_grid(cfg))
-    a_op = embed(make_standard_operator("annihilation", cfg.truncation), 1, model.layout)
-    got = np.einsum("ij,tji->t", a_op.entries, result.states)
+    a_op = np.kron(np.eye(2), ladder(cfg.truncation))
+    got = np.einsum("ij,tji->t", a_op, result.states)
     want = np.array(
         [ancilla_moment_oracle(t, cfg.ancillas, [0.5])[0] for t in result.t_grid]
     )

@@ -28,20 +28,10 @@ from nmqubit.filtering import (
     wiener_increments,
 )
 from nmqubit.master import CompiledGenerator, GeneratorSpec, PositivityError, generator_spec, integrate_master, lindblad_apply
-from nmqubit.operators import (
-    DensityMatrix,
-    HilbertLayout,
-    Operator,
-    embed,
-    expectation,
-    make_standard_operator,
-    partial_trace,
-    qubit_bloch,
-    readout,
-)
+from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch, readout
 from nmqubit.slh import qubit_operator
 
-from conftest import bank2_model, rand_density
+from conftest import bank2_model, rand_density, reduce_ref
 
 
 def short_cfg(t_final=0.5, **kw):
@@ -138,9 +128,9 @@ class TestSmeStep:
         l = model.couplings[model.probe_index].entries
         states = [rand_density(rng, model.layout.dims) for _ in range(4)]
         out = readout(np.stack([s.entries for s in states]), _readout_weights(model.layout.dims, l))
-        paulis = [make_standard_operator(k, 2).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
+        paulis = [qubit_operator(k).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
         for row, s in zip(out, states):
-            q = partial_trace(s, keep={0}).entries
+            q = reduce_ref(s.entries)
             assert_allclose(row[:3], [np.trace(p @ q).real for p in paulis], rtol=0, atol=1e-14)
             assert_allclose(row[3], np.trace((l + l.conj().T) @ s.entries).real, rtol=0, atol=1e-14)
             assert_allclose(qubit_bloch(s.entries, s.layout.dims)[0], row[:3], rtol=0, atol=1e-14)
@@ -339,11 +329,11 @@ class TestConditionalQubit:
         traj = run_filter_trajectory(cfg, seed=21, store_states=True)
         bloch = conditional_qubit(traj)
         lay = traj.layout
-        paulis = [embed(make_standard_operator(k, 2), 0, lay)
+        paulis = [np.kron(qubit_operator(k).entries, np.eye(lay.total // 2))
                   for k in ("pauli_x", "pauli_y", "pauli_z")]
         for idx in (0, len(traj.t_grid) // 2, -1):
-            rho = DensityMatrix.wrap(lay, traj.states[idx])
-            direct = [expectation(rho, p).real for p in paulis]
+            rho = traj.states[idx]
+            direct = [np.trace(rho @ p).real for p in paulis]
             assert_allclose(bloch[idx], direct, atol=1e-12)
 
     def test_initial_point_is_input_bloch(self):

@@ -1,0 +1,78 @@
+"""Randomized invariants of the built generators: its two written forms agree,
+the compiled apply equals the term-by-term reference and keeps trace and
+Hermiticity, both Bloch reductions agree, and the joint bank ladders are the
+per-mode ladders padded with identities."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from nmqubit.master import CompiledGenerator, generator_spec, lindblad_apply, reduce_to_qubit
+from nmqubit.operators import DensityMatrix, qubit_bloch
+from nmqubit.slh import (
+    FIELD_MODES,
+    QUBIT_COUPLING_KINDS,
+    AncillaParams,
+    build_ancilla_bank,
+    build_augmented,
+    build_probed,
+    ladder_operators,
+)
+
+from conftest import ladder, on_factor, rand_density
+
+BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+values = st.floats(-3.0, 3.0)
+kinds = st.sampled_from(QUBIT_COUPLING_KINDS)
+scales = st.complex_numbers(max_magnitude=2.0)
+truncations = st.integers(2, 4)
+modes = st.builds(AncillaParams, omega=values, gamma=st.floats(0.05, 2.0),
+                  kappa=st.floats(0.0, 2.0), sigma_kind=kinds, sigma_scale=scales,
+                  truncation=truncations)
+
+
+@st.composite
+def models(draw):
+    """A probed model of one or two modes, each with its own truncation."""
+    params = draw(st.lists(modes, min_size=1, max_size=2))
+    bank = build_ancilla_bank(params, draw(st.sampled_from(FIELD_MODES)))
+    augmented = build_augmented(draw(values), bank, params)
+    return build_probed(augmented, draw(st.floats(0.0, 2.0)), draw(kinds), draw(scales))
+
+
+def random_states(seed, dims, n):
+    rng = np.random.default_rng(seed)
+    states = np.stack([rand_density(rng, dims).entries for _ in range(n)])
+    return 0.5 * (states + states.conj().swapaxes(1, 2))  # exactly Hermitian, as apply requires
+
+
+@BOUNDED
+@given(models(), st.integers(0, 2**32 - 1))
+def test_generator_forms_and_compiled_apply_agree(model, seed):
+    (rho,) = random_states(seed, model.layout.dims, 1)
+    want = lindblad_apply(rho, generator_spec(model))
+    tol = 1e-13 * max(1.0, np.abs(want).max()) * model.layout.total
+    for form in ("lindblad", "direct"):
+        spec = generator_spec(model, form)
+        assert_allclose(lindblad_apply(rho, spec), want, rtol=0, atol=tol)
+        got = CompiledGenerator(spec).apply(rho)
+        assert_allclose(got, want, rtol=0, atol=tol)
+        assert abs(np.trace(got)) <= tol
+        assert_allclose(got, got.conj().T, rtol=0, atol=tol)
+
+
+@BOUNDED
+@given(models(), st.integers(0, 2**32 - 1))
+def test_qubit_bloch_is_reduced_state_bloch(model, seed):
+    states = random_states(seed, model.layout.dims, 3)
+    want = [reduce_to_qubit(DensityMatrix.wrap(model.layout, s)).bloch() for s in states]
+    assert_allclose(qubit_bloch(states, model.layout.dims), want, rtol=0, atol=1e-14)
+
+
+@BOUNDED
+@given(st.lists(truncations, min_size=1, max_size=3))
+def test_ladders_match_kron_reference(dims):
+    for k, a in enumerate(ladder_operators(dims)):
+        assert np.array_equal(a.entries, on_factor(ladder(dims[k]), k, dims))

@@ -24,18 +24,10 @@ from nmqubit.master import (
     markovian_baseline_spec,
     reduce_to_qubit,
 )
-from nmqubit.operators import (
-    DensityMatrix,
-    HilbertLayout,
-    Operator,
-    embed,
-    expectation,
-    make_standard_operator,
-    qubit_bloch,
-)
+from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch
 from nmqubit.slh import AncillaParams, qubit_operator
 
-from conftest import bank2_model, rand_density, rand_hermitian
+from conftest import bank2_model, ladder, rand_density, rand_hermitian
 
 
 def unit_trace_hermitian(rng, d):
@@ -269,7 +261,7 @@ class TestIntegrate:
     def test_unitary_limit_preserves_purity(self):
         # kappa = 0 and no damping channels: purely Hamiltonian evolution
         params = [AncillaParams(omega=2.0, gamma=0.6, kappa=0.0, truncation=3)]
-        h = embed(1.0 * make_standard_operator("pauli_z", 2), 0, HilbertLayout((2, 3)))
+        h = Operator(HilbertLayout((2, 3)), np.kron(np.diag([1.0, -1.0]), np.eye(3)))
         spec = GeneratorSpec(h, ())
         rho0 = augmented_initial_state((1, 0, 0), HilbertLayout((2, 3)))
         result = integrate_master(rho0, spec, np.linspace(0, 2, 201))
@@ -371,7 +363,7 @@ class TestReduce:
         monkeypatch.setattr(operators, "GATHER_BYTES", 3 * 8 * 2 * layout.total)
         states = np.stack([rand_density(rng, dims).entries for _ in range(4)])
         rest = layout.total // 2
-        paulis = [make_standard_operator(k, 2).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
+        paulis = [qubit_operator(k).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
         want = np.array([
             [np.trace(p @ np.trace(s.reshape(2, rest, 2, rest), axis1=1, axis2=3)).real
              for p in paulis]
@@ -467,6 +459,11 @@ class TestInitialState:
         lay = HilbertLayout((2, 4))
         ket = np.zeros(4)
         ket[0] = ket[1] = 1.0
-        rho = augmented_initial_state((0, 0, 1), lay, ancilla_kets=[ket])
-        a = embed(make_standard_operator("annihilation", 4), 1, lay)
-        assert expectation(rho, a) == pytest.approx(0.5)
+        rho = augmented_initial_state((0, 0, 1), lay, bank_ket=ket)
+        a = np.kron(np.eye(2), ladder(4))
+        assert np.trace(rho.entries @ a) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("ket", [np.zeros(4), np.full(4, np.nan), np.ones(3)])
+    def test_bad_bank_ket_named(self, ket):
+        with pytest.raises(ValueError, match="bank ket must be 4 finite entries"):
+            augmented_initial_state((0, 0, 1), HilbertLayout((2, 4)), bank_ket=ket)

@@ -1,21 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nmqubit.master import reduce_to_qubit
 from nmqubit.operators import (
     DensityMatrix,
     HilbertLayout,
     LayoutMismatchError,
     Operator,
-    commutator,
-    embed,
-    expectation,
     kron,
-    make_standard_operator,
-    partial_trace,
 )
+from nmqubit.slh import ladder_operators, qubit_operator
 
-from conftest import rand_density, rand_matrix
+from conftest import ladder, on_factor, rand_density, rand_matrix
+
+
+def comm(a, b):
+    return a @ b - b @ a
 
 
 class TestLayout:
@@ -27,73 +30,66 @@ class TestLayout:
         with pytest.raises(ValueError):
             HilbertLayout((2, 0))
 
-    def test_slot_check(self):
-        lay = HilbertLayout((2, 5))
-        with pytest.raises(ValueError):
-            lay.check_slot(2)
-
 
 class TestStandardOperators:
     def test_pauli_x_matrix(self):
-        op = make_standard_operator("pauli_x", 2)
+        op = qubit_operator("pauli_x")
         assert_allclose(op.entries, [[0, 1], [1, 0]])
 
     def test_pauli_algebra(self):
-        sx = make_standard_operator("pauli_x", 2)
-        sy = make_standard_operator("pauli_y", 2)
-        sz = make_standard_operator("pauli_z", 2)
-        assert_allclose(commutator(sx, sy).entries, 2j * sz.entries, atol=1e-15)
+        sx, sy, sz = (qubit_operator(k).entries for k in ("pauli_x", "pauli_y", "pauli_z"))
+        assert_allclose(comm(sx, sy), 2j * sz, atol=1e-15)
 
     def test_ladder_flips(self):
         # excited state is the first basis vector, ground the second
-        sm = make_standard_operator("sigma_minus", 2)
+        sm = qubit_operator("sigma_minus")
         excited = np.array([1.0, 0.0])
         assert_allclose(sm.entries @ excited, [0.0, 1.0])
 
     def test_annihilation_two_levels(self):
-        a = make_standard_operator("annihilation", 2)
+        (a,) = ladder_operators([2])
         assert_allclose(a.entries, [[0, 1], [0, 0]])
 
     def test_annihilation_entries(self):
-        a = make_standard_operator("annihilation", 6)
+        (a,) = ladder_operators([6])
         for n in range(1, 6):
             assert a.entries[n - 1, n] == pytest.approx(np.sqrt(n))
         assert np.count_nonzero(a.entries) == 5
 
     def test_truncated_commutator_n4(self):
         # direct multiplication of the constructed matrices
-        a = make_standard_operator("annihilation", 4)
-        c = a.entries @ a.entries.conj().T - a.entries.conj().T @ a.entries
+        a = ladder_operators([4])[0].entries
+        c = a @ a.conj().T - a.conj().T @ a
         expected = np.eye(4)
         expected[3, 3] = 1 - 4
         assert_allclose(c, expected, atol=1e-14)
 
     def test_truncated_commutator_n8_topentry(self):
-        a = make_standard_operator("annihilation", 8)
-        c = commutator(a, a.dag()).entries
+        (a,) = ladder_operators([8])
+        c = comm(a.entries, a.dag().entries)
         assert c[7, 7] == pytest.approx(-7.0)
         assert_allclose(c[:7, :7], np.eye(7), atol=1e-14)
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
-            make_standard_operator("pauli_x", 3)
+            qubit_operator("hadamard")
         with pytest.raises(ValueError):
-            make_standard_operator("annihilation", 1)
+            ladder_operators([3, 1])
         with pytest.raises(ValueError):
-            make_standard_operator("hadamard", 2)
+            ladder_operators([])
 
 
 class TestKron:
     def test_identity_case(self):
-        i2 = make_standard_operator("identity", 2)
-        i3 = make_standard_operator("identity", 3)
+        i2 = Operator.identity(HilbertLayout((2,)))
+        i3 = Operator.identity(HilbertLayout((3,)))
         out = kron(i2, i3)
         assert out.layout.dims == (2, 3)
         assert_allclose(out.entries, np.eye(6))
 
     def test_sigma_z_diag(self):
-        sz = make_standard_operator("pauli_z", 2)
-        i2 = make_standard_operator("identity", 2)
+        sz = qubit_operator("pauli_z")
+        i2 = Operator.identity(HilbertLayout((2,)))
         assert_allclose(np.diag(kron(sz, i2).entries), [1, 1, -1, -1])
 
     def test_trace_multiplicative(self, rng):
@@ -110,38 +106,31 @@ class TestKron:
 
 
 class TestEmbed:
+    """The joint bank ladders are the per-mode ladders embedded by Kronecker
+    products with identities, mode 1 most significant."""
+
     def test_slot_zero(self):
-        sx = make_standard_operator("pauli_x", 2)
-        lay = HilbertLayout((2, 3))
-        want = kron(sx, make_standard_operator("identity", 3))
-        assert_allclose(embed(sx, 0, lay).entries, want.entries)
+        a0, _ = ladder_operators([2, 3])
+        assert a0.layout.dims == (6,)
+        assert np.array_equal(a0.entries, np.kron(ladder(2), np.eye(3)))
 
     def test_disjoint_factors_commute(self):
-        lay = HilbertLayout((2, 4))
-        a = embed(make_standard_operator("annihilation", 4), 1, lay)
-        sy = embed(make_standard_operator("pauli_y", 2), 0, lay)
-        assert_allclose(commutator(a, sy).entries, 0, atol=1e-14)
+        a0, a1 = (a.entries for a in ladder_operators([3, 4]))
+        assert_allclose(comm(a0, a1), 0, atol=1e-14)
+        assert_allclose(comm(a0, a1.conj().T), 0, atol=1e-14)
+        sy = np.kron(qubit_operator("pauli_y").entries, np.eye(12))
+        assert_allclose(comm(np.kron(np.eye(2), a1), sy), 0, atol=1e-14)
 
     def test_identity_any_slot(self):
-        lay = HilbertLayout((2, 3, 2))
-        for k, d in enumerate(lay.dims):
-            out = embed(make_standard_operator("identity", d), k, lay)
-            assert_allclose(out.entries, np.eye(lay.total))
+        dims = (2, 3, 2)
+        for k, a in enumerate(ladder_operators(dims)):
+            assert np.array_equal(a.entries, on_factor(ladder(dims[k]), k, dims))
 
-    def test_distributes_over_products(self, rng):
-        lay = HilbertLayout((3, 2))
-        a = Operator(HilbertLayout((2,)), rand_matrix(rng, 2))
-        b = Operator(HilbertLayout((2,)), rand_matrix(rng, 2))
-        lhs = embed(a @ b, 1, lay)
-        rhs = embed(a, 1, lay) @ embed(b, 1, lay)
-        assert_allclose(lhs.entries, rhs.entries, atol=1e-12)
-
-    def test_bad_slot_and_dim(self):
-        sx = make_standard_operator("pauli_x", 2)
-        with pytest.raises(ValueError):
-            embed(sx, 2, HilbertLayout((2, 3)))
-        with pytest.raises(ValueError):
-            embed(sx, 1, HilbertLayout((2, 3)))
+    def test_distributes_over_products(self):
+        dims = (3, 2)
+        for k, a in enumerate(ladder_operators(dims)):
+            num = (a.dag() @ a).entries
+            assert_allclose(num, on_factor(np.diag(np.arange(dims[k])), k, dims), atol=1e-14)
 
 
 class TestPartialTrace:
@@ -151,7 +140,7 @@ class TestPartialTrace:
         joint = DensityMatrix(
             HilbertLayout((2, 3)), np.kron(rho_q.entries, rho_a.entries)
         )
-        out = partial_trace(joint, keep={0})
+        out = reduce_to_qubit(joint)
         assert_allclose(out.entries, rho_q.entries, atol=1e-12)
 
     def test_bell_state(self):
@@ -159,58 +148,52 @@ class TestPartialTrace:
         v = np.zeros(4)
         v[0] = v[3] = 1 / np.sqrt(2)
         bell = DensityMatrix(lay, np.outer(v, v))
-        for keep in ({0}, {1}):
-            out = partial_trace(bell, keep=keep)
-            assert_allclose(out.entries, np.eye(2) / 2, atol=1e-12)
+        assert_allclose(reduce_to_qubit(bell).entries, np.eye(2) / 2, atol=1e-12)
 
     def test_trace_preserved(self, rng):
-        rho = rand_density(rng, (2, 3, 2))
-        for keep in ({0}, {1}, {2}, {0, 2}, {0, 1, 2}):
-            out = partial_trace(rho, keep=keep)
-            assert out.trace() == pytest.approx(rho.trace(), abs=1e-12)
+        for dims in ((2,), (2, 3), (2, 12)):
+            rho = rand_density(rng, dims)
+            assert reduce_to_qubit(rho).trace() == pytest.approx(1.0, abs=1e-12)
 
     def test_arbitrary_matrices(self, rng):
         a = Operator(HilbertLayout((2,)), rand_matrix(rng, 2))
         b = Operator(HilbertLayout((3,)), rand_matrix(rng, 3))
-        out = partial_trace(kron(a, b), keep={0})
+        out = reduce_to_qubit(DensityMatrix.wrap(HilbertLayout((2, 3)), kron(a, b).entries))
         assert_allclose(out.entries, a.entries * b.trace(), atol=1e-12)
-
-    def test_empty_keep_rejected(self, rng):
-        with pytest.raises(ValueError):
-            partial_trace(rand_density(rng, (2, 2)), keep=set())
 
 
 class TestCommutatorExpectation:
     def test_self_commutator_zero(self, rng):
         a = Operator(HilbertLayout((3,)), rand_matrix(rng, 3))
-        assert_allclose(commutator(a, a).entries, 0, atol=1e-12)
+        b = Operator(HilbertLayout((3,)), rand_matrix(rng, 3))
+        assert_allclose((a @ a - a @ a).entries, 0, atol=1e-12)
+        assert_allclose((a @ b - b @ a).entries, comm(a.entries, b.entries), atol=1e-12)
 
     def test_layout_mismatch(self, rng):
         a = Operator(HilbertLayout((2,)), rand_matrix(rng, 2))
         b = Operator(HilbertLayout((3,)), rand_matrix(rng, 3))
         with pytest.raises(LayoutMismatchError):
-            commutator(a, b)
+            a @ b
 
     def test_plus_state_x(self):
         rho = DensityMatrix.from_bloch(1, 0, 0)
-        sx = make_standard_operator("pauli_x", 2)
-        assert expectation(rho, sx) == pytest.approx(1.0)
+        sx = qubit_operator("pauli_x")
+        assert np.trace(rho.entries @ sx.entries) == pytest.approx(1.0)
 
     def test_mixed_state_z(self):
         rho = DensityMatrix.from_bloch(0, 0, 0)
-        sz = make_standard_operator("pauli_z", 2)
-        assert expectation(rho, sz) == pytest.approx(0.0)
+        sz = qubit_operator("pauli_z")
+        assert np.trace(rho.entries @ sz.entries) == pytest.approx(0.0)
 
     def test_identity_expectation(self, rng):
         rho = rand_density(rng, (2, 3))
         eye = Operator.identity(rho.layout)
-        assert expectation(rho, eye) == pytest.approx(1.0)
+        assert np.trace(rho.entries @ eye.entries) == pytest.approx(1.0)
 
     def test_hermitian_expectation_real(self, rng):
         rho = rand_density(rng, (4,))
         m = rand_matrix(rng, 4)
-        herm = Operator(HilbertLayout((4,)), m + m.conj().T)
-        assert abs(expectation(rho, herm).imag) < 1e-10
+        assert abs(np.trace(rho.entries @ (m + m.conj().T)).imag) < 1e-10
 
 
 class TestAdjointAndDensity:
@@ -227,6 +210,15 @@ class TestAdjointAndDensity:
         with pytest.raises(ValueError):
             DensityMatrix(lay, np.diag([1.5, -0.5]))  # negative eigenvalue
 
+    @pytest.mark.parametrize("entries, match", [
+        (np.full((2, 2), math.nan), "trace"),
+        ([[0.5, math.nan], [math.nan, 0.5]], "Hermitian"),
+        ([[0.5, complex(0, math.nan)], [0.0, 0.5]], "Hermitian"),
+    ])
+    def test_nan_entries_rejected(self, entries, match):
+        with pytest.raises(ValueError, match=match):
+            DensityMatrix(HilbertLayout((2,)), entries)
+
     def test_bloch_roundtrip(self):
         rho = DensityMatrix.from_bloch(0.3, -0.4, 0.5)
         assert_allclose(rho.bloch(), (0.3, -0.4, 0.5), atol=1e-14)
@@ -234,3 +226,8 @@ class TestAdjointAndDensity:
     def test_bloch_norm_check(self):
         with pytest.raises(ValueError):
             DensityMatrix.from_bloch(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bloch", [(math.nan, 0, 0), (0, 0, math.nan), (math.inf, 0, 0)])
+    def test_non_finite_bloch_rejected(self, bloch):
+        with pytest.raises(ValueError, match=r"Bloch vector \("):
+            DensityMatrix.from_bloch(*bloch)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nmqubit.operators import HilbertLayout, Operator, embed, make_standard_operator
+from nmqubit.operators import HilbertLayout
 from nmqubit.slh import (
     AncillaParams,
     build_ancilla_bank,
@@ -13,7 +13,7 @@ from nmqubit.slh import (
     qubit_operator,
 )
 
-from conftest import rand_density
+from conftest import ladder, on_factor, rand_density
 
 
 class TestAncillaParams:
@@ -33,10 +33,10 @@ class TestBank:
         bank = build_ancilla_bank(
             [AncillaParams(omega=10.0, gamma=0.6, kappa=1.0, truncation=5)]
         )
-        a = make_standard_operator("annihilation", 5)
+        a = ladder(5)
         assert bank.layout.dims == (5,)
-        assert_allclose(bank.couplings[0].entries, math.sqrt(0.6) * a.entries)
-        assert_allclose(bank.hamiltonian.entries, 10.0 * (a.dag() @ a).entries)
+        assert_allclose(bank.couplings[0].entries, math.sqrt(0.6) * a)
+        assert_allclose(bank.hamiltonian.entries, 10.0 * (a.conj().T @ a))
 
     def test_hamiltonian_commutes_with_number(self):
         params = [
@@ -44,12 +44,9 @@ class TestBank:
             AncillaParams(omega=2.0, gamma=0.8, kappa=0.1, truncation=3),
         ]
         bank = build_ancilla_bank(params)
-        num = Operator.zero(bank.layout)
-        for k, p in enumerate(params):
-            a = embed(make_standard_operator("annihilation", 3), k, bank.layout)
-            num = num + a.dag() @ a
-        comm = bank.hamiltonian @ num - num @ bank.hamiltonian
-        assert_allclose(comm.entries, 0, atol=1e-12)
+        num = sum(on_factor(np.diag(np.arange(3.0)), k, (3, 3)) for k in range(2))
+        h = bank.hamiltonian.entries
+        assert_allclose(h @ num - num @ h, 0, atol=1e-12)
 
     def test_couplings_commute(self):
         params = [
@@ -67,15 +64,15 @@ class TestBank:
             AncillaParams(omega=3.0, gamma=0.2, kappa=0.0, truncation=2),
         ]
         bank = build_ancilla_bank(params)
-        lay = HilbertLayout((3, 4, 2))
-        assert bank.layout == lay
+        dims = (3, 4, 2)
+        assert bank.layout == HilbertLayout((24,))  # one joint factor
         assert bank.n_channels == 3
-        h = Operator.zero(lay)
+        h = np.zeros((24, 24))
         for k, p in enumerate(params):
-            a = embed(make_standard_operator("annihilation", p.truncation), k, lay)
-            assert np.array_equal(bank.couplings[k].entries, (math.sqrt(p.gamma) * a).entries)
-            h = h + p.omega * (a.dag() @ a)
-        assert np.array_equal(bank.hamiltonian.entries, h.entries)
+            a = on_factor(ladder(p.truncation), k, dims)
+            assert np.array_equal(bank.couplings[k].entries, math.sqrt(p.gamma) * a)
+            h = h + p.omega * (a.conj().T @ a)
+        assert np.array_equal(bank.hamiltonian.entries, h)
 
 
     def test_shared_field_is_one_channel(self):
@@ -101,14 +98,13 @@ class TestAugmented:
     def test_interaction_matches_hand_formula(self):
         params = self.params()
         model = build_augmented(2.0, build_ancilla_bank(params), params)
-        lay = model.layout
-        a = embed(make_standard_operator("annihilation", 5), 1, lay)
-        sy = embed(make_standard_operator("pauli_y", 2), 0, lay)
-        h_i = -1j * (math.sqrt(0.6) / 2.0) * (a.dag() @ sy - sy @ a)
-        h_s = embed(1.0 * make_standard_operator("pauli_z", 2), 0, lay)
-        a_num = a.dag() @ a
-        want = h_s + 2.0 * a_num + h_i
-        assert_allclose(model.hamiltonian.entries, want.entries, atol=1e-12)
+        assert model.layout.dims == (2, 5)
+        a = np.kron(np.eye(2), ladder(5))
+        sy = np.kron([[0, -1j], [1j, 0]], np.eye(5))
+        h_i = -1j * (math.sqrt(0.6) / 2.0) * (a.conj().T @ sy - sy @ a)
+        h_s = np.kron(np.diag([1.0, -1.0]), np.eye(5))
+        want = h_s + 2.0 * (a.conj().T @ a) + h_i
+        assert_allclose(model.hamiltonian.entries, want, atol=1e-12)
 
     def test_zero_kappa_decouples(self):
         params = self.params(kappa=0.0)
@@ -152,9 +148,8 @@ class TestProbed:
 
     def test_probe_coupling(self):
         model = self.make()
-        lay = model.layout
-        want = embed(math.sqrt(0.8) * make_standard_operator("pauli_x", 2), 0, lay)
-        assert_allclose(model.couplings[model.probe_index].entries, want.entries)
+        want = np.kron(math.sqrt(0.8) * np.array([[0, 1], [1, 0]]), np.eye(5))
+        assert_allclose(model.couplings[model.probe_index].entries, want)
 
     def test_channel_count(self):
         model = self.make()
@@ -169,6 +164,6 @@ class TestProbed:
 class TestQubitOperatorMenu:
     def test_menu_and_scale(self):
         sy = qubit_operator("pauli_y", scale=2j)
-        assert_allclose(sy.entries, 2j * make_standard_operator("pauli_y", 2).entries)
+        assert_allclose(sy.entries, 2j * np.array([[0, -1j], [1j, 0]]))
         with pytest.raises(ValueError):
             qubit_operator("identity")
