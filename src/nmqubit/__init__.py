@@ -44,7 +44,6 @@ from .master import (
 from .operators import DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, kron
 from .slh import (
     AncillaParams,
-    SlhModel,
     build_ancilla_bank,
     build_augmented,
     build_probed,

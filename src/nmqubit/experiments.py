@@ -17,7 +17,13 @@ from .master import (
     markovian_baseline_spec,
 )
 from .operators import DensityMatrix, Operator
-from .slh import SlhModel, build_ancilla_bank, build_augmented, build_probed
+from .slh import build_ancilla_bank, build_augmented, build_probed
+
+#: ``truncation_deviation`` compares against every truncation times this
+TRUNCATION_FACTOR = 2
+
+#: ``decay_time`` is when a series falls to this share of its initial magnitude
+DECAY_FRACTION = 1.0 / math.e
 
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
@@ -32,19 +38,19 @@ def config_grid(config: ExperimentConfig) -> np.ndarray:
     return time_grid(config.t_final, config.dt)
 
 
-def build_probed_model(config: ExperimentConfig) -> SlhModel:
+def build_probed_model(config: ExperimentConfig) -> GeneratorSpec:
     bank = build_ancilla_bank(config.ancillas, field_mode=config.field_mode)
     augmented = build_augmented(config.omega_q, bank, config.ancillas)
     return build_probed(augmented, config.gamma_q, config.probe_kind, config.probe_scale)
 
 
-def probe_operator(model: SlhModel) -> Operator:
+def probe_operator(model: GeneratorSpec) -> Operator:
     if model.probe_index is None:
         raise ValueError("model has no probe channel")
-    return model.couplings[model.probe_index]
+    return model.collapse_ops[model.probe_index]
 
 
-def initial_state(config: ExperimentConfig, model: SlhModel) -> DensityMatrix:
+def initial_state(config: ExperimentConfig, model: GeneratorSpec) -> DensityMatrix:
     return augmented_initial_state(config.init_bloch, model.layout)
 
 
@@ -90,19 +96,20 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
     )
 
 
-def truncation_deviation(config: ExperimentConfig, factor: int = 2) -> float:
+def truncation_deviation(config: ExperimentConfig) -> float:
     """Max qubit Bloch deviation when every mode's truncation is multiplied by
-    ``factor``; the convergence check for the finite ladder."""
+    ``TRUNCATION_FACTOR``; the convergence check for the finite ladder."""
     base = run_unconditional(config).qubit_bloch()
-    refined = run_unconditional(with_truncation(config, factor * config.truncation)).qubit_bloch()
+    refined = run_unconditional(
+        with_truncation(config, TRUNCATION_FACTOR * config.truncation)).qubit_bloch()
     return float(np.max(np.abs(base - refined)))
 
 
-def decay_time(t: np.ndarray, series: np.ndarray, fraction: float = 1.0 / math.e) -> float:
-    """First time |series| falls below fraction * |series[0]|, linearly
+def decay_time(t: np.ndarray, series: np.ndarray) -> float:
+    """First time |series| falls below DECAY_FRACTION * |series[0]|, linearly
     interpolated on |series| between grid points; inf if it never does."""
     mag = np.abs(series)
-    threshold = fraction * mag[0]
+    threshold = DECAY_FRACTION * mag[0]
     below = np.nonzero(mag < threshold)[0]
     if below.size == 0:
         return math.inf

@@ -52,6 +52,9 @@ from .operators import (
 #: 3x inside; dt = 0.4 reaches 15.4 and a 1e6 record kick 1.6e23
 NORM_BOUND = 4.0
 
+#: trajectories per ensemble task; fixed, so results do not depend on workers
+ENSEMBLE_BATCH = 50
+
 
 class UnsupportedModeError(RuntimeError):
     """The trajectory was stored without the data this operation needs."""
@@ -267,20 +270,20 @@ def _ensemble_worker(args):
 
 def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                      t_grid, n_traj: int, base_seed: int,
-                     workers: int = 1, batch_size: int = 50) -> EnsembleResult:
+                     workers: int = 1) -> EnsembleResult:
     """Mean and standard error of the conditional qubit Bloch components over
     ``n_traj`` trajectories seeded base_seed .. base_seed + n_traj - 1.
 
-    Trajectories are partitioned into fixed batches, so the result does not
-    depend on ``workers`` or scheduling.  Any aborted trajectory fails the
-    whole ensemble with the offending seeds listed.
+    Trajectories are partitioned into batches of ``ENSEMBLE_BATCH``, so the
+    result does not depend on ``workers`` or scheduling.  Any aborted
+    trajectory fails the whole ensemble with the offending seeds listed.
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
     t, dts = _grid_steps(t_grid)
     seeds = tuple(int(base_seed) + k for k in range(n_traj))
-    tasks = [(rho0.entries, spec, l_op, dts, seeds[i:i + batch_size])
-             for i in range(0, n_traj, batch_size)]
+    tasks = [(rho0.entries, spec, l_op, dts, seeds[i:i + ENSEMBLE_BATCH])
+             for i in range(0, n_traj, ENSEMBLE_BATCH)]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_ensemble_worker, tasks))

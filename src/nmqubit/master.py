@@ -9,12 +9,12 @@ trace-preserving form N rho N^dag - (N^dag N rho + rho N^dag N)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .operators import DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bloch
-from .slh import SlhModel, qubit_operator
+from .slh import GeneratorSpec, qubit_operator
 
 #: smallest eigenvalue an integrated state may reach before the run aborts
 POSITIVITY_ABORT = 1e-6
@@ -36,36 +36,6 @@ DIAG_BLOCK_BYTES = 1 << 18
 
 class PositivityError(RuntimeError):
     """The integrated state left the positive cone beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Ingredients of a dissipative generator.
-
-    With ``direct_terms = (D, D^dag)`` the generator carries the explicit
-    commutator pair [D, rho] + [rho, D^dag] on top of the Hamiltonian and
-    collapse contributions; this is the written-out form of the augmented
-    master equation, algebraically equal to folding i(D - D^dag) into H.
-    """
-
-    hamiltonian: Operator
-    collapse_ops: tuple[Operator, ...]
-    direct_terms: tuple[Operator, Operator] | None = None
-
-    def __post_init__(self) -> None:
-        lay = self.hamiltonian.layout
-        ops = list(self.collapse_ops)
-        if self.direct_terms is not None:
-            ops += list(self.direct_terms)
-        for op in ops:
-            if op.layout != lay:
-                raise LayoutMismatchError("all generator operators must share one layout")
-        if self.hamiltonian.herm_deviation() > 1e-10:
-            raise ValueError("generator hamiltonian must be Hermitian to 1e-10")
-
-    @property
-    def layout(self) -> HilbertLayout:
-        return self.hamiltonian.layout
 
 
 def _entries(rho) -> np.ndarray:
@@ -96,30 +66,28 @@ def lindblad_apply(rho, spec: GeneratorSpec) -> np.ndarray:
         nd = n.conj().T
         ndn = nd @ n
         out = out + n @ r @ nd - 0.5 * (ndn @ r + r @ ndn)
-    if spec.direct_terms is not None:
-        d, ddag = (op.entries for op in spec.direct_terms)
+    if spec.direct is not None:
+        d = spec.direct.entries
+        ddag = d.conj().T
         out = out + (d @ r - r @ d) + (r @ ddag - ddag @ r)
     return out
 
 
-def generator_spec(model: SlhModel, form: str = "lindblad") -> GeneratorSpec:
-    """Build the generator of a model in one of its two equivalent forms.
+def generator_spec(model: GeneratorSpec, form: str = "lindblad") -> GeneratorSpec:
+    """A model's generator in one of its two equivalent forms.
 
-    ``lindblad`` keeps the full Hamiltonian (including the qubit-bank
-    interaction); ``direct`` splits that interaction out as explicit
-    commutator terms, exactly as the augmented master equation is written.
-    Every field channel of the model is one collapse operator.
+    ``direct`` is the model as built, with the qubit-bank interaction as
+    explicit commutator terms, exactly as the augmented master equation is
+    written; ``lindblad`` folds it into the Hamiltonian, H + i(D - D^dag).
     """
-    if form == "lindblad":
-        return GeneratorSpec(model.hamiltonian, model.couplings)
-    if form == "direct":
-        if model.direct_coupling is None:
-            raise ValueError("model carries no direct qubit-bank coupling")
-        d = model.direct_coupling
-        h_i = 1j * (d - d.dag())
-        return GeneratorSpec(model.hamiltonian - h_i, model.couplings,
-                             direct_terms=(d, d.dag()))
-    raise ValueError(f"unknown generator form {form!r}")
+    if form not in ("lindblad", "direct"):
+        raise ValueError(f"unknown generator form {form!r}")
+    d = model.direct
+    if form == "direct" and d is None:
+        raise ValueError("model carries no direct qubit-bank coupling")
+    if form == "direct" or d is None:
+        return model
+    return replace(model, hamiltonian=model.hamiltonian + 1j * (d - d.dag()), direct=None)
 
 
 class JumpGather:
@@ -173,7 +141,7 @@ class CompiledGenerator:
     """Precomputed arrays for fast repeated application.
 
     The generator is rewritten as E rho + rho E^dag + sum_k N_k rho N_k^dag
-    with E = -iH - (1/2) sum N^dag N (+ D - D^dag when direct terms exist).
+    with E = -iH - (1/2) sum N^dag N (+ D - D^dag in the direct form).
     ``apply`` takes one product X = E rho and forms E rho + rho E^dag as
     X + X^dag, which holds only for a Hermitian rho; the jump sum is a
     ``JumpGather`` over all channels, built on the first ``apply`` (the filter
@@ -190,9 +158,8 @@ class CompiledGenerator:
         self.collapse = [op.entries for op in spec.collapse_ops]
         for n in self.collapse:
             e = e - 0.5 * (n.conj().T @ n)
-        if spec.direct_terms is not None:
-            d, ddag = (op.entries for op in spec.direct_terms)
-            e = e + d - ddag
+        if spec.direct is not None:
+            e = e + spec.direct.entries - spec.direct.entries.conj().T
         self.e = e
         self._jumps = None
 

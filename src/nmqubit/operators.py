@@ -43,8 +43,7 @@ class HilbertLayout:
         return math.prod(self.dims) if self.dims else 1
 
 
-def _as_square(entries, total: int) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
+def _read_only_square(m: np.ndarray, total: int) -> np.ndarray:
     if m.shape != (total, total):
         raise ValueError(f"entries must be {total}x{total}, got {m.shape}")
     m.setflags(write=False)
@@ -59,7 +58,8 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _as_square(self.entries, self.layout.total))
+        object.__setattr__(self, "entries", _read_only_square(
+            np.array(self.entries, dtype=complex), self.layout.total))
 
     @classmethod
     def zero(cls, layout: HilbertLayout) -> Operator:
@@ -116,7 +116,7 @@ class DensityMatrix:
     __slots__ = ("layout", "entries")
 
     def __init__(self, layout: HilbertLayout, entries) -> None:
-        m = _as_square(entries, layout.total)
+        m = _read_only_square(np.array(entries, dtype=complex), layout.total)
         tr = np.trace(m)
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1 beyond {TRACE_TOL}")
@@ -131,10 +131,11 @@ class DensityMatrix:
 
     @classmethod
     def wrap(cls, layout: HilbertLayout, entries) -> DensityMatrix:
-        """Construct without validation; caller guarantees the invariants."""
+        """Construct without validation or a copy; caller guarantees the
+        invariants.  The entries are a read-only view of ``entries``."""
         obj = object.__new__(cls)
         obj.layout = layout
-        obj.entries = _as_square(entries, layout.total)
+        obj.entries = _read_only_square(np.asarray(entries, dtype=complex).view(), layout.total)
         return obj
 
     @classmethod

@@ -1,22 +1,22 @@
-"""Builders for (couplings, Hamiltonian) models of the qubit and its mode bank.
+"""The generator of the qubit and its mode bank, and the builders for it.
 
-A model bundles an ordered list of field coupling operators ``L`` (one per
-channel) and a Hermitian Hamiltonian ``H``, both acting on a shared layout;
-no built model scatters fields, so the scattering matrix of the SLH triple is
-always the identity and is not stored.  The builders assemble the physics
-used throughout this package: a bank of damped harmonic modes shaping
-Lorentzian noise, the qubit directly coupled to that bank, and a probe channel
-on the qubit for continuous monitoring.
+A ``GeneratorSpec`` holds a Hermitian Hamiltonian ``H``, one collapse operator
+per field channel and, for the augmented model, the direct qubit-bank coupling
+``D``, all on one layout; no built model scatters fields, so the scattering
+matrix of the SLH triple is always the identity and is not stored.  The
+builders assemble the physics used throughout this package: a bank of damped
+harmonic modes shaping Lorentzian noise, the qubit directly coupled to that
+bank, and a probe channel on the qubit for continuous monitoring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import HilbertLayout, Operator, kron
+from .operators import HilbertLayout, LayoutMismatchError, Operator, kron
 
 FIELD_MODES = ("independent", "shared")
 
@@ -88,39 +88,36 @@ def ladder_operators(truncations) -> tuple[Operator, ...]:
 
 
 @dataclass(frozen=True)
-class SlhModel:
-    """Field couplings and a Hamiltonian over a fixed layout.
+class GeneratorSpec:
+    """A dissipative generator: a Hermitian Hamiltonian, one collapse operator
+    per field channel and, optionally, a direct coupling D.
 
-    ``couplings`` holds one operator per field channel and ``hamiltonian`` is
-    Hermitian.  The optional ``probe_index`` marks the measured channel
-    appended by ``build_probed``; ``direct_coupling`` stores the qubit-bank
-    product operator used by the explicit-commutator form of the augmented
-    master equation.
+    With ``direct`` the generator carries the explicit commutator pair
+    [D, rho] + [rho, D^dag] on top of the Hamiltonian and collapse
+    contributions; this is the augmented master equation as written, and
+    ``master.generator_spec`` folds it into H as i(D - D^dag).  The optional
+    ``probe_index`` marks the measured channel appended by ``build_probed``.
     """
 
-    couplings: tuple[Operator, ...]
     hamiltonian: Operator
-    layout: HilbertLayout
+    collapse_ops: tuple[Operator, ...]
+    direct: Operator | None = None
     probe_index: int | None = None
-    direct_coupling: Operator | None = None
 
     def __post_init__(self) -> None:
-        ops = [self.hamiltonian, *self.couplings]
-        if self.direct_coupling is not None:
-            ops.append(self.direct_coupling)
-        for op in ops:
-            if op.layout != self.layout:
-                raise ValueError("all model operators must share the model layout")
+        ops = self.collapse_ops if self.direct is None else (*self.collapse_ops, self.direct)
+        if any(op.layout != self.layout for op in ops):
+            raise LayoutMismatchError("all generator operators must share one layout")
         if self.hamiltonian.herm_deviation() > 1e-10:
-            raise ValueError("hamiltonian must be Hermitian to 1e-10")
+            raise ValueError("generator hamiltonian must be Hermitian to 1e-10")
 
     @property
-    def n_channels(self) -> int:
-        return len(self.couplings)
+    def layout(self) -> HilbertLayout:
+        return self.hamiltonian.layout
 
 
 def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
-                       field_mode: str = "independent") -> SlhModel:
+                       field_mode: str = "independent") -> GeneratorSpec:
     """The noise-shaping bank: mode k couples to the field as sqrt(gamma_k) a_k
     and oscillates at omega_k.
 
@@ -140,15 +137,15 @@ def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
         h = h + p.omega * (a.dag() @ a)
     if field_mode == "shared":
         couplings = [sum(couplings[1:], couplings[0])]
-    return SlhModel(tuple(couplings), h, ladders[0].layout)
+    return GeneratorSpec(h, tuple(couplings))
 
 
-def build_augmented(omega_q: float, bank: SlhModel,
-                    params: list[AncillaParams] | tuple[AncillaParams, ...]) -> SlhModel:
+def build_augmented(omega_q: float, bank: GeneratorSpec,
+                    params: list[AncillaParams] | tuple[AncillaParams, ...]) -> GeneratorSpec:
     """Couple a qubit (factor 0 of the layout (2, D)) directly to the bank's
     internal noise channel.
 
-    H = (omega_q/2) sigma_z + H_bank + i(D - D^dag) with the direct coupling
+    H = (omega_q/2) sigma_z + H_bank, with the direct coupling
     D = sum_k sqrt(kappa_k) C_k^dag sigma_k, where C_k = -(sqrt(gamma_k)/2) a_k
     is the bank's internal noise channel and sigma_k the qubit coupling.
     """
@@ -159,26 +156,17 @@ def build_augmented(omega_q: float, bank: SlhModel,
     eye_q = Operator.identity(HilbertLayout((2,)))
     eye_b = Operator.identity(bank.layout)
 
-    h_s = kron(0.5 * omega_q * qubit_operator("pauli_z"), eye_b)
-    h_a = kron(eye_q, bank.hamiltonian)
-
-    direct = Operator.zero(h_s.layout)
+    h = kron(0.5 * omega_q * qubit_operator("pauli_z"), eye_b) + kron(eye_q, bank.hamiltonian)
+    direct = Operator.zero(h.layout)
     for p, a in zip(params, ladders):
         c_k = (-math.sqrt(p.gamma) / 2.0) * kron(eye_q, a)
         sigma_k = kron(qubit_operator(p.sigma_kind, p.sigma_scale), eye_b)
         direct = direct + math.sqrt(p.kappa) * (c_k.dag() @ sigma_k)
-    h_i = 1j * (direct - direct.dag())
-
-    return SlhModel(
-        tuple(kron(eye_q, op) for op in bank.couplings),
-        h_s + h_a + h_i,
-        h_s.layout,
-        direct_coupling=direct,
-    )
+    return GeneratorSpec(h, tuple(kron(eye_q, op) for op in bank.collapse_ops), direct)
 
 
-def build_probed(augmented: SlhModel, gamma_q: float, probe_kind: str,
-                 probe_scale: complex = 1.0) -> SlhModel:
+def build_probed(augmented: GeneratorSpec, gamma_q: float, probe_kind: str,
+                 probe_scale: complex = 1.0) -> GeneratorSpec:
     """Append the monitored probe channel sqrt(gamma_q) * (qubit operator)."""
     if gamma_q < 0:
         raise ValueError(f"gamma_q must be >= 0, got {gamma_q}")
@@ -186,10 +174,5 @@ def build_probed(augmented: SlhModel, gamma_q: float, probe_kind: str,
         raise ValueError("probed model requires the qubit as factor 0")
     probe = kron(math.sqrt(gamma_q) * qubit_operator(probe_kind, probe_scale),
                  Operator.identity(HilbertLayout(augmented.layout.dims[1:])))
-    return SlhModel(
-        augmented.couplings + (probe,),
-        augmented.hamiltonian,
-        augmented.layout,
-        probe_index=augmented.n_channels,
-        direct_coupling=augmented.direct_coupling,
-    )
+    return replace(augmented, collapse_ops=augmented.collapse_ops + (probe,),
+                   probe_index=len(augmented.collapse_ops))

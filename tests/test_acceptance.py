@@ -270,6 +270,6 @@ def test_criterion_9_spectrum_fitting():
 
 
 def test_criterion_10_truncation_convergence(preset_cfg):
-    dev = truncation_deviation(preset_cfg, factor=2)
+    dev = truncation_deviation(preset_cfg)
     ok = dev <= 1e-3
     assert report("10 truncation-convergence", ok, f"N=5 vs N=10 deviation {dev:.2e}")

@@ -83,7 +83,7 @@ class TestSmeStep:
         cfg = dataclasses.replace(base, ancillas=base.ancillas + (extra,), field_mode="shared")
         model = build_probed_model(cfg.validate())
         spec = generator_spec(model)
-        l_op = model.couplings[model.probe_index]
+        l_op = model.collapse_ops[model.probe_index]
         (bank,) = [op.entries for op in spec.collapse_ops
                    if not np.array_equal(op.entries, l_op.entries)]
         rho0 = rand_density(rng, model.layout.dims)
@@ -106,7 +106,7 @@ class TestSmeStep:
         # sigma_y probe makes L complex and the shared bank merges two modes
         model = bank2_model("shared")
         spec = generator_spec(model)
-        l = model.couplings[model.probe_index].entries
+        l = model.collapse_ops[model.probe_index].entries
         (bank,) = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
         rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
         dt, dys = 1e-3, np.array([0.05, -0.03, 0.011])
@@ -125,7 +125,7 @@ class TestSmeStep:
         # the filter's one contraction: Bloch components of the reduced qubit,
         # then the signal tr[(L + L^dag) rho]
         model = bank2_model("shared")
-        l = model.couplings[model.probe_index].entries
+        l = model.collapse_ops[model.probe_index].entries
         states = [rand_density(rng, model.layout.dims) for _ in range(4)]
         out = readout(np.stack([s.entries for s in states]), _readout_weights(model.layout.dims, l))
         paulis = [qubit_operator(k).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
@@ -252,6 +252,19 @@ class TestReplay:
         )
         assert dev <= 1e-10
 
+    def test_states_are_read_only_views_of_one_stack(self):
+        cfg = short_cfg(t_final=0.05)
+        traj = run_filter_trajectory(cfg, seed=9)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        states = replay_filter(rho0, spec, l_op, traj.record, traj.t_grid)
+        first, last = states[0].entries, states[-1].entries
+        assert first.base is not None and first.base is last.base
+        assert not first.flags.writeable and not last.flags.writeable
+        _, stack, _, _ = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries,
+                                 np.diff(traj.t_grid), record=traj.record[None],
+                                 store_states=True)
+        assert np.array_equal([s.entries for s in states], stack[0])
+
     def test_zero_probe_record_is_noise(self):
         cfg = short_cfg(gamma_q=0.0)
         traj = run_filter_trajectory(cfg, seed=13)
@@ -358,12 +371,13 @@ class TestEnsemble:
         assert np.max(ens.stderr) < 1e-12
         assert np.max(np.abs(ens.mean - uncond)) < 5e-3
 
-    def test_worker_partition_invariance(self):
+    def test_worker_partition_invariance(self, monkeypatch):
+        monkeypatch.setattr(filtering, "ENSEMBLE_BATCH", 5)  # 12 paths make 3 tasks
         cfg = short_cfg(t_final=0.2)
         rho0, spec, l_op = filter_ingredients(cfg)
         grid = config_grid(cfg)
-        a = ensemble_average(rho0, spec, l_op, grid, 12, 40, workers=1, batch_size=5)
-        b = ensemble_average(rho0, spec, l_op, grid, 12, 40, workers=2, batch_size=5)
+        a = ensemble_average(rho0, spec, l_op, grid, 12, 40, workers=1)
+        b = ensemble_average(rho0, spec, l_op, grid, 12, 40, workers=2)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.stderr, b.stderr)
 

@@ -230,7 +230,7 @@ class TestJumpGather:
         model = bank2_model("independent")
         spec = generator_spec(model)
         rho0 = augmented_initial_state((1, 0, 0), model.layout)
-        simulate_trajectory(rho0, spec, model.couplings[model.probe_index], [0.0, 1e-3, 2e-3], seed=1)
+        simulate_trajectory(rho0, spec, model.collapse_ops[model.probe_index], [0.0, 1e-3, 2e-3], seed=1)
         assert len(builds) == 1
         integrate_master(rho0, spec, [0.0, 1e-3, 2e-3])
         assert len(builds) == 2

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nmqubit.operators import HilbertLayout
+from nmqubit.experiments import probe_operator
+from nmqubit.master import generator_spec
+from nmqubit.operators import HilbertLayout, LayoutMismatchError, Operator
 from nmqubit.slh import (
     AncillaParams,
+    GeneratorSpec,
     build_ancilla_bank,
     build_augmented,
     build_probed,
@@ -35,7 +38,7 @@ class TestBank:
         )
         a = ladder(5)
         assert bank.layout.dims == (5,)
-        assert_allclose(bank.couplings[0].entries, math.sqrt(0.6) * a)
+        assert_allclose(bank.collapse_ops[0].entries, math.sqrt(0.6) * a)
         assert_allclose(bank.hamiltonian.entries, 10.0 * (a.conj().T @ a))
 
     def test_hamiltonian_commutes_with_number(self):
@@ -54,7 +57,7 @@ class TestBank:
             AncillaParams(omega=2.0, gamma=0.8, kappa=0.1, truncation=3),
         ]
         bank = build_ancilla_bank(params)
-        c0, c1 = bank.couplings
+        c0, c1 = bank.collapse_ops
         assert_allclose((c0 @ c1 - c1 @ c0).entries, 0, atol=1e-14)
 
     def test_three_mode_entries(self):
@@ -66,11 +69,11 @@ class TestBank:
         bank = build_ancilla_bank(params)
         dims = (3, 4, 2)
         assert bank.layout == HilbertLayout((24,))  # one joint factor
-        assert bank.n_channels == 3
+        assert len(bank.collapse_ops) == 3
         h = np.zeros((24, 24))
         for k, p in enumerate(params):
             a = on_factor(ladder(p.truncation), k, dims)
-            assert np.array_equal(bank.couplings[k].entries, math.sqrt(p.gamma) * a)
+            assert np.array_equal(bank.collapse_ops[k].entries, math.sqrt(p.gamma) * a)
             h = h + p.omega * (a.conj().T @ a)
         assert np.array_equal(bank.hamiltonian.entries, h)
 
@@ -82,9 +85,9 @@ class TestBank:
         ]
         independent = build_ancilla_bank(params)
         shared = build_ancilla_bank(params, "shared")
-        c0, c1 = independent.couplings
-        assert shared.n_channels == 1
-        assert np.array_equal(shared.couplings[0].entries, (c0 + c1).entries)
+        c0, c1 = independent.collapse_ops
+        assert len(shared.collapse_ops) == 1
+        assert np.array_equal(shared.collapse_ops[0].entries, (c0 + c1).entries)
         assert np.array_equal(shared.hamiltonian.entries, independent.hamiltonian.entries)
         with pytest.raises(ValueError, match="field_mode"):
             build_ancilla_bank(params, "common")
@@ -104,12 +107,13 @@ class TestAugmented:
         h_i = -1j * (math.sqrt(0.6) / 2.0) * (a.conj().T @ sy - sy @ a)
         h_s = np.kron(np.diag([1.0, -1.0]), np.eye(5))
         want = h_s + 2.0 * (a.conj().T @ a) + h_i
-        assert_allclose(model.hamiltonian.entries, want, atol=1e-12)
+        assert_allclose(generator_spec(model).hamiltonian.entries, want, atol=1e-12)
+        assert_allclose(model.hamiltonian.entries, want - h_i, atol=1e-12)
 
     def test_zero_kappa_decouples(self):
         params = self.params(kappa=0.0)
         model = build_augmented(2.0, build_ancilla_bank(params), params)
-        assert_allclose(model.direct_coupling.entries, 0, atol=1e-14)
+        assert_allclose(model.direct.entries, 0, atol=1e-14)
 
     def test_hermitian_for_random_params(self, rng):
         for _ in range(5):
@@ -124,13 +128,13 @@ class TestAugmented:
                 )
             ]
             model = build_augmented(1.7, build_ancilla_bank(params), params)
-            assert model.hamiltonian.herm_deviation() < 1e-12
+            assert generator_spec(model).hamiltonian.herm_deviation() < 1e-12
 
     def test_direct_terms_match_commutator(self, rng):
         # [D, rho] + [rho, D^dag] must equal -i[H_I, rho]
         params = self.params()
         model = build_augmented(2.0, build_ancilla_bank(params), params)
-        d = model.direct_coupling.entries
+        d = model.direct.entries
         h_i = 1j * (d - d.conj().T)
         for _ in range(5):
             rho = rand_density(rng, model.layout.dims).entries
@@ -149,16 +153,54 @@ class TestProbed:
     def test_probe_coupling(self):
         model = self.make()
         want = np.kron(math.sqrt(0.8) * np.array([[0, 1], [1, 0]]), np.eye(5))
-        assert_allclose(model.couplings[model.probe_index].entries, want)
+        assert_allclose(model.collapse_ops[model.probe_index].entries, want)
 
     def test_channel_count(self):
         model = self.make()
-        assert model.n_channels == 2  # one bank mode + probe
+        assert len(model.collapse_ops) == 2  # one bank mode + probe
         assert model.probe_index == 1
 
     def test_zero_gamma_probe(self):
         model = self.make(gamma_q=0.0)
-        assert_allclose(model.couplings[model.probe_index].entries, 0, atol=1e-14)
+        assert_allclose(model.collapse_ops[model.probe_index].entries, 0, atol=1e-14)
+
+    def test_unprobed_model_has_no_probe_operator(self):
+        params = [AncillaParams(omega=2.0, gamma=0.6, kappa=1.0, truncation=3)]
+        aug = build_augmented(2.0, build_ancilla_bank(params), params)
+        with pytest.raises(ValueError, match="no probe channel"):
+            probe_operator(aug)
+
+
+class TestGeneratorSpec:
+    def test_bank_has_no_direct_form(self):
+        bank = build_ancilla_bank([AncillaParams(omega=1.0, gamma=0.5, kappa=0.2, truncation=3)])
+        assert generator_spec(bank) is bank
+        with pytest.raises(ValueError, match="no direct qubit-bank coupling"):
+            generator_spec(bank, "direct")
+
+    def test_unknown_form_rejected(self):
+        bank = build_ancilla_bank([AncillaParams(omega=1.0, gamma=0.5, kappa=0.2, truncation=3)])
+        with pytest.raises(ValueError, match="unknown generator form 'sme'"):
+            generator_spec(bank, "sme")
+
+    def test_direct_form_is_the_model(self):
+        model = TestProbed().make()
+        assert generator_spec(model, "direct") is model
+        folded = generator_spec(model)
+        assert folded.direct is None and folded.probe_index == model.probe_index
+        assert folded.collapse_ops is model.collapse_ops
+
+    def test_mixed_layouts_rejected(self):
+        h = qubit_operator("pauli_z")
+        three = Operator.zero(HilbertLayout((3,)))
+        with pytest.raises(LayoutMismatchError):
+            GeneratorSpec(h, (qubit_operator("pauli_x"), three))
+        with pytest.raises(LayoutMismatchError):
+            GeneratorSpec(h, (qubit_operator("pauli_x"),), direct=three)
+
+    def test_non_hermitian_hamiltonian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            GeneratorSpec(qubit_operator("sigma_minus"), ())
 
 
 class TestQubitOperatorMenu:
