@@ -58,10 +58,10 @@ def write_table(path: Path, meta_lines: list[str], names: list[str], columns: li
     for col in columns:
         if len(col) != rows:
             raise ValueError("all columns must have equal length")
+    row_fmt = ",".join(["%.12g"] * len(columns))
     lines = list(meta_lines)
     lines.append(",".join(names))
-    for i in range(rows):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+    lines.extend(row_fmt % row for row in zip(*columns))
     path.write_text("\n".join(lines) + "\n")
     return path
 

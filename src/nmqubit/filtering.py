@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import CompiledGenerator, GeneratorSpec, JumpGather, PositivityError
+from .master import CompiledGenerator, GeneratorSpec, JumpGather, PositivityError, grid_steps
 from .operators import (
     POSITIVITY_TOL,
     DensityMatrix,
@@ -197,20 +197,10 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
     return bloch, states, rec_out, innov_out
 
 
-def _grid_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 2:
-        raise ValueError("t_grid must contain at least two times")
-    dts = np.diff(t)
-    if np.any(dts <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    return t, dts
-
-
 def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                         t_grid, seed: int, store_states: bool = False) -> Trajectory:
     """Draw the innovation path from ``seed`` and propagate the SME along it."""
-    t, dts = _grid_steps(t_grid)
+    t, dts = grid_steps(t_grid)
     dw = wiener_increments(seed, dts)
     bloch, states, rec, innov = _evolve(
         rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
@@ -230,7 +220,7 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
 def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                   record, t_grid) -> list[DensityMatrix]:
     """Reconstruct the conditional states from a measurement record alone."""
-    t, dts = _grid_steps(t_grid)
+    t, dts = grid_steps(t_grid)
     rec = np.asarray(record, dtype=float)
     if rec.shape != dts.shape:
         raise ValueError(
@@ -280,7 +270,7 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
-    t, dts = _grid_steps(t_grid)
+    t, dts = grid_steps(t_grid)
     seeds = tuple(int(base_seed) + k for k in range(n_traj))
     tasks = [(rho0.entries, spec, l_op, dts, seeds[i:i + ENSEMBLE_BATCH])
              for i in range(0, n_traj, ENSEMBLE_BATCH)]

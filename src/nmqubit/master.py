@@ -320,6 +320,18 @@ def _diagnose(states: np.ndarray, t: np.ndarray, herm_dev: np.ndarray, min_eig: 
         )
 
 
+def grid_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """The times of ``t_grid`` and its steps; rejects a grid that is not 1-d,
+    has fewer than two times or is not strictly increasing."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or len(t) < 2:
+        raise ValueError("t_grid must contain at least two times")
+    dts = np.diff(t)
+    if np.any(dts <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    return t, dts
+
+
 def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> MasterResult:
     """Propagate with classic fixed-step RK4 over the given time grid.
 
@@ -333,9 +345,7 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     stored states.
     """
     _check_layout(rho0, spec.layout)
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be a strictly increasing 1-d sequence")
+    t, dts = grid_steps(t_grid)
     gen = CompiledGenerator(spec)
     n = len(t)
     d = spec.layout.total
@@ -350,7 +360,7 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     tr_drift[0] = abs(pre_trace - 1.0)
     steps = _table_steps if d <= TABLE_MAX_DIM else _apply_steps
     block = max(2, DIAG_BLOCK_BYTES // states[0].nbytes)
-    for lo, hi in steps(gen, rho / pre_trace, np.diff(t), states, tr_drift, block):
+    for lo, hi in steps(gen, rho / pre_trace, dts, states, tr_drift, block):
         _diagnose(states, t, herm_dev, min_eig, lo, hi)
     return MasterResult(t, spec.layout, states, tr_drift, herm_dev, min_eig)
 

@@ -8,7 +8,6 @@ the mode bank as one factor on its joint occupation basis
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,9 +16,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-8
 POSITIVITY_TOL = 1e-8
-
-#: bytes of state entries ``qubit_bloch`` gathers for one product
-GATHER_BYTES = 1 << 18
 
 
 class LayoutMismatchError(ValueError):
@@ -189,33 +185,11 @@ def readout(states: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (flat.view(float) @ w)[:, 0]
 
 
-@functools.lru_cache(maxsize=8)
-def _bloch_weights(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The non-zero rows of ``readout_weights(dims)`` and their positions in
-    the real view of a state: the qubit's coherence and populations."""
-    w = readout_weights(dims)
-    rows = np.flatnonzero(w.any(axis=1))
-    w = w[rows]
-    for a in (rows, w):
-        a.setflags(write=False)  # shared by every caller
-    return rows, w
-
-
 def qubit_bloch(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Bloch components of the leading qubit factor of a stack of joint states
-    on ``dims``: shape (n, d, d) -> (n, 3).  The entries that carry them are
-    gathered, ``GATHER_BYTES`` at a time, and contracted with
-    ``readout_weights`` in one 2-D product per chunk, so a row may round
-    differently with the stack's size; the filter reads its paths with
-    ``readout`` instead."""
-    rows, w = _bloch_weights(tuple(dims))
-    d = math.prod(dims)
-    flat = np.ascontiguousarray(states, dtype=complex).reshape(-1, d * d).view(float)
-    out = np.empty((len(flat), w.shape[1]))
-    chunk = max(1, GATHER_BYTES // (8 * len(rows)))
-    for lo in range(0, len(flat), chunk):
-        out[lo:lo + chunk] = flat[lo:lo + chunk, rows] @ w
-    return out
+    on ``dims``: shape (n, d, d) -> (n, 3).  The filter's own per-row
+    ``readout`` contraction, so a row does not depend on the stack's size."""
+    return readout(states, readout_weights(dims))
 
 
 def kron(a: Operator, b: Operator) -> Operator:

@@ -80,15 +80,19 @@ class SpectrumSamples:
         rows = []
         header_seen = False
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if not header_seen:
                     header_seen = True  # one-line column header
                     continue
-                w, v = line.split(",")[:2]
-                rows.append((float(w), float(v)))
+                try:
+                    w, v = line.split(",")[:2]
+                    rows.append((float(w), float(v)))
+                except ValueError:
+                    raise ValueError(f"{path}, line {lineno}: expected two numbers "
+                                     f"'omega,psd', got {line!r}") from None
         if not rows:
             raise ValueError(f"spectrum file {path} has no data rows")
         return cls.from_pairs(rows)

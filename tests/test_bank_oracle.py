@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import nmqubit as nq
-from nmqubit.experiments import run_unconditional
+from nmqubit.experiments import run_unconditional, truncation_deviation
 from nmqubit.slh import AncillaParams
 
 
@@ -52,19 +52,24 @@ def coherence_factor(modes, field_mode, t_grid, substeps=1):
 
 OMEGA_Q = 2.0
 MODE = (2.0, 0.6, 1.0)
+SLOW_MODE = (0.5, 0.3, 2.0)
 BANK2 = [MODE, (1.5, 0.8, 0.5)]
 
 
-def evolve_bloch(modes, field_mode, truncation, t_final, dt):
-    """``evolve``'s grid and Bloch vectors on the oracle's model, from +x."""
+def oracle_config(modes, field_mode, truncation, t_final, dt):
+    """The oracle's model, started from +x."""
     ancillas = tuple(AncillaParams(omega=w, gamma=g, kappa=k, sigma_kind="pauli_z",
                                    truncation=truncation) for w, g, k in modes)
-    cfg = dataclasses.replace(
+    return dataclasses.replace(
         nq.preset("paper-fig4"), omega_q=OMEGA_Q, ancillas=ancillas, truncation=truncation,
         field_mode=field_mode, probe_kind="pauli_z", gamma_q=0.0, init_bloch=(1.0, 0.0, 0.0),
         t_final=t_final, dt=dt,
     ).validate()
-    result = run_unconditional(cfg)
+
+
+def evolve_bloch(modes, field_mode, truncation, t_final, dt):
+    """``evolve``'s grid and Bloch vectors on the oracle's model."""
+    result = run_unconditional(oracle_config(modes, field_mode, truncation, t_final, dt))
     return result.t_grid, result.qubit_bloch()
 
 
@@ -94,3 +99,15 @@ def test_two_mode_bank_both_field_modes():
     for field_mode, bound in (("independent", 1.3e-6), ("shared", 5e-7)):
         t, bloch = evolve_bloch(BANK2, field_mode, 5, 2.0, 1e-2)
         assert max_error(t, bloch, coherence_factor(BANK2, field_mode, t, substeps=10)) <= bound
+
+
+def test_truncation_deviation_tracks_oracle_on_slow_mode():
+    # a slow, strongly coupled mode fills more ladder levels than truncation 5
+    # holds; the doubled-truncation check must read the true error, not pass
+    # it.  Pinned: 3.1455e-2 against the oracle's 3.1435e-2 (ratio 1.00064)
+    modes = [SLOW_MODE]
+    dev = truncation_deviation(oracle_config(modes, "shared", 5, 10.0, 1e-2))
+    t, bloch = evolve_bloch(modes, "shared", 5, 10.0, 1e-2)
+    error = max_error(t, bloch, coherence_factor(modes, "shared", t, substeps=10))
+    assert dev > 1e-3  # criterion 10's tolerance
+    assert abs(dev / error - 1.0) <= 2e-3

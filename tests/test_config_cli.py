@@ -297,17 +297,25 @@ class TestMainEntry:
         assert rc == 0
         assert (tmp_path / "filter_record_seed99.csv").exists()
 
-    def test_header_only_spectrum_is_error(self, tmp_path, capsys):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("omega,psd\n")
+    def fit_exit(self, tmp_path, capsys, samples: str) -> str:
+        target = tmp_path / "samples.csv"
+        target.write_text(samples)
         cfg = dataclasses.replace(preset("paper-fig4"), out_dir=str(tmp_path),
-                                  fit_input=str(empty))
+                                  fit_input=str(target))
         path = tmp_path / "fit.cfg"
         path.write_text(serialize_config(cfg))
         assert main(["fit", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "empty.csv" in err
+        return err
+
+    def test_header_only_spectrum_is_error(self, tmp_path, capsys):
+        assert "samples.csv" in self.fit_exit(tmp_path, capsys, "omega,psd\n")
+
+    @pytest.mark.parametrize("row", ["0.5", "0.5,abc"])
+    def test_malformed_spectrum_row_names_file_and_line(self, tmp_path, capsys, row):
+        err = self.fit_exit(tmp_path, capsys, f"omega,psd\n0.0,1.0\n{row}\n")
+        assert "samples.csv, line 3" in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -29,9 +29,10 @@ from nmqubit.filtering import (
 )
 from nmqubit.master import CompiledGenerator, GeneratorSpec, PositivityError, generator_spec, integrate_master, lindblad_apply
 from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch, readout
-from nmqubit.slh import qubit_operator
+from nmqubit.slh import AncillaParams, qubit_operator
 
 from conftest import bank2_model, rand_density, reduce_ref
+from test_bank_oracle import coherence_factor
 
 
 def short_cfg(t_final=0.5, **kw):
@@ -297,6 +298,34 @@ class TestReplay:
             replay_filter(rho0, spec, l_op, traj.record[:-5], traj.t_grid)
 
 
+def qnd_config(ancillas):
+    return dataclasses.replace(
+        nq.preset("paper-fig4"), ancillas=ancillas, truncation=ancillas[0].truncation,
+        probe_kind="pauli_z", init_bloch=(0.6, 0.0, 0.8), t_final=2.0, dt=1e-3,
+    ).validate()
+
+
+def seed_records(rho0, spec, l_op, grid):
+    """The records of seeds 0-19, drawn in one batch."""
+    dts = np.diff(grid)
+    dw = np.stack([wiener_increments(s_, dts) for s_ in range(20)])
+    batch = np.broadcast_to(rho0.entries, (20,) + rho0.entries.shape)
+    _, _, records, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+                               increments=dw, seeds=tuple(range(20)))
+    return records
+
+
+def qnd_final_bloch(cfg, y, t, factor=1.0):
+    """The final Bloch vector of ``TestQndOracle``'s closed form for the
+    record sum y, with the bank's coherence factor applied to rho01."""
+    g = cfg.gamma_q
+    x0, y0, z0 = cfg.init_bloch
+    p0 = 0.5 * (1 + z0) * math.exp(2 * math.sqrt(g) * y - 2 * g * t)
+    p1 = 0.5 * (1 - z0) * math.exp(-2 * math.sqrt(g) * y - 2 * g * t)
+    c = 0.5 * (x0 - 1j * y0) * np.exp(-2 * g * t - 1j * cfg.omega_q * t) * factor
+    return np.array([2 * c.real, -2 * c.imag, p0 - p1]) / (p0 + p1)
+
+
 class TestQndOracle:
     def test_replay_matches_closed_form(self):
         # with every kappa = 0 the bank decouples and stays in vacuum; with
@@ -305,28 +334,12 @@ class TestQndOracle:
         #   rho00 e^{2 sqrt(g) Y - 2 g t}, rho11 e^{-2 sqrt(g) Y - 2 g t},
         #   rho01 e^{-2 g t - i omega_q t}
         base = nq.preset("paper-fig4")
-        cfg = dataclasses.replace(
-            base,
-            ancillas=tuple(dataclasses.replace(a, kappa=0.0) for a in base.ancillas),
-            probe_kind="pauli_z", init_bloch=(0.6, 0.0, 0.8), t_final=2.0, dt=1e-3,
-        ).validate()
+        cfg = qnd_config(tuple(dataclasses.replace(a, kappa=0.0) for a in base.ancillas))
         rho0, spec, l_op = filter_ingredients(cfg)
         grid = config_grid(cfg)
-        g, t = cfg.gamma_q, grid[-1]
-        x0, y0, z0 = cfg.init_bloch
-        # the records of seeds 0-19, drawn in one batch
-        dts = np.diff(grid)
-        dw = np.stack([wiener_increments(s_, dts) for s_ in range(20)])
-        batch = np.broadcast_to(rho0.entries, (20,) + rho0.entries.shape)
-        _, _, records, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
-                                   increments=dw, seeds=tuple(range(20)))
         errors = []
-        for record in records:
-            y = record.sum()
-            p0 = 0.5 * (1 + z0) * math.exp(2 * math.sqrt(g) * y - 2 * g * t)
-            p1 = 0.5 * (1 - z0) * math.exp(-2 * math.sqrt(g) * y - 2 * g * t)
-            c = 0.5 * (x0 - 1j * y0) * np.exp(-2 * g * t - 1j * cfg.omega_q * t)
-            want = np.array([2 * c.real, -2 * c.imag, p0 - p1]) / (p0 + p1)
+        for record in seed_records(rho0, spec, l_op, grid):
+            want = qnd_final_bloch(cfg, record.sum(), grid[-1])
             final = replay_filter(rho0, spec, l_op, record, grid)[-1]
             got = qubit_bloch(final.entries, final.layout.dims)
             errors.append(float(np.max(np.abs(got - want))))
@@ -334,6 +347,33 @@ class TestQndOracle:
         # plus repair gave 5.0e-4 and 9.0e-3); tighten, never loosen
         assert np.median(errors) <= 1e-4
         assert max(errors) <= 2e-3
+
+    # errors when pinned (median, max): 3.8e-5, 7.1e-4 and 2.9e-5, 6.3e-4;
+    # without the coherence factor 1.7e-3, 4.8e-2 and 4.2e-3, 1.2e-1.  The
+    # kappa = 2 mode tells sqrt(kappa) from kappa in the direct coupling.
+    @pytest.mark.parametrize("mode, truncation, median_bound, max_bound", [
+        ((2.0, 0.6, 1.0), 5, 1e-4, 2e-3),
+        ((0.5, 0.3, 2.0), 8, 8e-5, 1.8e-3),
+    ])
+    def test_coupled_bank_replay_matches_closed_form(self, mode, truncation,
+                                                     median_bound, max_bound):
+        # with every coupling along sigma_z the bank stays Gaussian in each
+        # qubit branch (see test_bank_oracle): the populations follow the
+        # kappa = 0 closed form and rho01 gains the bank's factor f(t)
+        omega, gamma, kappa = mode
+        cfg = qnd_config((AncillaParams(omega=omega, gamma=gamma, kappa=kappa,
+                                        sigma_kind="pauli_z", truncation=truncation),))
+        rho0, spec, l_op = filter_ingredients(cfg)
+        grid = config_grid(cfg)
+        factor = coherence_factor([mode], "shared", grid)[-1]
+        records = seed_records(rho0, spec, l_op, grid)
+        batch = np.broadcast_to(rho0.entries, (20,) + rho0.entries.shape)
+        bloch, _, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, np.diff(grid),
+                                 record=records)
+        errors = [float(np.max(np.abs(got - qnd_final_bloch(cfg, record.sum(), grid[-1], factor))))
+                  for got, record in zip(bloch[:, -1], records)]
+        assert np.median(errors) <= median_bound
+        assert max(errors) <= max_bound
 
 
 class TestConditionalQubit:
@@ -348,6 +388,20 @@ class TestConditionalQubit:
             rho = traj.states[idx]
             direct = [np.trace(rho @ p).real for p in paulis]
             assert_allclose(bloch[idx], direct, atol=1e-12)
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_is_the_filter_readout(self, modes):
+        # one Bloch reduction: the stored states reduce to the filter's own
+        # per-step Bloch columns bit for bit
+        cfg = short_cfg()
+        if modes == 2:
+            cfg = nq.with_truncation(cfg, 4)
+            extra = dataclasses.replace(cfg.ancillas[0], omega=1.5, gamma=0.8, kappa=0.5)
+            cfg = dataclasses.replace(cfg, ancillas=cfg.ancillas + (extra,),
+                                      probe_kind="pauli_y").validate()
+        traj = run_filter_trajectory(cfg, seed=4, store_states=True)
+        assert traj.layout.total == (10 if modes == 1 else 32)
+        assert np.array_equal(conditional_qubit(traj), traj.bloch)
 
     def test_initial_point_is_input_bloch(self):
         cfg = short_cfg()

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nmqubit as nq
-from nmqubit import master, operators
+from nmqubit import master
 from nmqubit.experiments import build_probed_model, config_grid, run_baseline, run_unconditional
 from nmqubit.filtering import Trajectory, conditional_qubit, simulate_trajectory
 from nmqubit.master import (
@@ -341,6 +341,8 @@ class TestIntegrate:
         rho0 = rand_density(rng, (2,))
         with pytest.raises(ValueError):
             integrate_master(rho0, spec, [0.0, 0.5, 0.5])
+        with pytest.raises(ValueError, match="two times"):
+            integrate_master(rho0, spec, [0.0])
 
 
 class TestReduce:
@@ -357,10 +359,8 @@ class TestReduce:
         assert math.sqrt(x * x + y * y + z * z) <= 1 + 1e-10
 
     @pytest.mark.parametrize("dims", [(2,), (2, 3), (2, 3, 4)])
-    def test_bloch_reductions_match_reshape_trace(self, rng, dims, monkeypatch):
+    def test_bloch_reductions_match_reshape_trace(self, rng, dims):
         layout = HilbertLayout(dims)
-        # the bulk reduction gathers three states at a time: chunks of 3 and 1
-        monkeypatch.setattr(operators, "GATHER_BYTES", 3 * 8 * 2 * layout.total)
         states = np.stack([rand_density(rng, dims).entries for _ in range(4)])
         rest = layout.total // 2
         paulis = [qubit_operator(k).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
@@ -376,6 +376,13 @@ class TestReduce:
         assert_allclose(result.qubit_bloch(), want, atol=1e-12)
         assert_allclose(conditional_qubit(traj), want, atol=1e-12)
         assert_allclose(singles, want, atol=1e-12)
+
+    def test_qubit_bloch_row_independent_of_stack(self, rng):
+        dims = (2, 5)
+        states = np.stack([rand_density(rng, dims).entries for _ in range(64)])
+        bloch = qubit_bloch(states, dims)
+        for i in range(len(states)):
+            assert np.array_equal(bloch[i], qubit_bloch(states[i:i + 1], dims)[0])
 
     def test_linearity(self, rng):
         lay = (2, 3)

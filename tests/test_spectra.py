@@ -207,6 +207,13 @@ class TestSamplesCsv:
         assert_allclose(back.omega, samples.omega)
         assert_allclose(back.values, samples.values)
 
+    @pytest.mark.parametrize("row", ["0.5", "0.5,abc"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "spec.csv"
+        path.write_text(f"# comment\nomega,psd\n0.0,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=r"spec\.csv, line 4"):
+            SpectrumSamples.read_csv(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectrumSamples(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
