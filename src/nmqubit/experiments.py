@@ -28,7 +28,10 @@ DECAY_FRACTION = 1.0 / math.e
 
 def time_grid(t_final: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, ..., n*dt with n = round(t_final/dt)."""
-    n = int(round(t_final / dt))
+    steps = t_final / dt
+    if not steps < 2**63:  # also inf and nan
+        raise ValueError(f"t_final={t_final} over dt={dt} is {steps:g} steps, not a count below 2**63")
+    n = int(round(steps))
     if n < 1:
         raise ValueError(f"t_final={t_final} spans no full step of dt={dt}")
     return np.arange(n + 1) * dt

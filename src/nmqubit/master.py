@@ -29,8 +29,8 @@ TABLE_MAX_DIM = 16
 #: built as ``arange(n + 1) * dt`` has 13 to 16 distinct differences
 _STEP_MAPS = 32
 
-#: bytes of stored states whose Hermiticity and eigenvalues are checked in one
-#: stacked call
+#: bytes of stored states written out from their coordinates and checked for
+#: eigenvalues in one stacked call
 DIAG_BLOCK_BYTES = 1 << 18
 
 
@@ -180,16 +180,15 @@ class CompiledGenerator:
 class MasterResult:
     """Integrated states plus per-point conservation diagnostics.
 
-    ``tr_drift`` is the pre-renormalization |trace - 1| of each step,
-    ``herm_dev`` the max |rho - rho^dag| entry, ``min_eig`` the smallest
-    eigenvalue, all recorded on the same grid as ``states``.
+    ``tr_drift`` is the pre-renormalization |trace - 1| of each step and
+    ``min_eig`` the smallest eigenvalue, both recorded on the same grid as
+    ``states``, which are Hermitian by construction.
     """
 
     t_grid: np.ndarray
     layout: HilbertLayout
     states: np.ndarray
     tr_drift: np.ndarray
-    herm_dev: np.ndarray
     min_eig: np.ndarray
 
     def qubit_bloch(self) -> np.ndarray:
@@ -199,75 +198,62 @@ class MasterResult:
 
 class _HermitianCoordinates:
     """The d^2 real coordinates of a Hermitian (d, d) matrix: its diagonal,
-    then the real and the imaginary parts of its strict upper triangle."""
+    then the real and the imaginary parts of its strict upper triangle.  Both
+    directions are one gather on the interleaved real view of the matrix."""
 
-    __slots__ = ("d", "rows", "cols")
+    __slots__ = ("d", "coords", "entries", "sign")
 
     def __init__(self, d: int) -> None:
         self.d = d
-        self.rows, self.cols = np.triu_indices(d, 1)
+        rows, cols = np.triu_indices(d, 1)
+        up = rows * d + cols
+        self.coords = np.concatenate([2 * (d + 1) * np.arange(d), 2 * up, 2 * up + 1])
+        i, j = np.indices((d, d))
+        pos = np.diag(np.arange(d))
+        pos[rows, cols] = pos[cols, rows] = d + np.arange(len(up))
+        # each real and imaginary entry: the coordinate it holds, and its sign
+        # (the imaginary part is negated below the diagonal, zero on it)
+        self.entries = np.stack([pos, pos + len(up) * (i != j)], axis=-1).ravel()
+        self.sign = np.stack([np.ones((d, d)), np.sign(j - i)], axis=-1).ravel()
 
     def read(self, x: np.ndarray) -> np.ndarray:
         """(..., d, d) -> (..., d^2); reads the diagonal and upper triangle."""
-        up = x[..., self.rows, self.cols]
-        return np.concatenate([x.diagonal(axis1=-2, axis2=-1).real, up.real, up.imag], axis=-1)
+        return x.view(float).reshape(x.shape[:-2] + (-1,)).take(self.coords, axis=-1)
 
     def write(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(n, d^2) -> the n Hermitian matrices, written into ``out``."""
-        d, m = self.d, len(self.rows)
-        diag = np.arange(d)
-        up = v[:, d:d + m] + 1j * v[:, d + m:]
-        out[:, diag, diag] = v[:, :d]
-        out[:, self.rows, self.cols] = up
-        out[:, self.cols, self.rows] = up.conj()
+        """(..., d^2) -> the Hermitian matrices, written into ``out``."""
+        np.multiply(v.take(self.entries, axis=-1), self.sign,
+                    out=out.view(float).reshape(v.shape[:-1] + (-1,)))
         return out
 
 
-def _norm_bound(d: int) -> float:
-    """A unit-trace Hermitian (d, d) matrix with no eigenvalue below
-    -POSITIVITY_ABORT has a squared Frobenius norm below this, so a larger one
-    certainly fails the positivity check."""
-    return (1.0 + d * POSITIVITY_ABORT) ** 2
+def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates):
+    """Classic RK4 with four generator applies: ``step(v, h)`` writes the
+    coordinates v out as a matrix, steps it by h and returns the coordinates
+    of the result and its trace."""
+    d = coords.d
+    rho = np.empty((d, d), dtype=complex)
+
+    def step(v: np.ndarray, h: float):
+        r = coords.write(v, rho)
+        k1 = gen.apply(r)
+        k2 = gen.apply(r + 0.5 * h * k1)
+        k3 = gen.apply(r + 0.5 * h * k2)
+        k4 = gen.apply(r + h * k3)
+        u = coords.read(r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return u, u[:d].sum()
+
+    return step
 
 
-def _apply_steps(gen: CompiledGenerator, rho: np.ndarray, dts, states: np.ndarray,
-                 tr_drift: np.ndarray, block: int):
-    """Classic RK4 with four generator applies per step from the normalized
-    ``rho`` at grid point 0.  Fills ``states``, and ``tr_drift`` from grid
-    point 1, and yields each (lo, hi) range of stored points, ``block`` long
-    or cut short after a state that cannot be positive, so a diverging run
-    stops before it overflows."""
-    bound = _norm_bound(len(rho))
-    states[0] = rho
-    lo = 0
-    for i, dt in enumerate(dts, 1):
-        k1 = gen.apply(rho)
-        k2 = gen.apply(rho + 0.5 * dt * k1)
-        k3 = gen.apply(rho + 0.5 * dt * k2)
-        k4 = gen.apply(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pre_trace = float(np.trace(rho).real)
-        tr_drift[i] = abs(pre_trace - 1.0)
-        rho = rho / pre_trace
-        states[i] = rho
-        if i + 1 - lo == block or not np.vdot(rho, rho).real <= bound:
-            yield lo, i + 1
-            lo = i + 1
-    if lo < len(states):
-        yield lo, len(states)
-
-
-def _table_steps(gen: CompiledGenerator, rho: np.ndarray, dts, states: np.ndarray,
-                 tr_drift: np.ndarray, block: int):
-    """The same RK4 step as ``_apply_steps``, tabulated.  For a linear,
-    time-independent generator a step is v -> P(h) v = sum_{j<=4} (h L)^j/j! v
-    on the state's real coordinates v; L^j/j! is read once from ``gen.apply`` on
-    the d^2 Hermitian basis matrices, and P(h), with one more row that gives the
-    trace of the result, is formed once per distinct step size.  Coordinates are
-    written into ``states`` one block at a time."""
-    d = len(rho)
+def _tabulated_step(gen: CompiledGenerator, coords: _HermitianCoordinates):
+    """The same RK4 step, tabulated.  For a linear, time-independent generator
+    a step is v -> P(h) v = sum_{j<=4} (h L)^j/j! v on the state's real
+    coordinates v; L^j/j! is read once from ``gen.apply`` on the d^2 Hermitian
+    basis matrices, and P(h), with one more row that gives the trace of the
+    result, is formed once per distinct step size."""
+    d = coords.d
     n2 = d * d
-    coords = _HermitianCoordinates(d)
     x = coords.write(np.eye(n2), np.empty((n2, d, d), dtype=complex))
     powers = []
     for j in range(1, 5):
@@ -276,40 +262,25 @@ def _table_steps(gen: CompiledGenerator, rho: np.ndarray, dts, states: np.ndarra
     powers = np.array(powers)
     ident = np.eye(n2 + 1, n2)  # each map's last row sums the diagonal: the trace
     ident[n2, :d] = 1.0
-    table = np.concatenate([powers, powers[:, :d].sum(axis=1, keepdims=True)], axis=1)
-    table = table.reshape(4, -1)
+    table = np.concatenate([powers, powers[:, :d].sum(axis=1, keepdims=True)], axis=1).reshape(4, -1)
     maps: dict[float, np.ndarray] = {}
 
-    bound = _norm_bound(d)
-    buf = np.empty((block, n2))
-    v = buf[0] = coords.read(rho)
-    lo = 0
-    for i, h in enumerate(dts.tolist(), 1):
+    def step(v: np.ndarray, h: float):
         p = maps.get(h)
         if p is None:
             if len(maps) == _STEP_MAPS:
                 maps.clear()
             p = maps[h] = ident + (np.array([h, h * h, h**3, h**4]) @ table).reshape(n2 + 1, n2)
         u = p @ v
-        pre_trace = u[n2]
-        tr_drift[i] = abs(pre_trace - 1.0)
-        v = np.divide(u[:n2], pre_trace, out=buf[i - lo])
-        if i + 1 - lo == block or not v @ v <= bound:
-            coords.write(buf[:i + 1 - lo], states[lo:i + 1])
-            yield lo, i + 1
-            lo = i + 1
-    if lo < len(states):
-        coords.write(buf[:len(states) - lo], states[lo:])
-        yield lo, len(states)
+        return u[:n2], u[n2]
+
+    return step
 
 
-def _diagnose(states: np.ndarray, t: np.ndarray, herm_dev: np.ndarray, min_eig: np.ndarray,
-              lo: int, hi: int) -> None:
-    """Hermiticity and smallest eigenvalue of stored points lo..hi - 1, as one
-    stacked call each; aborts at the first state below -POSITIVITY_ABORT."""
-    s = states[lo:hi]
-    herm_dev[lo:hi] = np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    w = np.linalg.eigvalsh(s)[:, 0]
+def _diagnose(states: np.ndarray, t: np.ndarray, min_eig: np.ndarray, lo: int, hi: int) -> None:
+    """Smallest eigenvalue of stored points lo..hi - 1, as one stacked call;
+    aborts at the first state below -POSITIVITY_ABORT."""
+    w = np.linalg.eigvalsh(states[lo:hi])[:, 0]
     min_eig[lo:hi] = w
     bad = np.flatnonzero(w < -POSITIVITY_ABORT)
     if bad.size:
@@ -335,34 +306,47 @@ def grid_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
 def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> MasterResult:
     """Propagate with classic fixed-step RK4 over the given time grid.
 
-    rho0 is made exactly Hermitian first, as ``CompiledGenerator.apply``
-    requires; a ``DensityMatrix`` may deviate by up to 1e-10.  Every stored
-    state is renormalized by its trace; the pre-normalization drift is
-    logged.  Aborts if any state develops an eigenvalue below
-    ``-POSITIVITY_ABORT``.  Up to ``TABLE_MAX_DIM`` a step is one small
-    product with a tabulated map, above it four generator applies; Hermiticity
-    and eigenvalues are checked over blocks of about ``DIAG_BLOCK_BYTES`` of
-    stored states.
+    The state is carried as its d^2 real Hermitian coordinates, so every
+    stored state and step input is exactly Hermitian, as
+    ``CompiledGenerator.apply`` requires; rho0 enters as its Hermitian part (a
+    ``DensityMatrix`` may deviate by up to 1e-10).  Every state is
+    renormalized by its trace, with the drift logged.  Up to ``TABLE_MAX_DIM``
+    a step is one product with a tabulated map, above it four generator
+    applies.  States are written out and their eigenvalues checked per block
+    of about ``DIAG_BLOCK_BYTES``, aborting below ``-POSITIVITY_ABORT``; a
+    block ends early after a state that cannot pass, so a diverging run stops
+    before it overflows.
     """
     _check_layout(rho0, spec.layout)
     t, dts = grid_steps(t_grid)
-    gen = CompiledGenerator(spec)
     n = len(t)
     d = spec.layout.total
+    coords = _HermitianCoordinates(d)
+    step = (_tabulated_step if d <= TABLE_MAX_DIM else _applied_step)(CompiledGenerator(spec), coords)
     states = np.empty((n, d, d), dtype=complex)
     tr_drift = np.empty(n)
-    herm_dev = np.empty(n)
     min_eig = np.empty(n)
+    block = max(2, DIAG_BLOCK_BYTES // states[0].nbytes)
+    buf = np.empty((block, d * d))
+    # a unit-trace state with no eigenvalue below -POSITIVITY_ABORT has a squared
+    # Frobenius norm below this, and v.v is at most that norm
+    bound = (1.0 + d * POSITIVITY_ABORT) ** 2
 
     rho = rho0.entries.astype(complex)
-    rho = 0.5 * (rho + rho.conj().T)  # apply needs a Hermitian input
-    pre_trace = float(np.trace(rho).real)
-    tr_drift[0] = abs(pre_trace - 1.0)
-    steps = _table_steps if d <= TABLE_MAX_DIM else _apply_steps
-    block = max(2, DIAG_BLOCK_BYTES // states[0].nbytes)
-    for lo, hi in steps(gen, rho / pre_trace, dts, states, tr_drift, block):
-        _diagnose(states, t, herm_dev, min_eig, lo, hi)
-    return MasterResult(t, spec.layout, states, tr_drift, herm_dev, min_eig)
+    u = coords.read(0.5 * (rho + rho.conj().T))
+    tr = u[:d].sum()
+    tr_drift[0] = abs(tr - 1.0)
+    v = np.divide(u, tr, out=buf[0])
+    lo = 0
+    for i, h in enumerate(dts.tolist(), 1):
+        u, tr = step(v, h)
+        tr_drift[i] = abs(tr - 1.0)
+        v = np.divide(u, tr, out=buf[i - lo])
+        if i + 1 - lo == block or i + 1 == n or not v @ v <= bound:
+            coords.write(buf[:i + 1 - lo], states[lo:i + 1])
+            _diagnose(states, t, min_eig, lo, i + 1)
+            lo = i + 1
+    return MasterResult(t, spec.layout, states, tr_drift, min_eig)
 
 
 def reduce_to_qubit(rho: DensityMatrix) -> DensityMatrix:

@@ -5,6 +5,7 @@ import pytest
 
 import nmqubit as nq
 from nmqubit.experiments import build_probed_model
+from nmqubit.master import lindblad_apply
 from nmqubit.operators import DensityMatrix, HilbertLayout
 from nmqubit.slh import AncillaParams
 
@@ -59,3 +60,18 @@ def bank2_model(field_mode):
     cfg = dataclasses.replace(base, ancillas=base.ancillas + (extra,), field_mode=field_mode,
                               probe_kind="pauli_y")
     return build_probed_model(cfg.validate())
+
+
+def plain_rk4(rho0, spec, t_grid):
+    """Classic RK4 on ``lindblad_apply`` with trace renormalization per step."""
+    rho = rho0.entries
+    out = [rho]
+    for dt in np.diff(t_grid):
+        k1 = lindblad_apply(rho, spec)
+        k2 = lindblad_apply(rho + 0.5 * dt * k1, spec)
+        k3 = lindblad_apply(rho + 0.5 * dt * k2, spec)
+        k4 = lindblad_apply(rho + dt * k3, spec)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = rho / np.trace(rho).real
+        out.append(rho)
+    return np.array(out)

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nmqubit as nq
+from nmqubit import cli
 from nmqubit.cli import emit_figure_data, main, run_command
 from nmqubit.config import (
     ConfigError,
@@ -86,6 +87,12 @@ class TestParsing:
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL + "dt = 0\n")
         with pytest.raises(ConfigError, match="dt"):
+            parse_config(path)
+
+    def test_single_trajectory_named(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL + "n_traj = 1\n")
+        with pytest.raises(ConfigError, match="n_traj must be >= 2"):
             parse_config(path)
 
     def test_missing_required_named(self):
@@ -338,6 +345,22 @@ class TestMainEntry:
         ])
         assert rc == 1
         assert "base_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["1e-320", "1e-300"])
+    def test_unrepresentable_step_count_names_dt(self, tmp_path, capsys, dt):
+        # t_final/dt overflows to inf at 1e-320 and exceeds 2**63 at 1e-300
+        rc = main(["evolve", "--preset", "paper-fig4", "--out", str(tmp_path), "--dt", dt])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dt" in err and "Traceback" not in err
+
+    def test_single_trajectory_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_unconditional", lambda cfg: calls.append(cfg))
+        rc = main(["compare", "--preset", "paper-fig4", "--out", str(tmp_path), "--n-traj", "1"])
+        assert rc == 1
+        assert "n_traj" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize("key,value", [
         ("t_final", "inf"),

@@ -49,7 +49,7 @@ configs = st.builds(
     truncation=st.integers(2, 4),
     dt=positive,
     t_final=positive,
-    n_traj=st.integers(1, 10**6),
+    n_traj=st.integers(2, 10**6),
     base_seed=st.integers(0, 2**64),
     out_dir=text,
     workers=st.integers(0, 64),
