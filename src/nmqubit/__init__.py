@@ -24,7 +24,6 @@ from .filtering import (
     UnsupportedModeError,
     conditional_qubit,
     ensemble_average,
-    measurement_signal,
     replay_filter,
     simulate_trajectory,
     wiener_increments,
@@ -33,7 +32,6 @@ from .master import (
     GeneratorSpec,
     MasterResult,
     PositivityError,
-    ancilla_moment_oracle,
     augmented_initial_state,
     generator_spec,
     integrate_master,
@@ -54,9 +52,7 @@ from .spectra import (
     LorentzianComponent,
     SpectrumSamples,
     fit_lorentzian_mixture,
-    kernel_psd_consistency,
     lorentzian_psd,
-    memory_kernel,
     mixture_psd,
     nested_fits,
 )

@@ -299,7 +299,9 @@ def parse_config(path) -> ExperimentConfig:
     if path.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             data = json.loads(text, object_pairs_hook=_unique)
-        except json.JSONDecodeError as exc:
+        except ConfigError:
+            raise
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")

@@ -34,7 +34,11 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
     n = int(round(steps))
     if n < 1:
         raise ValueError(f"t_final={t_final} spans no full step of dt={dt}")
-    return np.arange(n + 1) * dt
+    try:
+        return np.arange(n + 1) * dt
+    except MemoryError:
+        raise ValueError(f"t_final={t_final} over dt={dt} is {n} steps, "
+                         f"a grid too large to allocate") from None
 
 
 def config_grid(config: ExperimentConfig) -> np.ndarray:

@@ -85,15 +85,6 @@ def _readout_weights(dims: tuple[int, ...], l: np.ndarray) -> np.ndarray:
     return readout_weights(dims, l + l.conj().T)
 
 
-def measurement_signal(states, l_op: Operator) -> np.ndarray:
-    """tr[(L + L^dag) rho] for each state of a stack.
-
-    Each state goes through the exact arithmetic path the trajectory engine
-    uses per step, so record bookkeeping can be re-verified bit for bit.
-    """
-    return readout(states, _readout_weights(l_op.layout.dims, l_op.entries))[:, 3]
-
-
 @dataclass
 class Trajectory:
     """One conditional path: qubit Bloch components (and, if stored, the full

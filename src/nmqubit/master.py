@@ -359,35 +359,15 @@ def reduce_to_qubit(rho: DensityMatrix) -> DensityMatrix:
                               np.trace(rho.entries.reshape(2, d, 2, d), axis1=1, axis2=3))
 
 
-def ancilla_moment_oracle(t: float, params, a0) -> np.ndarray:
-    """First moments of the decoupled bank: <a_k(t)> = exp(-(gamma_k/2 +
-    i omega_k) t) <a_k(0)>, exact for a vacuum drive."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    a0 = np.asarray(a0, dtype=complex)
-    rates = np.array([p.gamma / 2.0 + 1j * p.omega for p in params])
-    return np.exp(-rates * t) * a0
-
-
-def augmented_initial_state(bloch, layout: HilbertLayout, bank_ket=None) -> DensityMatrix:
-    """Product state: qubit with the given Bloch vector, the bank in a pure
-    ket on its joint basis (the vacuum when unspecified)."""
+def augmented_initial_state(bloch, layout: HilbertLayout) -> DensityMatrix:
+    """Product state: qubit with the given Bloch vector, the bank in its
+    vacuum (the first basis state)."""
     if layout.dims[0] != 2:
         raise ValueError("layout does not start with a qubit factor")
-    d = layout.total // 2
-    if bank_ket is None:
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-    else:
-        v = np.asarray(bank_ket, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if v.size != d or not 0.0 < norm < math.inf:
-            raise ValueError(f"bank ket must be {d} finite entries, not all zero "
-                             f"(got {v.size} entries of norm {norm})")
-        v = v / norm
+    vacuum = np.zeros((layout.total // 2,) * 2, dtype=complex)
+    vacuum[0, 0] = 1.0
     x, y, z = bloch
-    return DensityMatrix(layout, np.kron(DensityMatrix.from_bloch(x, y, z).entries,
-                                         np.outer(v, v.conj())))
+    return DensityMatrix(layout, np.kron(DensityMatrix.from_bloch(x, y, z).entries, vacuum))
 
 
 def markovian_baseline_spec(omega_q: float, ancillas, gamma_q: float,

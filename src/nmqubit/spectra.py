@@ -1,12 +1,12 @@
-"""Lorentzian power spectra, the matching exponential memory kernels, their
-numeric Fourier consistency, and least-squares fitting of arbitrary target
+"""Lorentzian power spectra and least-squares fitting of arbitrary target
 spectra by Lorentzian mixtures.
 
 Each component contributes S(w) = (g^2/4) / ((g^2/4) + (w - c)^2), the squared
 magnitude of the one-sided Fourier transform of the causal kernel
-xi(t) = (g/2) exp(-(g/2 + i c) t).  A mixture J(w) = sum_k kappa_k S_k(w) can
-approximate any reasonable nonnegative spectrum, which is what the fitter is
-for.
+xi(t) = (g/2) exp(-(g/2 + i c) t), which is the memory of one damped mode.
+A mixture J(w) = sum_k kappa_k S_k(w) can approximate any reasonable
+nonnegative spectrum; ``nested_fits`` fits 1 .. n components, each start
+taking one more line from the largest residual peak.
 """
 
 from __future__ import annotations
@@ -77,22 +77,23 @@ class SpectrumSamples:
 
     @classmethod
     def read_csv(cls, path) -> SpectrumSamples:
+        """Rows of ``omega,psd`` after ``#`` comments; the first other line is
+        a column header when it does not parse as two numbers."""
         rows = []
-        header_seen = False
+        first = True
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if not header_seen:
-                    header_seen = True  # one-line column header
-                    continue
                 try:
                     w, v = line.split(",")[:2]
                     rows.append((float(w), float(v)))
                 except ValueError:
-                    raise ValueError(f"{path}, line {lineno}: expected two numbers "
-                                     f"'omega,psd', got {line!r}") from None
+                    if not first:
+                        raise ValueError(f"{path}, line {lineno}: expected two numbers "
+                                         f"'omega,psd', got {line!r}") from None
+                first = False
         if not rows:
             raise ValueError(f"spectrum file {path} has no data rows")
         return cls.from_pairs(rows)
@@ -112,60 +113,6 @@ def mixture_psd(omega, comps):
     for c in comps:
         out = out + c.weight * lorentzian_psd(np.asarray(omega, dtype=float), c)
     return float(out) if np.isscalar(omega) else out
-
-
-def memory_kernel(t, comps):
-    """Causal kernel sum_k kappa_k (gamma_k/2) exp(-(gamma_k/2 + i omega_k) t).
-
-    Defined for t >= 0 only; |value| is bounded by sum_k kappa_k gamma_k / 2.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("memory kernel is causal; t must be >= 0")
-    out = np.zeros_like(t_arr, dtype=complex)
-    for c in comps:
-        out = out + c.weight * (c.linewidth / 2.0) * np.exp(
-            -(c.linewidth / 2.0 + 1j * c.center) * t_arr
-        )
-    return complex(out) if np.isscalar(t) else out
-
-
-def kernel_psd_consistency(comps, omega_grid, t_max: float, dt: float) -> float:
-    """Max grid error between |one-sided FT of each kernel component|^2 and its
-    Lorentzian spectrum, using trapezoidal quadrature on [0, t_max].
-
-    Requires dt to resolve the fastest oscillation (20 samples per period) and
-    t_max to cover the slowest decay (at least 10 / min linewidth).
-    """
-    comps = tuple(comps)
-    if not comps:
-        raise ValueError("at least one component is required")
-    omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if dt <= 0 or t_max <= 0:
-        raise ValueError("dt and t_max must be > 0")
-    w_scale = max(np.max(np.abs(omega_grid)), max(abs(c.center) for c in comps))
-    if w_scale > 0 and dt > (2.0 * np.pi / w_scale) / 20.0:
-        raise ValueError(
-            f"dt={dt:g} too coarse for frequencies up to {w_scale:g}; "
-            f"need dt <= {(2.0 * np.pi / w_scale) / 20.0:g}"
-        )
-    slowest = min(c.linewidth for c in comps)
-    if t_max < 10.0 / slowest:
-        raise ValueError(
-            f"t_max={t_max:g} too short for linewidth {slowest:g}; "
-            f"need t_max >= {10.0 / slowest:g}"
-        )
-    t = np.arange(0.0, t_max + 0.5 * dt, dt)
-    weights = np.full(len(t), dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    worst = 0.0
-    for c in comps:
-        xi = (c.linewidth / 2.0) * np.exp(-(c.linewidth / 2.0 + 1j * c.center) * t)
-        for w in omega_grid:
-            ft = np.sum(weights * xi * np.exp(1j * w * t))
-            err = abs(abs(ft) ** 2 - lorentzian_psd(float(w), c))
-            worst = max(worst, float(err))
-    return worst
 
 
 @dataclass
@@ -256,45 +203,31 @@ def _peak_pick(omega: np.ndarray, resid: np.ndarray) -> LorentzianComponent:
     return LorentzianComponent(center=center, linewidth=width, weight=height)
 
 
-def default_initialization(samples: SpectrumSamples, n: int) -> tuple[LorentzianComponent, ...]:
-    """Sequential peak picking on the residual spectrum."""
-    comps: list[LorentzianComponent] = []
-    for _ in range(n):
-        resid = samples.values - mixture_psd(samples.omega, comps)
-        comps.append(_peak_pick(samples.omega, resid))
-    return tuple(comps)
+def _cost(samples: SpectrumSamples, comps) -> float:
+    """Squared residual of the mixture ``comps`` on the samples."""
+    r = mixture_psd(samples.omega, comps) - samples.values
+    return float(r @ r)
 
 
-def fit_lorentzian_mixture(samples: SpectrumSamples, n: int, init=None) -> FitResult:
-    """Fit an n-component Lorentzian mixture to sampled spectrum values.
+def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
+    """Fit a Lorentzian mixture to sampled spectrum values, starting from the
+    components ``init``; the mixture has n = len(init) components and needs
+    at least 3n samples.
 
-    Parameters
-    ----------
-    samples : SpectrumSamples
-        Target (omega, value) samples; at least 3n points are required.
-    n : int
-        Number of components.
-    init : sequence of LorentzianComponent, optional
-        Starting components; peak picking on the residual spectrum otherwise.
-
-    Returns
-    -------
-    FitResult
-        Fitted components, root-mean-square residual, a convergence flag, and
-        the number of iterations spent.  Linewidths stay positive and weights
-        nonnegative through internal log/sqrt transforms.
+    Returns the fitted components, the root-mean-square residual, a
+    convergence flag and the number of iterations spent.  Linewidths stay
+    positive and weights nonnegative through internal log/sqrt transforms.
     """
+    comps = tuple(init)
+    n = len(comps)
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError("init must hold at least one component")
     if len(samples) < 3 * n:
         raise ValueError(
             f"need at least {3 * n} samples to fit {n} components, got {len(samples)}"
         )
     omega = samples.omega
     target = samples.values
-    comps = tuple(init) if init is not None else default_initialization(samples, n)
-    if len(comps) != n:
-        raise ValueError(f"init must provide {n} components, got {len(comps)}")
 
     theta = _pack(comps)
     resid, jac = _residual_and_jacobian(theta, omega, target)
@@ -330,13 +263,9 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, n: int, init=None) -> FitRe
 
     # Report through one canonical evaluation path, and never return a result
     # worse than the starting point (best-so-far semantics).
-    def canonical_cost(cs) -> float:
-        r = mixture_psd(omega, cs) - target
-        return float(r @ r)
-
     final = _unpack(theta)
-    best, best_cost = final, canonical_cost(final)
-    init_cost = canonical_cost(comps)
+    best, best_cost = final, _cost(samples, final)
+    init_cost = _cost(samples, comps)
     if init_cost < best_cost:
         best, best_cost = comps, init_cost
     return FitResult(
@@ -348,31 +277,19 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, n: int, init=None) -> FitRe
 
 
 def nested_fits(samples: SpectrumSamples, n_max: int) -> list[FitResult]:
-    """Fits for n = 1 .. n_max where each initialization reuses the previous
-    components plus one candidate picked from the residual peak.
+    """Fits for n = 1 .. n_max where each start is the previous components
+    (none for n = 1) plus one candidate picked from the residual peak.
 
     The candidate is tried at several weights including zero, so each fit
     starts no worse than its predecessor ended and the reported residual is
     non-increasing in n.
     """
     results: list[FitResult] = []
-    for n in range(1, n_max + 1):
-        if n == 1 or not results:
-            fit = fit_lorentzian_mixture(samples, n)
-        else:
-            prev = results[-1].components
-            resid = samples.values - mixture_psd(samples.omega, prev)
-            extra = _peak_pick(samples.omega, resid)
-            best_init = None
-            best_cost = np.inf
-            for scale in (1.0, 0.5, 0.1, 0.0):
-                cand = LorentzianComponent(extra.center, extra.linewidth, extra.weight * scale)
-                comps = prev + (cand,)
-                r = mixture_psd(samples.omega, comps) - samples.values
-                c = float(r @ r)
-                if c < best_cost:
-                    best_cost = c
-                    best_init = comps
-            fit = fit_lorentzian_mixture(samples, n, init=best_init)
-        results.append(fit)
+    prev: tuple[LorentzianComponent, ...] = ()
+    for _ in range(n_max):
+        extra = _peak_pick(samples.omega, samples.values - mixture_psd(samples.omega, prev))
+        starts = [prev + (LorentzianComponent(extra.center, extra.linewidth, extra.weight * scale),)
+                  for scale in (1.0, 0.5, 0.1, 0.0)]
+        results.append(fit_lorentzian_mixture(samples, min(starts, key=lambda c: _cost(samples, c))))
+        prev = results[-1].components
     return results

@@ -8,6 +8,7 @@ from nmqubit.experiments import build_probed_model
 from nmqubit.master import lindblad_apply
 from nmqubit.operators import DensityMatrix, HilbertLayout
 from nmqubit.slh import AncillaParams
+from nmqubit.spectra import lorentzian_psd
 
 
 @pytest.fixture
@@ -75,3 +76,23 @@ def plain_rk4(rho0, spec, t_grid):
         rho = rho / np.trace(rho).real
         out.append(rho)
     return np.array(out)
+
+
+def memory_kernel(t, comps):
+    """The causal kernel sum_k kappa_k (gamma_k/2) exp(-(gamma_k/2 + i omega_k) t)
+    of a Lorentzian mixture, for t >= 0."""
+    t = np.asarray(t, dtype=float)
+    return sum(c.weight * (c.linewidth / 2.0) * np.exp(-(c.linewidth / 2.0 + 1j * c.center) * t)
+               for c in comps)
+
+
+def kernel_psd_error(comp, omega_grid, t_max, dt):
+    """Largest gap over ``omega_grid`` between ``lorentzian_psd`` and the
+    squared magnitude of the one-sided Fourier transform of the unit-weight
+    kernel of ``comp``, by the trapezoid rule on [0, t_max]."""
+    t = np.arange(0.0, t_max + 0.5 * dt, dt)
+    weights = np.full(len(t), dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    xi = memory_kernel(t, [dataclasses.replace(comp, weight=1.0)])
+    return max(abs(abs(np.sum(weights * xi * np.exp(1j * w * t))) ** 2 - lorentzian_psd(w, comp))
+               for w in np.atleast_1d(np.asarray(omega_grid, dtype=float)).tolist())

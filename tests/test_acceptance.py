@@ -20,10 +20,8 @@ from nmqubit.experiments import (
     run_unconditional,
     truncation_deviation,
 )
-from nmqubit.filtering import measurement_signal, replay_filter, simulate_trajectory
+from nmqubit.filtering import replay_filter, simulate_trajectory
 from nmqubit.master import (
-    ancilla_moment_oracle,
-    augmented_initial_state,
     generator_spec,
     integrate_master,
     lindblad_apply,
@@ -31,13 +29,12 @@ from nmqubit.master import (
 from nmqubit.spectra import (
     LorentzianComponent,
     SpectrumSamples,
-    kernel_psd_consistency,
     lorentzian_psd,
     mixture_psd,
     nested_fits,
 )
 
-from conftest import ladder
+from conftest import kernel_psd_error, ladder
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -133,15 +130,15 @@ def test_criterion_3_linear_ancilla_oracle(preset_cfg):
         ancillas=(dataclasses.replace(preset_cfg.ancillas[0], kappa=0.0),),
     )
     model = build_probed_model(cfg)
-    ket = np.zeros(cfg.truncation)
-    ket[0] = ket[1] = 1.0
-    rho0 = augmented_initial_state(cfg.init_bloch, model.layout, bank_ket=ket)
+    bank = np.zeros((cfg.truncation,) * 2)
+    bank[:2, :2] = 0.5  # the bank ket (|0> + |1>)/sqrt(2), so <a(0)> = 0.5
+    qubit = nq.DensityMatrix.from_bloch(*cfg.init_bloch).entries
+    rho0 = nq.DensityMatrix(model.layout, np.kron(qubit, bank))
     result = integrate_master(rho0, generator_spec(model), config_grid(cfg))
     a_op = np.kron(np.eye(2), ladder(cfg.truncation))
     got = np.einsum("ij,tji->t", a_op, result.states)
-    want = np.array(
-        [ancilla_moment_oracle(t, cfg.ancillas, [0.5])[0] for t in result.t_grid]
-    )
+    mode = cfg.ancillas[0]
+    want = 0.5 * np.exp(-(mode.gamma / 2 + 1j * mode.omega) * result.t_grid)
     err = float(np.max(np.abs(got - want)))
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-6 and elapsed < 10.0
@@ -162,7 +159,7 @@ def test_criterion_4_lorentzian_identities():
     worst_fourier = 0.0
     for c in comps:
         grid = np.linspace(c.center - 3 * c.linewidth, c.center + 3 * c.linewidth, 25)
-        err = kernel_psd_consistency([c], grid, t_max=50 / c.linewidth, dt=1e-3)
+        err = kernel_psd_error(c, grid, t_max=50 / c.linewidth, dt=1e-3)
         worst_fourier = max(worst_fourier, err)
     elapsed = time.perf_counter() - t0
     ok = (

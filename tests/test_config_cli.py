@@ -354,6 +354,26 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dt" in err and "Traceback" not in err
 
+    def test_grid_too_large_to_allocate_names_dt(self, tmp_path, capsys):
+        # 1e16 steps ask np.arange for 80 PB, beyond any address space, so
+        # the request fails without allocating
+        rc = main(["evolve", "--preset", "paper-fig4", "--out", str(tmp_path), "--dt", "1e-15"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dt=1e-15" in err and "10000000000000000 steps" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        '{"ancilla": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"n_traj": ' + "1" * 5000 + "}",
+    ], ids=["nested-too-deep", "too-many-digits"])
+    def test_json_beyond_parser_limits_names_file(self, tmp_path, capsys, text):
+        path = tmp_path / "limits.json"
+        path.write_text(text)
+        assert main(["evolve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid JSON in {path}") and "Traceback" not in err
+
     def test_single_trajectory_rejected_before_any_run(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "run_unconditional", lambda cfg: calls.append(cfg))

@@ -1,6 +1,7 @@
 """Randomized invariants of the config format: a valid config survives the
-text round trip with its hash, the hash sees every field, and any JSON value
-at a known key either parses or is rejected with that key named."""
+text round trip with its hash, the hash sees every field, any JSON value at a
+known key either parses or is rejected with that key named, and any config
+text either parses or is rejected with exit code 1 and no traceback."""
 
 import contextlib
 import dataclasses
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from nmqubit import cli
 from nmqubit.config import (
+    _ANCILLA_KEYS,
     ConfigError,
     ExperimentConfig,
     config_hash,
@@ -132,3 +134,46 @@ def test_json_value_at_any_key_parses_or_is_named(workdir, value):
                 contextlib.redirect_stderr(err):
             code = cli.main(["spectrum", "--config", str(path)])
         assert code == 0 or (code == 1 and key in err.getvalue()), (key, err.getvalue())
+
+
+keys = (st.sampled_from(list(_BASE))
+        | st.builds("ancilla.{}.{}".format, st.sampled_from(["1", "2", "3", "0", "01", "x"]),
+                    st.sampled_from(list(_ANCILLA_KEYS)))
+        | text)
+values = (st.sampled_from(list(_BASE.values()))
+          | st.builds(str, st.integers() | st.floats() | st.complex_numbers())
+          | text)
+#: a line of the key-value form, a comment, or anything at all
+lines = (st.builds("{} = {}".format, keys, values)
+         | st.builds("# {}".format, text)
+         | text)
+
+
+@st.composite
+def config_texts(draw):
+    """The lines of a full valid config, a few of them dropped (None) or given
+    another value, with arbitrary lines spliced in."""
+    edits = draw(st.dictionaries(st.sampled_from(list(_BASE)), st.none() | values, max_size=3))
+    out = [f"{key} = {edits.get(key, value)}" for key, value in _BASE.items()
+           if not (key in edits and edits[key] is None)]
+    for line in draw(st.lists(lines, max_size=2)):
+        out.insert(draw(st.integers(0, len(out))), line)
+    return "\n".join(out) + "\n"
+
+
+@settings(BOUNDED, max_examples=200)
+@given(body=config_texts())
+def test_config_text_parses_or_is_rejected_cleanly(workdir, body):
+    path = workdir / "fuzz.cfg"
+    path.write_bytes(body.encode())
+    try:
+        parse_config(path)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    err = io.StringIO()
+    with mock.patch.object(cli, "run_command", return_value=[]), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["spectrum", "--config", str(path)])
+    assert code == (0 if parsed else 1), err.getvalue()
+    assert parsed or err.getvalue().startswith("error: ")

@@ -22,7 +22,6 @@ from nmqubit.filtering import (
     _readout_weights,
     conditional_qubit,
     ensemble_average,
-    measurement_signal,
     replay_filter,
     simulate_trajectory,
     wiener_increments,
@@ -140,7 +139,7 @@ class TestSmeStep:
         # from the +x product state: tr[(L+L^dag) rho] = 2 sqrt(0.8)
         cfg = nq.preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
-        m = measurement_signal(rho0.entries[None], l_op)[0]
+        m = readout(rho0.entries[None], _readout_weights(l_op.layout.dims, l_op.entries))[0, 3]
         assert m == pytest.approx(2 * math.sqrt(0.8), rel=1e-12)
         dt = 1e-3
         traj = simulate_trajectory(rho0, spec, l_op, [0.0, dt], seed=1)
@@ -220,7 +219,7 @@ class TestTrajectory:
         cfg = short_cfg()
         traj = run_filter_trajectory(cfg, store_states=True)
         _, _, l_op = filter_ingredients(cfg)
-        m = measurement_signal(traj.states[:-1], l_op)
+        m = readout(traj.states[:-1], _readout_weights(l_op.layout.dims, l_op.entries))[:, 3]
         lhs = m * np.diff(traj.t_grid) + traj.innovations
         assert np.array_equal(lhs, traj.record)
 
