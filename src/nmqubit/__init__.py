@@ -39,7 +39,7 @@ from .master import (
     markovian_baseline_spec,
     reduce_to_qubit,
 )
-from .operators import DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, kron
+from .operators import DensityMatrix, HilbertLayout, LayoutMismatchError, Operator
 from .slh import (
     AncillaParams,
     build_ancilla_bank,

@@ -297,6 +297,10 @@ def main(argv=None) -> int:
     except (ConfigError, PositivityError, EnsembleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc}); lower t_final/dt, n_traj or spectrum.points",
+              file=sys.stderr)
+        return 1
     for path in paths:
         print(path)
     return 0

@@ -1,6 +1,5 @@
 """Unconditional dynamics: dissipative generators, a fixed-step RK4 integrator,
-qubit reduction, the single-qubit memoryless baseline, and the analytic
-first-moment solution for the decoupled mode bank used as an oracle.
+qubit reduction and the single-qubit memoryless baseline.
 
 The dissipator of a collapse operator N acting on a state rho is the
 trace-preserving form N rho N^dag - (N^dag N rho + rho N^dag N)/2.
@@ -87,7 +86,9 @@ def generator_spec(model: GeneratorSpec, form: str = "lindblad") -> GeneratorSpe
         raise ValueError("model carries no direct qubit-bank coupling")
     if form == "direct" or d is None:
         return model
-    return replace(model, hamiltonian=model.hamiltonian + 1j * (d - d.dag()), direct=None)
+    h, d = model.hamiltonian.entries, d.entries
+    return replace(model, hamiltonian=Operator(model.layout, h + (d - d.conj().T) * 1j),
+                   direct=None)
 
 
 class JumpGather:
@@ -375,7 +376,8 @@ def markovian_baseline_spec(omega_q: float, ancillas, gamma_q: float,
                             probe_scale: complex = 1.0) -> GeneratorSpec:
     """Qubit-only reference model: the bank couplings act directly as white
     noise channels sqrt(kappa_k) sigma_k next to the probe channel."""
-    h = 0.5 * omega_q * qubit_operator("pauli_z")
-    cops = [math.sqrt(p.kappa) * qubit_operator(p.sigma_kind, p.sigma_scale) for p in ancillas]
-    cops.append(math.sqrt(gamma_q) * qubit_operator(probe_kind, probe_scale))
-    return GeneratorSpec(h, tuple(cops))
+    qubit = HilbertLayout((2,))
+    cops = [qubit_operator(p.sigma_kind, p.sigma_scale) * math.sqrt(p.kappa) for p in ancillas]
+    cops.append(qubit_operator(probe_kind, probe_scale) * math.sqrt(gamma_q))
+    return GeneratorSpec(Operator(qubit, qubit_operator("pauli_z") * (0.5 * omega_q)),
+                         tuple(Operator(qubit, c) for c in cops))

@@ -1,9 +1,9 @@
-"""Dense complex operator algebra on tensor products of small Hilbert spaces.
+"""Dense operators and states on tensor products of small Hilbert spaces.
 
 Everything here is a plain dense matrix tagged with the ordered list of
-subsystem dimensions it acts on.  A model's layout is (2, D): the qubit, then
-the mode bank as one factor on its joint occupation basis
-(``slh.ladder_operators``).
+subsystem dimensions it acts on; the builders compose numpy arrays and tag
+the results once.  A model's layout is (2, D): the qubit, then the mode bank
+as one factor on its joint occupation basis (``slh.ladder_operators``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ def _read_only_square(m: np.ndarray, total: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """A dense square matrix acting on every factor of ``layout``."""
+    """A read-only copy of a dense square matrix, tagged with the ``layout``
+    it acts on."""
 
     layout: HilbertLayout
     entries: np.ndarray
@@ -57,48 +58,8 @@ class Operator:
         object.__setattr__(self, "entries", _read_only_square(
             np.array(self.entries, dtype=complex), self.layout.total))
 
-    @classmethod
-    def zero(cls, layout: HilbertLayout) -> Operator:
-        return cls(layout, np.zeros((layout.total, layout.total), dtype=complex))
-
-    @classmethod
-    def identity(cls, layout: HilbertLayout) -> Operator:
-        return cls(layout, np.eye(layout.total, dtype=complex))
-
-    def dag(self) -> Operator:
-        return Operator(self.layout, self.entries.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
     def herm_deviation(self) -> float:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
-
-    def _check_same_layout(self, other: Operator) -> None:
-        if self.layout != other.layout:
-            raise LayoutMismatchError(
-                f"layout mismatch: {self.layout.dims} vs {other.layout.dims}"
-            )
-
-    def __add__(self, other: Operator) -> Operator:
-        self._check_same_layout(other)
-        return Operator(self.layout, self.entries + other.entries)
-
-    def __sub__(self, other: Operator) -> Operator:
-        self._check_same_layout(other)
-        return Operator(self.layout, self.entries - other.entries)
-
-    def __neg__(self) -> Operator:
-        return Operator(self.layout, -self.entries)
-
-    def __mul__(self, scalar: complex) -> Operator:
-        return Operator(self.layout, self.entries * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: Operator) -> Operator:
-        self._check_same_layout(other)
-        return Operator(self.layout, self.entries @ other.entries)
 
 
 class DensityMatrix:
@@ -142,9 +103,6 @@ class DensityMatrix:
             raise ValueError(f"Bloch vector ({x}, {y}, {z}) has norm {norm}, not at most 1")
         m = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
         return cls(HilbertLayout((2,)), m)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
     def bloch(self) -> tuple[float, float, float]:
         """Bloch components of a single-qubit state."""
@@ -191,7 +149,3 @@ def qubit_bloch(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     ``readout`` contraction, so a row does not depend on the stack's size."""
     return readout(states, readout_weights(dims))
 
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product; the layout is the concatenation of both layouts."""
-    return Operator(HilbertLayout(a.layout.dims + b.layout.dims), np.kron(a.entries, b.entries))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import HilbertLayout, LayoutMismatchError, Operator, kron
+from .operators import HilbertLayout, LayoutMismatchError, Operator
 
 FIELD_MODES = ("independent", "shared")
 
@@ -27,6 +27,8 @@ _QUBIT_MATRICES = {
     "sigma_plus": np.array([[0, 1], [0, 0]], dtype=complex),
     "sigma_minus": np.array([[0, 0], [1, 0]], dtype=complex),
 }
+for _m in _QUBIT_MATRICES.values():  # handed out as they are, so no caller may edit them
+    _m.setflags(write=False)
 
 #: qubit operators admissible as direct couplings and probes
 QUBIT_COUPLING_KINDS = tuple(_QUBIT_MATRICES)
@@ -57,16 +59,17 @@ class AncillaParams:
             )
 
 
-def qubit_operator(kind: str, scale: complex = 1.0) -> Operator:
-    """A menu qubit operator times an optional complex scalar; the excited
-    state is the first basis vector, so sigma_minus maps it to the second."""
+def qubit_operator(kind: str, scale: complex = 1.0) -> np.ndarray:
+    """A menu qubit matrix times an optional complex scalar; the excited
+    state is the first basis vector, so sigma_minus maps it to the second.
+    Unscaled, it is the shared read-only menu matrix itself."""
     if kind not in QUBIT_COUPLING_KINDS:
         raise ValueError(f"kind {kind!r} not in {QUBIT_COUPLING_KINDS}")
-    op = Operator(HilbertLayout((2,)), _QUBIT_MATRICES[kind])
-    return op if scale == 1.0 else op * scale
+    m = _QUBIT_MATRICES[kind]
+    return m if scale == 1.0 else m * scale
 
 
-def ladder_operators(truncations) -> tuple[Operator, ...]:
+def ladder_operators(truncations) -> tuple[np.ndarray, ...]:
     """The annihilation operator of every mode of a bank, on the bank's joint
     basis: the occupation tuples (n_1, ..., n_K) with n_k < truncations[k],
     in lexicographic order with mode 1 most significant, which is the order a
@@ -76,14 +79,14 @@ def ladder_operators(truncations) -> tuple[Operator, ...]:
     dims = tuple(int(t) for t in truncations)
     if not dims or min(dims) < 2:
         raise ValueError(f"every truncation must be >= 2, got {dims}")
-    layout = HilbertLayout((math.prod(dims),))
+    d = math.prod(dims)
     occupation = np.indices(dims).reshape(len(dims), -1)  # n_k of each basis state
     ladders = []
     for k, n in enumerate(occupation):
         src = np.flatnonzero(n)
-        a = np.zeros((layout.total, layout.total), dtype=complex)
+        a = np.zeros((d, d), dtype=complex)
         a[src - math.prod(dims[k + 1:]), src] = np.sqrt(n[src])
-        ladders.append(Operator(layout, a))
+        ladders.append(a)
     return tuple(ladders)
 
 
@@ -131,13 +134,14 @@ def build_ancilla_bank(params: list[AncillaParams] | tuple[AncillaParams, ...],
     if field_mode not in FIELD_MODES:
         raise ValueError(f"field_mode must be one of {FIELD_MODES}")
     ladders = ladder_operators(p.truncation for p in params)
-    couplings = [math.sqrt(p.gamma) * a for p, a in zip(params, ladders)]
-    h = Operator.zero(ladders[0].layout)
+    couplings = [a * math.sqrt(p.gamma) for p, a in zip(params, ladders)]
+    h = np.zeros(ladders[0].shape, dtype=complex)
     for p, a in zip(params, ladders):
-        h = h + p.omega * (a.dag() @ a)
+        h = h + (a.conj().T @ a) * p.omega
     if field_mode == "shared":
         couplings = [sum(couplings[1:], couplings[0])]
-    return GeneratorSpec(h, tuple(couplings))
+    layout = HilbertLayout((len(h),))
+    return GeneratorSpec(Operator(layout, h), tuple(Operator(layout, c) for c in couplings))
 
 
 def build_augmented(omega_q: float, bank: GeneratorSpec,
@@ -151,18 +155,22 @@ def build_augmented(omega_q: float, bank: GeneratorSpec,
     """
     params = tuple(params)
     ladders = ladder_operators(p.truncation for p in params)
-    if bank.layout != ladders[0].layout:
+    d_bank = len(ladders[0])
+    if bank.layout.dims != (d_bank,):
         raise ValueError("bank layout does not match the given ancilla parameters")
-    eye_q = Operator.identity(HilbertLayout((2,)))
-    eye_b = Operator.identity(bank.layout)
+    eye_q = np.eye(2, dtype=complex)
+    eye_b = np.eye(d_bank, dtype=complex)
 
-    h = kron(0.5 * omega_q * qubit_operator("pauli_z"), eye_b) + kron(eye_q, bank.hamiltonian)
-    direct = Operator.zero(h.layout)
+    h = (np.kron(qubit_operator("pauli_z") * (0.5 * omega_q), eye_b)
+         + np.kron(eye_q, bank.hamiltonian.entries))
+    direct = np.zeros(h.shape, dtype=complex)
     for p, a in zip(params, ladders):
-        c_k = (-math.sqrt(p.gamma) / 2.0) * kron(eye_q, a)
-        sigma_k = kron(qubit_operator(p.sigma_kind, p.sigma_scale), eye_b)
-        direct = direct + math.sqrt(p.kappa) * (c_k.dag() @ sigma_k)
-    return GeneratorSpec(h, tuple(kron(eye_q, op) for op in bank.collapse_ops), direct)
+        c_k = np.kron(eye_q, a) * (-math.sqrt(p.gamma) / 2.0)
+        sigma_k = np.kron(qubit_operator(p.sigma_kind, p.sigma_scale), eye_b)
+        direct = direct + (c_k.conj().T @ sigma_k) * math.sqrt(p.kappa)
+    layout = HilbertLayout((2, d_bank))
+    channels = tuple(Operator(layout, np.kron(eye_q, op.entries)) for op in bank.collapse_ops)
+    return GeneratorSpec(Operator(layout, h), channels, Operator(layout, direct))
 
 
 def build_probed(augmented: GeneratorSpec, gamma_q: float, probe_kind: str,
@@ -172,7 +180,8 @@ def build_probed(augmented: GeneratorSpec, gamma_q: float, probe_kind: str,
         raise ValueError(f"gamma_q must be >= 0, got {gamma_q}")
     if augmented.layout.dims[:1] != (2,):
         raise ValueError("probed model requires the qubit as factor 0")
-    probe = kron(math.sqrt(gamma_q) * qubit_operator(probe_kind, probe_scale),
-                 Operator.identity(HilbertLayout(augmented.layout.dims[1:])))
+    probe = Operator(augmented.layout, np.kron(
+        qubit_operator(probe_kind, probe_scale) * math.sqrt(gamma_q),
+        np.eye(augmented.layout.total // 2, dtype=complex)))
     return replace(augmented, collapse_ops=augmented.collapse_ops + (probe,),
                    probe_index=len(augmented.collapse_ops))

@@ -78,7 +78,7 @@ class SpectrumSamples:
     @classmethod
     def read_csv(cls, path) -> SpectrumSamples:
         """Rows of ``omega,psd`` after ``#`` comments; the first other line is
-        a column header when it does not parse as two numbers."""
+        a column header when its first field does not parse as a number."""
         rows = []
         first = True
         with open(path) as fh:
@@ -90,13 +90,21 @@ class SpectrumSamples:
                     w, v = line.split(",")[:2]
                     rows.append((float(w), float(v)))
                 except ValueError:
-                    if not first:
+                    if not (first and _is_header(line)):
                         raise ValueError(f"{path}, line {lineno}: expected two numbers "
                                          f"'omega,psd', got {line!r}") from None
                 first = False
         if not rows:
             raise ValueError(f"spectrum file {path} has no data rows")
         return cls.from_pairs(rows)
+
+
+def _is_header(line: str) -> bool:
+    try:
+        float(line.split(",")[0])
+    except ValueError:
+        return True
+    return False
 
 
 def lorentzian_psd(omega, comp: LorentzianComponent):

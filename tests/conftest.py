@@ -6,7 +6,7 @@ import pytest
 import nmqubit as nq
 from nmqubit.experiments import build_probed_model
 from nmqubit.master import lindblad_apply
-from nmqubit.operators import DensityMatrix, HilbertLayout
+from nmqubit.operators import DensityMatrix, HilbertLayout, Operator
 from nmqubit.slh import AncillaParams
 from nmqubit.spectra import lorentzian_psd
 
@@ -45,6 +45,11 @@ def on_factor(op, k, dims):
     for j, d in enumerate(dims):
         out = np.kron(out, op if j == k else np.eye(d))
     return out
+
+
+def tagged(m):
+    """The square matrix ``m`` as an ``Operator`` on one factor of its size."""
+    return Operator(HilbertLayout((len(m),)), m)
 
 
 def reduce_ref(rho):

@@ -363,6 +363,41 @@ class TestMainEntry:
         assert err.startswith("error:") and "dt=1e-15" in err and "10000000000000000 steps" in err
         assert "Traceback" not in err
 
+    def test_spectrum_too_large_to_allocate_is_out_of_memory(self, tmp_path, capsys):
+        # 10**16 points ask np.linspace for 80 PB, beyond any address space, so
+        # the request fails without allocating
+        path = tmp_path / "huge.cfg"
+        path.write_text(MINIMAL + "spectrum.omega_min = 0\nspectrum.omega_max = 4\n"
+                        f"spectrum.points = {10**16}\n")
+        rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (") and "(10000000000000000,)" in err
+        assert err.rstrip().endswith("lower t_final/dt, n_traj or spectrum.points")
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+    def test_state_stack_beyond_address_limit_is_out_of_memory(self, tmp_path):
+        # 10**7 steps fit the grid (80 MB) but not the 14.9 GiB of stored
+        # states; the child caps its own address space at 2 GiB, so np.empty
+        # fails at once instead of reserving memory it never touches
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(nq.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nmqubit", "evolve", "--preset", "paper-fig4",
+             "--dt", "1e-6", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: out of memory (") and "GiB" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("text", [
         '{"ancilla": ' + "[" * 100_000 + "]" * 100_000 + "}",
         '{"n_traj": ' + "1" * 5000 + "}",

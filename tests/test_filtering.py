@@ -27,10 +27,10 @@ from nmqubit.filtering import (
     wiener_increments,
 )
 from nmqubit.master import CompiledGenerator, GeneratorSpec, PositivityError, generator_spec, integrate_master, lindblad_apply
-from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch, readout
+from nmqubit.operators import DensityMatrix, Operator, qubit_bloch, readout
 from nmqubit.slh import AncillaParams, qubit_operator
 
-from conftest import bank2_model, rand_density, reduce_ref
+from conftest import bank2_model, rand_density, reduce_ref, tagged
 from test_bank_oracle import coherence_factor
 
 
@@ -62,7 +62,7 @@ class TestSmeStep:
         cfg = short_cfg()
         model = build_probed_model(dataclasses.replace(cfg, gamma_q=0.0))
         spec = generator_spec(model)
-        zero_l = Operator.zero(model.layout)
+        zero_l = Operator(model.layout, np.zeros((model.layout.total,) * 2))
         rho0 = rand_density(rng, model.layout.dims)
         dt = 1e-3
         new = replay_filter(rho0, spec, zero_l, [0.0], [0.0, dt])[-1]
@@ -128,7 +128,7 @@ class TestSmeStep:
         l = model.collapse_ops[model.probe_index].entries
         states = [rand_density(rng, model.layout.dims) for _ in range(4)]
         out = readout(np.stack([s.entries for s in states]), _readout_weights(model.layout.dims, l))
-        paulis = [qubit_operator(k).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
+        paulis = [qubit_operator(k) for k in ("pauli_x", "pauli_y", "pauli_z")]
         for row, s in zip(out, states):
             q = reduce_ref(s.entries)
             assert_allclose(row[:3], [np.trace(p @ q).real for p in paulis], rtol=0, atol=1e-14)
@@ -173,11 +173,11 @@ class TestSmeStep:
             replay_filter(rho0, spec, l_op, record, grid)
 
     def test_layout_without_qubit_factor(self):
-        lay = HilbertLayout((3,))
-        spec = GeneratorSpec(Operator.zero(lay), ())
-        rho0 = DensityMatrix(lay, np.eye(3, dtype=complex) / 3)
+        zero = tagged(np.zeros((3, 3)))
+        spec = GeneratorSpec(zero, ())
+        rho0 = DensityMatrix(zero.layout, np.eye(3, dtype=complex) / 3)
         with pytest.raises(ValueError, match="qubit factor"):
-            simulate_trajectory(rho0, spec, Operator.zero(lay), [0.0, 1e-3], seed=1)
+            simulate_trajectory(rho0, spec, zero, [0.0, 1e-3], seed=1)
 
     def test_probe_not_a_channel_rejected(self):
         # the unmonitored channels are the spec's collapse operators minus
@@ -185,7 +185,7 @@ class TestSmeStep:
         cfg = short_cfg()
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(ValueError, match="collapse operator"):
-            replay_filter(rho0, spec, 2.0 * l_op, [0.0], [0.0, 1e-3])
+            replay_filter(rho0, spec, Operator(l_op.layout, 2.0 * l_op.entries), [0.0], [0.0, 1e-3])
 
     def test_wrapped_non_positive_initial_state_rejected(self):
         # the Kraus map only preserves positivity, so an unvalidated initial
@@ -381,7 +381,7 @@ class TestConditionalQubit:
         traj = run_filter_trajectory(cfg, seed=21, store_states=True)
         bloch = conditional_qubit(traj)
         lay = traj.layout
-        paulis = [np.kron(qubit_operator(k).entries, np.eye(lay.total // 2))
+        paulis = [np.kron(qubit_operator(k), np.eye(lay.total // 2))
                   for k in ("pauli_x", "pauli_y", "pauli_z")]
         for idx in (0, len(traj.t_grid) // 2, -1):
             rho = traj.states[idx]

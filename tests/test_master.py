@@ -26,7 +26,7 @@ from nmqubit.master import (
 from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch
 from nmqubit.slh import AncillaParams, qubit_operator
 
-from conftest import bank2_model, ladder, plain_rk4, rand_density, rand_hermitian
+from conftest import bank2_model, ladder, plain_rk4, rand_density, rand_hermitian, tagged
 
 
 def unit_trace_hermitian(rng, d):
@@ -92,8 +92,8 @@ class TestLindbladApply:
         # rhodot = g (|0><0| - |1><1|), excited = first basis vector
         g = 0.7
         spec = GeneratorSpec(
-            Operator.zero(HilbertLayout((2,))),
-            (math.sqrt(g) * qubit_operator("sigma_minus"),),
+            tagged(np.zeros((2, 2))),
+            (tagged(math.sqrt(g) * qubit_operator("sigma_minus")),),
         )
         rho = np.diag([1.0, 0.0]).astype(complex)
         out = lindblad_apply(rho, spec)
@@ -102,7 +102,7 @@ class TestLindbladApply:
     def test_maximally_mixed_fixed_point(self, rng):
         # hermitian-unitary collapses are unital, so I/d is stationary
         h = Operator(HilbertLayout((2,)), rand_hermitian(rng, 2))
-        spec = GeneratorSpec(h, (qubit_operator("pauli_x"), qubit_operator("pauli_y")))
+        spec = GeneratorSpec(h, tuple(tagged(qubit_operator(k)) for k in ("pauli_x", "pauli_y")))
         out = lindblad_apply(np.eye(2) / 2, spec)
         assert_allclose(out, 0, atol=1e-14)
 
@@ -236,7 +236,7 @@ class TestIntegrate:
             assert np.max(np.abs(result.states[idx] - want)) < 1e-8
 
     def test_zero_generator_constant(self, rng):
-        spec = GeneratorSpec(Operator.zero(HilbertLayout((3,))), ())
+        spec = GeneratorSpec(tagged(np.zeros((3, 3))), ())
         rho0 = rand_density(rng, (3,))
         result = integrate_master(rho0, spec, np.linspace(0, 5, 11))
         for s in result.states:
@@ -321,7 +321,7 @@ class TestIntegrate:
         assert 15.0 <= coarse / half <= 17.5  # fourth order: 2^4
 
     def test_bad_grid_rejected(self, rng):
-        spec = GeneratorSpec(Operator.zero(HilbertLayout((2,))), ())
+        spec = GeneratorSpec(tagged(np.zeros((2, 2))), ())
         rho0 = rand_density(rng, (2,))
         with pytest.raises(ValueError):
             integrate_master(rho0, spec, [0.0, 0.5, 0.5])
@@ -347,7 +347,7 @@ class TestReduce:
         layout = HilbertLayout(dims)
         states = np.stack([rand_density(rng, dims).entries for _ in range(4)])
         rest = layout.total // 2
-        paulis = [qubit_operator(k).entries for k in ("pauli_x", "pauli_y", "pauli_z")]
+        paulis = [qubit_operator(k) for k in ("pauli_x", "pauli_y", "pauli_z")]
         want = np.array([
             [np.trace(p @ np.trace(s.reshape(2, rest, 2, rest), axis1=1, axis2=3)).real
              for p in paulis]
@@ -414,14 +414,14 @@ class TestMarkovianBaseline:
         rho = DensityMatrix.from_bloch(1, 0, 0)
         bank = [AncillaParams(omega=2.0, gamma=0.6, kappa=kappa, sigma_kind="pauli_y")]
         out = lindblad_apply(rho, markovian_baseline_spec(omega_q, bank, gamma_q, "pauli_x"))
-        sx = qubit_operator("pauli_x").entries
+        sx = qubit_operator("pauli_x")
         rate = float(np.real(np.trace(sx @ out)))
         assert rate == pytest.approx(-2.0 * kappa)
 
     def test_pure_precession(self):
         rho = DensityMatrix.from_bloch(1, 0, 0)
         out = lindblad_apply(rho, markovian_baseline_spec(2.0, (), 0.0, "pauli_x"))
-        sz = qubit_operator("pauli_z").entries
+        sz = qubit_operator("pauli_z")
         assert abs(np.trace(sz @ out)) < 1e-14
 
     def test_trace_preserved(self, rng):
@@ -437,8 +437,9 @@ class TestMarkovianBaseline:
         rho = rand_density(rng, (2,))
         via_spec = lindblad_apply(rho, spec)
         hand = GeneratorSpec(
-            0.5 * cfg.omega_q * qubit_operator("pauli_z"),
-            (math.sqrt(1.0) * qubit_operator("pauli_y"), math.sqrt(0.8) * qubit_operator("pauli_x")),
+            tagged(0.5 * cfg.omega_q * qubit_operator("pauli_z")),
+            (tagged(math.sqrt(1.0) * qubit_operator("pauli_y")),
+             tagged(math.sqrt(0.8) * qubit_operator("pauli_x"))),
         )
         direct = lindblad_apply(rho, hand)
         assert_allclose(via_spec, direct, atol=1e-14)

@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from nmqubit.experiments import probe_operator
 from nmqubit.master import generator_spec
-from nmqubit.operators import HilbertLayout, LayoutMismatchError, Operator
+from nmqubit.operators import HilbertLayout, LayoutMismatchError
 from nmqubit.slh import (
+    FIELD_MODES,
     AncillaParams,
     GeneratorSpec,
     build_ancilla_bank,
@@ -16,7 +17,7 @@ from nmqubit.slh import (
     qubit_operator,
 )
 
-from conftest import ladder, on_factor, rand_density
+from conftest import ladder, on_factor, rand_density, tagged
 
 
 class TestAncillaParams:
@@ -57,8 +58,8 @@ class TestBank:
             AncillaParams(omega=2.0, gamma=0.8, kappa=0.1, truncation=3),
         ]
         bank = build_ancilla_bank(params)
-        c0, c1 = bank.collapse_ops
-        assert_allclose((c0 @ c1 - c1 @ c0).entries, 0, atol=1e-14)
+        c0, c1 = (op.entries for op in bank.collapse_ops)
+        assert_allclose(c0 @ c1 - c1 @ c0, 0, atol=1e-14)
 
     def test_three_mode_entries(self):
         params = [
@@ -87,7 +88,7 @@ class TestBank:
         shared = build_ancilla_bank(params, "shared")
         c0, c1 = independent.collapse_ops
         assert len(shared.collapse_ops) == 1
-        assert np.array_equal(shared.collapse_ops[0].entries, (c0 + c1).entries)
+        assert np.array_equal(shared.collapse_ops[0].entries, c0.entries + c1.entries)
         assert np.array_equal(shared.hamiltonian.entries, independent.hamiltonian.entries)
         with pytest.raises(ValueError, match="field_mode"):
             build_ancilla_bank(params, "common")
@@ -143,6 +144,56 @@ class TestAugmented:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+class TestTwoModeModel:
+    """A K = 2 model against the paper's formulas written out with np.kron on
+    conftest's ladders, bit for bit: H = H_q (x) I + I (x) sum_k omega_k a_k^dag a_k,
+    channels sqrt(gamma_k) a_k (one summed channel when shared), the direct
+    coupling D = sum_k sqrt(kappa_k) C_k^dag sigma_k with C_k = -(sqrt(gamma_k)/2) a_k,
+    and the probe sqrt(gamma_q) L."""
+
+    QUBIT = {"pauli_x": np.array([[0, 1], [1, 0]], dtype=complex),
+             "pauli_y": np.array([[0, -1j], [1j, 0]]),
+             "pauli_z": np.diag([1.0, -1.0]).astype(complex),
+             "sigma_minus": np.array([[0, 0], [1, 0]], dtype=complex)}
+
+    @pytest.mark.parametrize("field_mode", FIELD_MODES)
+    def test_every_operator_matches_kron_reference(self, field_mode):
+        params = [AncillaParams(omega=2.0, gamma=0.6, kappa=1.0, sigma_kind="sigma_minus",
+                                sigma_scale=0.5 + 0.25j, truncation=3),
+                  AncillaParams(omega=1.5, gamma=0.8, kappa=0.5, sigma_kind="pauli_x",
+                                truncation=4)]
+        omega_q, gamma_q, probe_scale = 1.3, 0.7, 0.9j
+        bank = build_ancilla_bank(params, field_mode)
+        model = build_probed(build_augmented(omega_q, bank, params), gamma_q, "pauli_y",
+                             probe_scale)
+
+        q, dims = self.QUBIT, (3, 4)
+        eye_q, eye_b = np.eye(2), np.eye(12)
+        a = [on_factor(ladder(p.truncation), k, dims) for k, p in enumerate(params)]
+        h_bank = sum(p.omega * (a_k.conj().T @ a_k) for p, a_k in zip(params, a))
+        h = np.kron(0.5 * omega_q * q["pauli_z"], eye_b) + np.kron(eye_q, h_bank)
+        channels = [math.sqrt(p.gamma) * a_k for p, a_k in zip(params, a)]
+        if field_mode == "shared":
+            channels = [channels[0] + channels[1]]
+        direct = 0
+        for p, a_k in zip(params, a):
+            c_k = -(math.sqrt(p.gamma) / 2.0) * np.kron(eye_q, a_k)
+            sigma_k = np.kron(p.sigma_scale * q[p.sigma_kind], eye_b)
+            direct = direct + math.sqrt(p.kappa) * (c_k.conj().T @ sigma_k)
+        probe = np.kron(math.sqrt(gamma_q) * (probe_scale * q["pauli_y"]), eye_b)
+
+        assert model.layout.dims == (2, 12)
+        assert np.array_equal(model.hamiltonian.entries, h)
+        assert model.probe_index == len(channels)
+        want = [np.kron(eye_q, c) for c in channels] + [probe]
+        assert len(model.collapse_ops) == len(want)
+        for got, w in zip(model.collapse_ops, want):
+            assert np.array_equal(got.entries, w)
+        assert np.array_equal(model.direct.entries, direct)
+        folded = generator_spec(model).hamiltonian.entries
+        assert np.array_equal(folded, h + 1j * (direct - direct.conj().T))
+
+
 class TestProbed:
     def make(self, gamma_q=0.8):
         params = [AncillaParams(omega=2.0, gamma=0.6, kappa=1.0,
@@ -191,21 +242,25 @@ class TestGeneratorSpec:
         assert folded.collapse_ops is model.collapse_ops
 
     def test_mixed_layouts_rejected(self):
-        h = qubit_operator("pauli_z")
-        three = Operator.zero(HilbertLayout((3,)))
+        h, sx = tagged(qubit_operator("pauli_z")), tagged(qubit_operator("pauli_x"))
+        three = tagged(np.zeros((3, 3)))
         with pytest.raises(LayoutMismatchError):
-            GeneratorSpec(h, (qubit_operator("pauli_x"), three))
+            GeneratorSpec(h, (sx, three))
         with pytest.raises(LayoutMismatchError):
-            GeneratorSpec(h, (qubit_operator("pauli_x"),), direct=three)
+            GeneratorSpec(h, (sx,), direct=three)
 
     def test_non_hermitian_hamiltonian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            GeneratorSpec(qubit_operator("sigma_minus"), ())
+            GeneratorSpec(tagged(qubit_operator("sigma_minus")), ())
 
 
 class TestQubitOperatorMenu:
     def test_menu_and_scale(self):
         sy = qubit_operator("pauli_y", scale=2j)
-        assert_allclose(sy.entries, 2j * np.array([[0, -1j], [1j, 0]]))
+        assert_allclose(sy, 2j * np.array([[0, -1j], [1j, 0]]))
         with pytest.raises(ValueError):
             qubit_operator("identity")
+        # the unscaled menu matrix is shared, so no caller may edit it
+        with pytest.raises(ValueError, match="read-only"):
+            qubit_operator("pauli_y")[0, 0] = 1.0
+        assert np.array_equal(qubit_operator("pauli_y"), [[0, -1j], [1j, 0]])

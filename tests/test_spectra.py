@@ -209,6 +209,13 @@ class TestSamplesCsv:
         assert_allclose(back.omega, [0.0, 1.0, 2.0])
         assert_allclose(back.values, [1.0, 0.5, 0.25])
 
+    def test_bad_first_row_is_not_a_header(self, tmp_path):
+        # a header's first field is not a number, so "1.0,2.0x" is a bad row
+        path = tmp_path / "spec.csv"
+        path.write_text("1.0,2.0x\n2.0,0.5\n3.0,0.25\n4.0,0.125\n")
+        with pytest.raises(ValueError, match=r"spec\.csv, line 1: expected two numbers"):
+            SpectrumSamples.read_csv(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectrumSamples(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
