@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -40,30 +39,31 @@ def _fmt(value: float) -> str:
     return "%.12g" % value
 
 
-def _meta_lines(config: ExperimentConfig, command: str, extra: dict | None = None) -> list[str]:
+def write_table(path: Path, config: ExperimentConfig, command: str, columns: dict,
+                **extra) -> Path:
+    """Write ``columns`` (header name -> 1-d data) as ``%.12g`` rows under the
+    ``#`` meta lines: the five fixed keys, then ``extra`` in the given order."""
     meta = {
         "artifact": f"nmqubit {VERSION}",
         "command": command,
         "config_hash": config_hash(config),
         "base_seed": config.base_seed,
         "field_mode": config.field_mode,
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return [f"# {k}: {v}" for k, v in meta.items()]
-
-
-def write_table(path: Path, meta_lines: list[str], names: list[str], columns: list[np.ndarray]) -> Path:
-    rows = len(columns[0])
-    for col in columns:
-        if len(col) != rows:
-            raise ValueError("all columns must have equal length")
-    row_fmt = ",".join(["%.12g"] * len(columns))
-    lines = list(meta_lines)
-    lines.append(",".join(names))
-    lines.extend(row_fmt % row for row in zip(*columns))
+    data = list(columns.values())
+    if any(len(col) != len(data[0]) for col in data):
+        raise ValueError("all columns must have equal length")
+    row_fmt = ",".join(["%.12g"] * len(data))
+    lines = [f"# {k}: {v}" for k, v in meta.items()]
+    lines.append(",".join(columns))
+    lines.extend(row_fmt % row for row in zip(*data))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _xyz(prefix: str, values: np.ndarray) -> dict[str, np.ndarray]:
+    return {f"{prefix}{c}": values[:, i] for i, c in enumerate("xyz")}
 
 
 def spectrum_components(config: ExperimentConfig) -> list[LorentzianComponent]:
@@ -85,24 +85,15 @@ def _spectrum_grid(config: ExperimentConfig) -> np.ndarray:
 
 def cmd_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
     grid = _spectrum_grid(config)
-    values = mixture_psd(grid, spectrum_components(config))
-    path = write_table(
-        out / "spectrum.csv",
-        _meta_lines(config, "spectrum"),
-        ["omega", "psd"],
-        [grid, values],
-    )
-    return [path]
+    psd = mixture_psd(grid, spectrum_components(config))
+    return [write_table(out / "spectrum.csv", config, "spectrum", {"omega": grid, "psd": psd})]
 
 
 def _bloch_table(result, config: ExperimentConfig, command: str, path: Path) -> Path:
-    bloch = result.qubit_bloch()
-    return write_table(
-        path,
-        _meta_lines(config, command),
-        ["t", "x", "y", "z", "tr_drift", "min_eig"],
-        [result.t_grid, bloch[:, 0], bloch[:, 1], bloch[:, 2], result.tr_drift, result.min_eig],
-    )
+    return write_table(path, config, command, {
+        "t": result.t_grid, **_xyz("", result.qubit_bloch()),
+        "tr_drift": result.tr_drift, "min_eig": result.min_eig,
+    })
 
 
 def cmd_evolve(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -116,39 +107,21 @@ def cmd_baseline(config: ExperimentConfig, out: Path) -> list[Path]:
 def cmd_filter(config: ExperimentConfig, out: Path) -> list[Path]:
     traj = run_filter_trajectory(config)
     seed = traj.seed
-    meta = _meta_lines(config, "filter", {"seed": seed})
-    bloch_path = write_table(
-        out / f"filter_bloch_seed{seed}.csv",
-        meta,
-        ["t", "x", "y", "z"],
-        [traj.t_grid, traj.bloch[:, 0], traj.bloch[:, 1], traj.bloch[:, 2]],
-    )
-    steps = np.arange(len(traj.record))
-    record_path = write_table(
-        out / f"filter_record_seed{seed}.csv",
-        meta,
-        ["step", "t", "dY", "dW"],
-        [steps, traj.t_grid[:-1], traj.record, traj.innovations],
-    )
-    return [bloch_path, record_path]
-
-
-def _ensemble_columns(ens) -> tuple[list[str], list[np.ndarray]]:
-    names = ["t", "mean_x", "mean_y", "mean_z", "se_x", "se_y", "se_z"]
-    cols = [ens.t_grid] + [ens.mean[:, i] for i in range(3)] + [ens.stderr[:, i] for i in range(3)]
-    return names, cols
+    return [
+        write_table(out / f"filter_bloch_seed{seed}.csv", config, "filter",
+                    {"t": traj.t_grid, **_xyz("", traj.bloch)}, seed=seed),
+        write_table(out / f"filter_record_seed{seed}.csv", config, "filter", {
+            "step": np.arange(len(traj.record)), "t": traj.t_grid[:-1],
+            "dY": traj.record, "dW": traj.innovations,
+        }, seed=seed),
+    ]
 
 
 def cmd_ensemble(config: ExperimentConfig, out: Path) -> list[Path]:
     ens = run_ensemble(config)
-    names, cols = _ensemble_columns(ens)
-    path = write_table(
-        out / "ensemble.csv",
-        _meta_lines(config, "ensemble", {"n_traj": ens.n_traj}),
-        names,
-        cols,
-    )
-    return [path]
+    return [write_table(out / "ensemble.csv", config, "ensemble", {
+        "t": ens.t_grid, **_xyz("mean_", ens.mean), **_xyz("se_", ens.stderr),
+    }, n_traj=ens.n_traj)]
 
 
 def cmd_fit(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -157,52 +130,16 @@ def cmd_fit(config: ExperimentConfig, out: Path) -> list[Path]:
     samples = SpectrumSamples.read_csv(config.fit_input)
     fits = nested_fits(samples, config.fit_components)
     final = fits[-1]
-    extra = {
-        "fit_input": config.fit_input,
-        "rmse": _fmt(final.rmse),
-        "converged": final.converged,
-        "iterations": final.iterations,
-        "nested_rmse": ";".join(_fmt(f.rmse) for f in fits),
-    }
-    comps = final.components
-    path = write_table(
-        out / "fit_components.csv",
-        _meta_lines(config, "fit", extra),
-        ["center", "linewidth", "weight"],
-        [
-            np.array([c.center for c in comps]),
-            np.array([c.linewidth for c in comps]),
-            np.array([c.weight for c in comps]),
-        ],
-    )
-    return [path]
-
-
-def emit_figure_data(uncond, ensemble, markov, path: Path, meta_lines: list[str]) -> Path:
-    """Merged table of the three series: (t, bloch), (t, mean, se), (t, bloch).
-
-    All three must share one time grid.
-    """
-    t_u, bloch_u = uncond
-    t_e, mean_e, se_e = ensemble
-    t_m, bloch_m = markov
-    if not (np.array_equal(t_u, t_e) and np.array_equal(t_u, t_m)):
-        raise ValueError("time grids of the three series differ")
-    names = (
-        ["t"]
-        + [f"uncond_{c}" for c in "xyz"]
-        + [f"cond_mean_{c}" for c in "xyz"]
-        + [f"cond_se_{c}" for c in "xyz"]
-        + [f"markov_{c}" for c in "xyz"]
-    )
-    cols = (
-        [t_u]
-        + [bloch_u[:, i] for i in range(3)]
-        + [mean_e[:, i] for i in range(3)]
-        + [se_e[:, i] for i in range(3)]
-        + [bloch_m[:, i] for i in range(3)]
-    )
-    return write_table(path, meta_lines, names, cols)
+    return [write_table(
+        out / "fit_components.csv", config, "fit",
+        {name: [getattr(c, name) for c in final.components]
+         for name in ("center", "linewidth", "weight")},
+        fit_input=config.fit_input,
+        rmse=_fmt(final.rmse),
+        converged=final.converged,
+        iterations=final.iterations,
+        nested_rmse=";".join(_fmt(f.rmse) for f in fits),
+    )]
 
 
 def cmd_compare(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -211,27 +148,20 @@ def cmd_compare(config: ExperimentConfig, out: Path) -> list[Path]:
     bloch_u = run_unconditional(config).qubit_bloch()
     ens = run_ensemble(config)
     markov = run_baseline(config)
-    t = markov.t_grid
     bloch_m = markov.qubit_bloch()
-    tau_nm = decay_time(t, bloch_u[:, 0])
-    tau_m = decay_time(t, bloch_m[:, 0])
-    final_gap = float(np.max(np.abs(bloch_u[-1] - bloch_m[-1])))
-    extra = {
-        "decay_time_non_markovian": _fmt(tau_nm) if math.isfinite(tau_nm) else "inf",
-        "decay_time_markovian": _fmt(tau_m) if math.isfinite(tau_m) else "inf",
-        "final_bloch_gap": _fmt(final_gap),
+    summary = {
+        "decay_time_non_markovian": _fmt(decay_time(markov.t_grid, bloch_u[:, 0])),
+        "decay_time_markovian": _fmt(decay_time(markov.t_grid, bloch_m[:, 0])),
+        "final_bloch_gap": _fmt(np.max(np.abs(bloch_u[-1] - bloch_m[-1]))),
     }
-    path = emit_figure_data(
-        (t, bloch_u),
-        (ens.t_grid, ens.mean, ens.stderr),
-        (t, bloch_m),
-        out / "compare.csv",
-        _meta_lines(config, "compare", extra),
-    )
+    path = write_table(out / "compare.csv", config, "compare", {
+        "t": markov.t_grid, **_xyz("uncond_", bloch_u), **_xyz("cond_mean_", ens.mean),
+        **_xyz("cond_se_", ens.stderr), **_xyz("markov_", bloch_m),
+    }, **summary)
     print(
-        f"decay time of <sigma_x>: markovian {extra['decay_time_markovian']}"
-        f" vs non-markovian {extra['decay_time_non_markovian']};"
-        f" final Bloch gap {extra['final_bloch_gap']}"
+        f"decay time of <sigma_x>: markovian {summary['decay_time_markovian']}"
+        f" vs non-markovian {summary['decay_time_non_markovian']};"
+        f" final Bloch gap {summary['final_bloch_gap']}"
     )
     return [path]
 

@@ -179,6 +179,9 @@ def _coerce(key: str, value, to_type):
     if isinstance(value, str):
         value = value.strip()
     try:
+        if value is None or isinstance(value, bool) or (
+                to_type is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError  # JSON null, true and false, and 2.7 for an integer
         if to_type is tuple:
             x, y, z = (float(p) for p in (value.split(",") if isinstance(value, str) else value))
             return x, y, z

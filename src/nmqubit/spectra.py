@@ -79,7 +79,7 @@ class SpectrumSamples:
     def read_csv(cls, path) -> SpectrumSamples:
         """Rows of ``omega,psd`` after ``#`` comments; the first other line is
         a column header when its first field does not parse as a number."""
-        rows = []
+        rows, linenos = [], []
         first = True
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -89,6 +89,7 @@ class SpectrumSamples:
                 try:
                     w, v = line.split(",")[:2]
                     rows.append((float(w), float(v)))
+                    linenos.append(lineno)
                 except ValueError:
                     if not (first and _is_header(line)):
                         raise ValueError(f"{path}, line {lineno}: expected two numbers "
@@ -96,7 +97,16 @@ class SpectrumSamples:
                 first = False
         if not rows:
             raise ValueError(f"spectrum file {path} has no data rows")
-        return cls.from_pairs(rows)
+        try:
+            return cls.from_pairs(rows)
+        except ValueError:
+            # each rule holds row by row or between neighbours: name the first row breaking one
+            for i, lineno in enumerate(linenos):
+                try:
+                    cls.from_pairs(rows[max(i - 1, 0):i + 1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            raise
 
 
 def _is_header(line: str) -> bool:

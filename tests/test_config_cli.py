@@ -12,8 +12,9 @@ from numpy.testing import assert_allclose
 
 import nmqubit as nq
 from nmqubit import cli
-from nmqubit.cli import emit_figure_data, main, run_command
+from nmqubit.cli import main, run_command
 from nmqubit.config import (
+    VERSION,
     ConfigError,
     config_from_mapping,
     config_hash,
@@ -258,28 +259,41 @@ class TestCommands:
             run_command("render", preset("paper-fig4"))
 
 
-class TestFigureData:
-    def test_column_count_and_constants(self, tmp_path):
-        t = np.linspace(0, 1, 5)
-        ones = np.ones((5, 3))
-        path = emit_figure_data(
-            (t, 0.5 * ones), (t, 0.25 * ones, 0.1 * ones), (t, -ones),
-            tmp_path / "merged.csv", ["# test: 1"],
-        )
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        header = lines[0].split(",")
-        assert len(header) == 13
-        for row in lines[1:]:
-            assert len(row.split(",")) == 13
-            assert row.split(",")[1] == "0.5"
+#: command -> (its meta keys after the five common ones, the header of each file)
+ARTIFACTS = {
+    "spectrum": ([], ["omega,psd"]),
+    "evolve": ([], ["t,x,y,z,tr_drift,min_eig"]),
+    "baseline": ([], ["t,x,y,z,tr_drift,min_eig"]),
+    "filter": (["seed"], ["t,x,y,z", "step,t,dY,dW"]),
+    "ensemble": (["n_traj"], ["t,mean_x,mean_y,mean_z,se_x,se_y,se_z"]),
+    "fit": (["fit_input", "rmse", "converged", "iterations", "nested_rmse"],
+            ["center,linewidth,weight"]),
+    "compare": (["decay_time_non_markovian", "decay_time_markovian", "final_bloch_gap"],
+                ["t,uncond_x,uncond_y,uncond_z,cond_mean_x,cond_mean_y,cond_mean_z,"
+                 "cond_se_x,cond_se_y,cond_se_z,markov_x,markov_y,markov_z"]),
+}
 
-    def test_grid_mismatch(self, tmp_path):
-        t = np.linspace(0, 1, 5)
-        t2 = np.linspace(0, 2, 5)
-        ones = np.ones((5, 3))
-        with pytest.raises(ValueError):
-            emit_figure_data((t, ones), (t2, ones, ones), (t, ones),
-                             tmp_path / "merged.csv", [])
+
+@pytest.mark.parametrize("command", list(ARTIFACTS))
+def test_artifact_meta_keys_and_columns(tmp_path, command):
+    from nmqubit.spectra import LorentzianComponent, SpectrumSamples, mixture_psd
+
+    w = np.linspace(-2, 6, 200)
+    target = tmp_path / "target.csv"
+    SpectrumSamples(w, mixture_psd(w, [LorentzianComponent(1.0, 0.5, 1.0)])).write_csv(target)
+    cfg = coarse(preset("paper-fig4"), out_dir=str(tmp_path), fit_input=str(target))
+    extra_keys, headers = ARTIFACTS[command]
+    keys = ["artifact", "command", "config_hash", "base_seed", "field_mode"] + extra_keys
+    paths = run_command(command, cfg)
+    assert len(paths) == len(headers)
+    for path, header in zip(paths, headers):
+        lines = path.read_text().splitlines()
+        assert [line.split(":")[0] for line in lines[:len(keys)]] == [f"# {k}" for k in keys]
+        assert lines[0] == f"# artifact: nmqubit {VERSION}"
+        assert lines[1] == f"# command: {command}"
+        assert lines[len(keys)] == header
+        rows = lines[len(keys) + 1:]
+        assert rows and all(len(row.split(",")) == len(header.split(",")) for row in rows)
 
 
 class TestMainEntry:
@@ -323,6 +337,15 @@ class TestMainEntry:
     def test_malformed_spectrum_row_names_file_and_line(self, tmp_path, capsys, row):
         err = self.fit_exit(tmp_path, capsys, f"omega,psd\n0.0,1.0\n{row}\n")
         assert "samples.csv, line 3" in err
+
+    @pytest.mark.parametrize("row,reason", [
+        ("1.0,-0.5", "nonnegative"),
+        ("1.0,nan", "finite"),
+        ("-1.0,0.5", "strictly increasing"),
+    ])
+    def test_invalid_spectrum_row_names_file_and_line(self, tmp_path, capsys, row, reason):
+        err = self.fit_exit(tmp_path, capsys, f"omega,psd\n0.0,1.0\n{row}\n2.0,1.0\n")
+        assert "samples.csv, line 3" in err and reason in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -455,6 +478,23 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+
+    @pytest.mark.parametrize("data,named", [
+        ({"dt": True}, "dt"),
+        ({"out_dir": None}, "out_dir"),
+        ({"fit": {"input": None}}, "fit.input"),
+        ({"n_traj": 2.7}, "n_traj"),
+    ], ids=["dt-true", "out_dir-null", "fit.input-null", "n_traj-fraction"])
+    def test_json_value_of_wrong_kind_names_field(self, tmp_path, capsys, monkeypatch,
+                                                  data, named):
+        monkeypatch.setattr(cli, "run_command", lambda command, cfg: [])
+        path = tmp_path / "kind.json"
+        path.write_text(json.dumps({
+            "omega_q": 2.0, "probe": {"gamma_q": 0.8},
+            "ancilla": [{"omega": 2.0, "gamma": 0.6, "kappa": 1.0}], **data,
+        }))
+        assert main(["spectrum", "--config", str(path)]) == 1
+        assert named in capsys.readouterr().err
 
     def test_json_integer_overflow_names_field(self, tmp_path, capsys):
         path = tmp_path / "big.json"

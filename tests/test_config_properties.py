@@ -10,12 +10,13 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmqubit import cli
 from nmqubit.config import (
     _ANCILLA_KEYS,
+    _KEYS,
     ConfigError,
     ExperimentConfig,
     config_hash,
@@ -125,6 +126,9 @@ json_values = st.recursive(
 
 @settings(BOUNDED, max_examples=40)  # each example parses one config per key
 @given(value=json_values)
+@example(value=None)
+@example(value=True)
+@example(value=2.7)
 def test_json_value_at_any_key_parses_or_is_named(workdir, value):
     path = workdir / "run.json"
     for key in _BASE:
@@ -133,7 +137,12 @@ def test_json_value_at_any_key_parses_or_is_named(workdir, value):
         with mock.patch.object(cli, "run_command", return_value=[]), \
                 contextlib.redirect_stderr(err):
             code = cli.main(["spectrum", "--config", str(path)])
-        assert code == 0 or (code == 1 and key in err.getvalue()), (key, err.getvalue())
+        # null, true and false fit no key, nor a fraction an integer key
+        wrong_kind = value is None or isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+            and key in _KEYS and _KEYS[key][1] is int)
+        assert (code == 1 and key in err.getvalue()) or (code == 0 and not wrong_kind), \
+            (key, err.getvalue())
 
 
 keys = (st.sampled_from(list(_BASE))
