@@ -1,0 +1,60 @@
+"""Mutants the test suite must kill: (name, file, old text, new text, tests).
+
+Each old text occurs exactly once in its file; the tests are pytest
+arguments run from the root of a copy of the repository.  A surviving
+mutant is fixed by a test, and a mutant leaves the table only when it is
+shown equivalent to the code it replaces.
+"""
+
+SPECTRA = "src/nmqubit/spectra.py"
+CONFIG = "src/nmqubit/config.py"
+FITTING = "tests/test_spectra.py::TestFitting"
+WRONG_KIND = "tests/test_config_cli.py::TestMainEntry::test_json_value_of_wrong_kind_names_field"
+
+MUTANTS = [
+    ("peak width from the left crossing only", SPECTRA,
+     "width = 2.0 * (center - left)", "width = center - left",
+     [f"{FITTING}::test_peak_pick_one_sided_crossing"]),
+    ("peak width from the right crossing only", SPECTRA,
+     "width = 2.0 * (right - center)", "width = right - center",
+     [f"{FITTING}::test_peak_pick_one_sided_crossing"]),
+    ("no zero-weight start for the added line", SPECTRA,
+     "for scale in (1.0, 0.5, 0.1, 0.0)]", "for scale in (1.0, 0.5, 0.1)]",
+     [f"{FITTING}::test_flat_spectrum_nested_residuals_non_increasing"]),
+    ("no best-so-far return of the start", SPECTRA,
+     "if init_cost < best_cost:", "if False:",
+     [f"{FITTING}::test_exact_start_is_returned"]),
+    ("sqrt-weight Jacobian column halved", SPECTRA,
+     "jac[:, k, 2] = 2.0 * v * s", "jac[:, k, 2] = v * s",
+     [FITTING]),
+    ("weight unpacked as |v| for v**2", SPECTRA,
+     "float(v ** 2)", "float(abs(v))",
+     [FITTING]),
+    ("a step that underflows a linewidth to 0 is accepted", SPECTRA,
+     "and np.all((widths > 0) & (widths < np.inf))", "",
+     [f"{FITTING}::test_unstructured_spectrum_fits_stay_valid"]),
+    ("fit evaluations warn on overflow", SPECTRA,
+     '@np.errstate(all="ignore")', "",
+     [f"{FITTING}::test_unstructured_spectrum_fits_stay_valid"]),
+    ("ladder entries n for sqrt(n)", "src/nmqubit/slh.py",
+     "a[src - math.prod(dims[k + 1:]), src] = np.sqrt(n[src])",
+     "a[src - math.prod(dims[k + 1:]), src] = n[src]",
+     ["tests/test_operators.py"]),
+    ("a JSON number at a string key read as its text", CONFIG,
+     "to_type is str and not isinstance(value, str)) or (", "False) or (",
+     [WRONG_KIND, "tests/test_config_properties.py"]),
+    ("a JSON list at a scalar key joined with commas", CONFIG,
+     "        else:\n            yield name, value",
+     "        elif isinstance(value, list):\n"
+     "            yield name, \", \".join(str(v) for v in value)\n"
+     "        else:\n            yield name, value",
+     [WRONG_KIND, "tests/test_config_properties.py"]),
+    ("init.bloch entries read by float(), so true is 1.0", CONFIG,
+     "(_coerce(key, p, float) for p in parts)", "(float(p) for p in parts)",
+     [WRONG_KIND]),
+    ("an ancilla error names the attribute, not the key", CONFIG,
+     'raise ConfigError(f"{keys.get(attr, attr)} {rest}")',
+     'raise ConfigError(f"ancilla.{k}.{exc}")',
+     ["tests/test_config_cli.py::TestMainEntry::test_ancilla_error_names_config_key",
+      "tests/test_config_properties.py"]),
+]

@@ -180,10 +180,12 @@ def _coerce(key: str, value, to_type):
         value = value.strip()
     try:
         if value is None or isinstance(value, bool) or (
+                to_type is str and not isinstance(value, str)) or (
                 to_type is int and isinstance(value, float) and not value.is_integer()):
-            raise TypeError  # JSON null, true and false, and 2.7 for an integer
+            raise TypeError  # JSON null, true and false, 5 for a string, 2.7 for an integer
         if to_type is tuple:
-            x, y, z = (float(p) for p in (value.split(",") if isinstance(value, str) else value))
+            parts = value.split(",") if isinstance(value, str) else value
+            x, y, z = (_coerce(key, p, float) for p in parts)
             return x, y, z
         if to_type is complex and isinstance(value, str):
             return complex(value.replace(" ", ""))
@@ -237,7 +239,7 @@ def _unique(pairs) -> dict:
 
 def _flatten_json(data: dict, prefix: str = ""):
     """(dotted key, value) pairs of a JSON object; the groups of a top-level
-    ``ancilla`` list are numbered from 1 and lists elsewhere join with commas."""
+    ``ancilla`` list are numbered from 1, and other lists pass through whole."""
     for key, value in data.items():
         name = f"{prefix}{key}"
         if name == "ancilla" and isinstance(value, list):
@@ -247,8 +249,6 @@ def _flatten_json(data: dict, prefix: str = ""):
                 yield from _flatten_json(group, f"ancilla.{i}.")
         elif isinstance(value, dict):
             yield from _flatten_json(value, f"{name}.")
-        elif isinstance(value, list):
-            yield name, ", ".join(str(v) for v in value)
         else:
             yield name, value
 
@@ -288,8 +288,10 @@ def config_from_mapping(flat: dict[str, object]) -> ExperimentConfig:
         fields = _fields(AncillaParams, _ANCILLA_KEYS, groups[k], f"ancilla.{k}.")
         try:
             ancillas.append(AncillaParams(**fields, truncation=truncation))
-        except ValueError as exc:
-            raise ConfigError(f"ancilla.{k}.{exc}") from exc
+        except ValueError as exc:  # its text starts with the attribute: name the key
+            attr, rest = str(exc).split(" ", 1)
+            keys = {a: f"ancilla.{k}.{key}" for key, (a, _) in _ANCILLA_KEYS.items()}
+            raise ConfigError(f"{keys.get(attr, attr)} {rest}") from exc
     return ExperimentConfig(ancillas=tuple(ancillas), **kwargs).validate()
 
 

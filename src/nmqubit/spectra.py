@@ -63,11 +63,6 @@ class SpectrumSamples:
     def __len__(self) -> int:
         return len(self.omega)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> SpectrumSamples:
-        arr = np.asarray(list(pairs), dtype=float)
-        return cls(arr[:, 0], arr[:, 1])
-
     def write_csv(self, path) -> Path:
         path = Path(path)
         lines = ["omega,psd"]
@@ -98,12 +93,12 @@ class SpectrumSamples:
         if not rows:
             raise ValueError(f"spectrum file {path} has no data rows")
         try:
-            return cls.from_pairs(rows)
+            return cls(*np.array(rows).T)
         except ValueError:
             # each rule holds row by row or between neighbours: name the first row breaking one
             for i, lineno in enumerate(linenos):
                 try:
-                    cls.from_pairs(rows[max(i - 1, 0):i + 1])
+                    cls(*np.array(rows[max(i - 1, 0):i + 1]).T)
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
             raise
@@ -127,9 +122,8 @@ def lorentzian_psd(omega, comp: LorentzianComponent):
 
 def mixture_psd(omega, comps):
     """Weighted sum of component spectra."""
-    out = np.zeros_like(np.asarray(omega, dtype=float))
-    for c in comps:
-        out = out + c.weight * lorentzian_psd(np.asarray(omega, dtype=float), c)
+    w = np.asarray(omega, dtype=float)
+    out = sum((c.weight * lorentzian_psd(w, c) for c in comps), np.zeros_like(w))
     return float(out) if np.isscalar(omega) else out
 
 
@@ -142,34 +136,19 @@ class FitResult:
 
 
 def _pack(comps) -> np.ndarray:
-    # parameters per component: center, log(linewidth), sqrt(weight)
-    theta = np.empty(3 * len(comps))
-    for k, c in enumerate(comps):
-        theta[3 * k] = c.center
-        theta[3 * k + 1] = np.log(c.linewidth)
-        theta[3 * k + 2] = np.sqrt(c.weight)
-    return theta
+    # one row per line: center, log(linewidth), sqrt(weight)
+    return np.array([(c.center, np.log(c.linewidth), np.sqrt(c.weight)) for c in comps]).ravel()
 
 
 def _unpack(theta: np.ndarray) -> tuple[LorentzianComponent, ...]:
-    comps = []
-    for k in range(len(theta) // 3):
-        comps.append(
-            LorentzianComponent(
-                center=float(theta[3 * k]),
-                linewidth=float(np.exp(theta[3 * k + 1])),
-                weight=float(theta[3 * k + 2] ** 2),
-            )
-        )
-    return tuple(comps)
+    return tuple(LorentzianComponent(float(c), float(np.exp(u)), float(v ** 2))
+                 for c, u, v in theta.reshape(-1, 3))
 
 
 def _residual_and_jacobian(theta: np.ndarray, omega: np.ndarray, target: np.ndarray):
-    n = len(theta) // 3
     model = np.zeros_like(omega)
-    jac = np.empty((len(omega), 3 * n))
-    for k in range(n):
-        c, u, v = theta[3 * k], theta[3 * k + 1], theta[3 * k + 2]
+    jac = np.empty((len(omega), len(theta) // 3, 3))
+    for k, (c, u, v) in enumerate(theta.reshape(-1, 3)):
         g = np.exp(u)
         kap = v * v
         q = g * g / 4.0
@@ -178,10 +157,10 @@ def _residual_and_jacobian(theta: np.ndarray, omega: np.ndarray, target: np.ndar
         s = q / denom
         model += kap * s
         # d s / d c, chain-ruled transforms for linewidth and weight
-        jac[:, 3 * k] = kap * 2.0 * q * delta / (denom * denom)
-        jac[:, 3 * k + 1] = kap * g * (g / 2.0) * delta * delta / (denom * denom)
-        jac[:, 3 * k + 2] = 2.0 * v * s
-    return model - target, jac
+        jac[:, k, 0] = kap * 2.0 * q * delta / (denom * denom)
+        jac[:, k, 1] = kap * g * (g / 2.0) * delta * delta / (denom * denom)
+        jac[:, k, 2] = 2.0 * v * s
+    return model - target, jac.reshape(len(omega), -1)
 
 
 def _peak_pick(omega: np.ndarray, resid: np.ndarray) -> LorentzianComponent:
@@ -193,21 +172,15 @@ def _peak_pick(omega: np.ndarray, resid: np.ndarray) -> LorentzianComponent:
     height = float(max(resid[j], 1e-12))
     half = height / 2.0
 
-    def cross(direction: int) -> float | None:
-        i = j
-        while 0 <= i + direction < len(omega):
-            i += direction
-            if resid[i] <= half:
-                # linear interpolation between i-direction and i
-                w0, w1 = omega[i - direction], omega[i]
-                r0, r1 = resid[i - direction], resid[i]
-                if r0 == r1:
-                    return float(w1)
-                frac = (r0 - half) / (r0 - r1)
-                return float(w0 + frac * (w1 - w0))
-        return None
+    def cross(inner: int, i: int) -> float:
+        # linear interpolation between the last sample above half and the first below
+        w0, w1, r0, r1 = omega[inner], omega[i], resid[inner], resid[i]
+        return float(w1) if r0 == r1 else float(w0 + (r0 - half) / (r0 - r1) * (w1 - w0))
 
-    left, right = cross(-1), cross(+1)
+    below = np.flatnonzero(resid <= half)
+    lo, hi = below[below < j], below[below > j]
+    left = cross(lo[-1] + 1, lo[-1]) if len(lo) else None
+    right = cross(hi[0] - 1, hi[0]) if len(hi) else None
     if left is not None and right is not None:
         width = right - left
     elif left is not None:
@@ -227,6 +200,7 @@ def _cost(samples: SpectrumSamples, comps) -> float:
     return float(r @ r)
 
 
+@np.errstate(all="ignore")  # a trial step may overflow; the loop then refuses it
 def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
     """Fit a Lorentzian mixture to sampled spectrum values, starting from the
     components ``init``; the mixture has n = len(init) components and needs
@@ -234,7 +208,9 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
 
     Returns the fitted components, the root-mean-square residual, a
     convergence flag and the number of iterations spent.  Linewidths stay
-    positive and weights nonnegative through internal log/sqrt transforms.
+    positive and weights nonnegative through internal log/sqrt transforms,
+    and a step whose cost or Jacobian is not finite, or whose linewidths
+    leave (0, inf), is refused like a step that raises the cost.
     """
     comps = tuple(init)
     n = len(comps)
@@ -267,7 +243,9 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
         trial = theta + step
         trial_resid, trial_jac = _residual_and_jacobian(trial, omega, target)
         trial_cost = float(trial_resid @ trial_resid)
-        if trial_cost < cost:
+        widths = np.exp(trial.reshape(-1, 3)[:, 1])
+        if (trial_cost < cost and np.isfinite(trial_jac).all()
+                and np.all((widths > 0) & (widths < np.inf))):
             change = (cost - trial_cost) / max(cost, 1e-300)
             theta, resid, jac, cost = trial, trial_resid, trial_jac, trial_cost
             lam = max(lam / 3.0, 1e-12)

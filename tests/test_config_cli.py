@@ -484,7 +484,12 @@ class TestMainEntry:
         ({"out_dir": None}, "out_dir"),
         ({"fit": {"input": None}}, "fit.input"),
         ({"n_traj": 2.7}, "n_traj"),
-    ], ids=["dt-true", "out_dir-null", "fit.input-null", "n_traj-fraction"])
+        ({"out_dir": 5}, "out_dir"),
+        ({"fit": {"input": 7}}, "fit.input"),
+        ({"dt": [0.01]}, "dt"),
+        ({"init": {"bloch": [True, 0, 0]}}, "init.bloch"),
+    ], ids=["dt-true", "out_dir-null", "fit.input-null", "n_traj-fraction", "out_dir-number",
+            "fit.input-number", "dt-list", "init.bloch-true"])
     def test_json_value_of_wrong_kind_names_field(self, tmp_path, capsys, monkeypatch,
                                                   data, named):
         monkeypatch.setattr(cli, "run_command", lambda command, cfg: [])
@@ -495,6 +500,16 @@ class TestMainEntry:
         }))
         assert main(["spectrum", "--config", str(path)]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("ancilla.1.sigma = bogus", "error: ancilla.1.sigma 'bogus' not in ("),
+        ("truncation = 1", "error: truncation must be >= 2, got 1"),
+    ], ids=["sigma", "truncation"])
+    def test_ancilla_error_names_config_key(self, tmp_path, capsys, line, message):
+        path = tmp_path / "ancilla.cfg"
+        path.write_text(MINIMAL + line + "\n")
+        assert main(["evolve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(message)
 
     def test_json_integer_overflow_names_field(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -129,6 +130,8 @@ json_values = st.recursive(
 @example(value=None)
 @example(value=True)
 @example(value=2.7)
+@example(value=5)
+@example(value=[0.01])
 def test_json_value_at_any_key_parses_or_is_named(workdir, value):
     path = workdir / "run.json"
     for key in _BASE:
@@ -137,12 +140,16 @@ def test_json_value_at_any_key_parses_or_is_named(workdir, value):
         with mock.patch.object(cli, "run_command", return_value=[]), \
                 contextlib.redirect_stderr(err):
             code = cli.main(["spectrum", "--config", str(path)])
-        # null, true and false fit no key, nor a fraction an integer key
+        kind = _KEYS[key][1] if key in _KEYS else _ANCILLA_KEYS[key.split(".")[-1]][1]
+        # null, true and false fit no key, a fraction no integer key, a
+        # non-string no string key, and a list no key but init.bloch
         wrong_kind = value is None or isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer()
-            and key in _KEYS and _KEYS[key][1] is int)
-        assert (code == 1 and key in err.getvalue()) or (code == 0 and not wrong_kind), \
-            (key, err.getvalue())
+            isinstance(value, float) and not value.is_integer() and kind is int) or (
+            kind is str and not isinstance(value, (str, dict))) or (
+            isinstance(value, list) and key != "init.bloch")
+        # the key as a whole name: ancilla.1.sigma is not ancilla.1.sigma_kind
+        named = re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", err.getvalue())
+        assert (code == 1 and named) or (code == 0 and not wrong_kind), (key, err.getvalue())
 
 
 keys = (st.sampled_from(list(_BASE))

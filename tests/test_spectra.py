@@ -6,6 +6,7 @@ from nmqubit.spectra import (
     FitResult,
     LorentzianComponent,
     SpectrumSamples,
+    _peak_pick,
     fit_lorentzian_mixture,
     lorentzian_psd,
     mixture_psd,
@@ -173,6 +174,47 @@ class TestFitting:
         fits = nested_fits(samples, 3)
         assert fits[1].rmse <= fits[0].rmse
         assert fits[2].rmse <= fits[1].rmse
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["right-only", "left-only"])
+    def test_peak_pick_one_sided_crossing(self, side):
+        # the peak sits on the grid's edge, so only one half-maximum crossing
+        # exists and the width is twice its distance from the center
+        w = np.linspace(0.0, 4.0, 401)
+        values = lorentzian_psd(w, LorentzianComponent(0.0, 1.0, 1.0))
+        if side < 0:
+            w, values = -w[::-1], values[::-1]
+        pick = _peak_pick(w, values)
+        assert abs(pick.center) < 1e-3
+        assert abs(pick.linewidth - 1.0) < 1e-3
+
+    def test_flat_spectrum_nested_residuals_non_increasing(self):
+        # no line fits a flat spectrum, so later lines help only from a zero-weight start
+        w = np.linspace(0, 5, 40)
+        rmse = [fit.rmse for fit in nested_fits(SpectrumSamples(w, np.full(40, 0.3)), 3)]
+        assert rmse[1] <= rmse[0] and rmse[2] <= rmse[1]
+
+    def test_exact_start_is_returned(self):
+        # pack then unpack moves linewidth and weight by an ULP; the start is
+        # exact, so the fit reports the start itself
+        start = (LorentzianComponent(2.0, 0.8, 1.3),)
+        fit = fit_lorentzian_mixture(self.samples(start), start)
+        assert fit.rmse == 0.0
+        assert fit.components == start
+
+    @pytest.mark.parametrize("n,seed,n_max", [(40, 9, 3), (20, 9, 2)]
+                             + [(n, seed, 3) for n in (20, 40, 55) for seed in range(7)])
+    def test_unstructured_spectrum_fits_stay_valid(self, n, seed, n_max):
+        # steps that underflow a linewidth to 0 or overflow the model are
+        # refused, silently: a numpy warning fails the suite
+        w = np.linspace(-2.0, 6.0, n)
+        samples = SpectrumSamples(w, np.random.default_rng(seed).uniform(0.0, 1.0, n))
+        fits = nested_fits(samples, n_max)
+        for fit in fits:
+            assert np.isfinite(fit.rmse)
+            for c in fit.components:
+                assert np.isfinite([c.center, c.linewidth, c.weight]).all()
+                assert c.linewidth > 0 and c.weight >= 0
+        assert all(b.rmse <= a.rmse for a, b in zip(fits, fits[1:]))
 
     def test_transforms_keep_constraints(self):
         samples = self.samples(self.truth())
