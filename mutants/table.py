@@ -10,6 +10,8 @@ SPECTRA = "src/nmqubit/spectra.py"
 CONFIG = "src/nmqubit/config.py"
 FITTING = "tests/test_spectra.py::TestFitting"
 WRONG_KIND = "tests/test_config_cli.py::TestMainEntry::test_json_value_of_wrong_kind_names_field"
+FILTERING = "src/nmqubit/filtering.py"
+SME_STEP = "tests/test_filtering.py::TestSmeStep"
 
 MUTANTS = [
     ("peak width from the left crossing only", SPECTRA,
@@ -57,4 +59,22 @@ MUTANTS = [
      'raise ConfigError(f"ancilla.{k}.{exc}")',
      ["tests/test_config_cli.py::TestMainEntry::test_ancilla_error_names_config_key",
       "tests/test_config_properties.py"]),
+    ("jump weights not scaled by dt", FILTERING,
+     "w_dt = scaled[dt] = dt * jumps.w", "w_dt = scaled[dt] = jumps.w",
+     [f"{SME_STEP}::test_alternating_step_sizes_batch_of_three"]),
+    ("dt column not refreshed when the step size changes", FILTERING,
+     "dt_col.fill(dt)", "dt_col.fill(dts[0])",
+     [f"{SME_STEP}::test_alternating_step_sizes_batch_of_three"]),
+    ("the 1/2 dropped from the (dY^2 - dt) term", FILTERING,
+     "0.5 * (l @ l)", "l @ l",
+     [f"{SME_STEP}::test_fused_step_batch_of_three"]),
+    ("normalization skipped", FILTERING,
+     "        rho_re *= inv\n", "",
+     [f"{SME_STEP}::test_fused_step_batch_of_three"]),
+    ("lower NORM_BOUND check dropped", FILTERING,
+     "tr.min() >= low and ", "",
+     [f"{SME_STEP}::test_trace_below_lower_bound_aborts"]),
+    ("record formed as m + dW", FILTERING,
+     "record=signal[0] * dts + dw", "record=signal[0] + dw",
+     ["tests/test_filtering.py::TestTrajectory::test_bookkeeping_identity_exact"]),
 ]

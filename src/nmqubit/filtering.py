@@ -18,11 +18,19 @@ normalization stays near 1 on a healthy path; a value outside
 far too large, and aborts the trajectory.
 
 A step of a batch of paths takes one small product per path to build M: its
-coefficient row (1, dt, dY, (dY^2 - dt)/2) times the stacked basis
-[I, E, L, L^2], built once, on the interleaved real view of the complex
-entries.  The state is normalized by multiplying with
-the reciprocal trace, and one real contraction (``operators.readout``) reads
-the qubit Bloch components and the next signal m = tr[(L+L^dag) rho] together.
+coefficient row (1, dt, dY, dY^2 - dt) times the stacked basis
+[I, E, L, L^2 / 2], built once, on the interleaved real view of the complex
+entries.  Every buffer (the coefficient rows, M and its conjugate, the
+product, the state, the jump gather, the readouts) is allocated once per run
+and filled in place with ``out=``, since at d = 10 a step is dominated by the
+per-call overhead of its small numpy operations.  dY is written straight into
+the coefficient row; the dt column and the jump weights scaled by dt (cached
+per distinct dt) change only when the step size does.  The state is
+normalized by multiplying with the reciprocal trace, and one real contraction
+(the per-row product of ``operators.readout``) writes the qubit Bloch
+components and the next signal m = tr[(L+L^dag) rho] into one (B, n + 1, 4)
+array.  The loop returns m and
+forms no record: a simulated record is m dt + dW, formed once afterwards.
 Every per-path product is a stacked per-row matmul, (B, 1, k) @ (k, n), never
 one 2-D product over the batch: a BLAS 2-D product may round a row
 differently depending on how many rows it holds, and a path must not depend
@@ -43,7 +51,6 @@ from .operators import (
     HilbertLayout,
     Operator,
     qubit_bloch,
-    readout,
     readout_weights,
 )
 
@@ -118,10 +125,12 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
     """Batched Kraus-map propagation of the normalized SME.
 
     ``increments`` drives simulation mode (dW given, dY computed); ``record``
-    drives replay mode (dY given, dW recovered as dY - tr[(L+L^dag)rho] dt).
-    ``l`` must equal exactly one collapse operator of ``gen``; ``t0`` is the
-    time of the first grid point, named with the later ones in an abort.
-    Returns (bloch, states, record_out, innovations_out).
+    drives replay mode (dY given).  ``l`` must equal exactly one collapse
+    operator of ``gen``; ``t0`` is the time of the first grid point, named
+    with the later ones in an abort.  Returns (bloch, states, signal): the
+    (B, n + 1, 3) Bloch components, the (B, n + 1, d, d) states or None, and
+    the (B, n) signal m = tr[(L+L^dag) rho] before each step, so a simulated
+    record is m dt + dW and a replayed innovation dY - m dt.
     """
     b, d, _ = rho0.shape
     n = len(dts)
@@ -135,39 +144,69 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         np.linalg.cholesky(rho0 + POSITIVITY_TOL * ident)
     except np.linalg.LinAlgError:
         raise ValueError(f"initial state has an eigenvalue below -{POSITIVITY_TOL:g}") from None
-    basis = np.array([ident, gen.e, l, l @ l], dtype=complex)
-    basis_re = basis.reshape(4, -1).view(float)
+    # M = coef @ basis with the row (1, dt, dY, dY^2 - dt); the 1/2 of the last
+    # term sits in the basis, where scaling by 1/2 rounds exactly as in coef
+    basis_re = np.array([ident, gen.e, l, 0.5 * (l @ l)], dtype=complex).reshape(4, -1).view(float)
+
+    # buffers allocated once per call and filled in place every step, most of
+    # them through the views named here
     coef = np.ones((b, 1, 4))
+    _, dt_col, dy, quad = coef[:, 0].T  # quad holds dY^2 - dt
+    k_re = np.empty((b, 1, 2 * d * d))
+    k = k_re.view(complex).reshape(b, d, d)
+    k_conj = np.empty_like(k)
+    k_dag = k_conj.transpose(0, 2, 1)
+    prod = np.empty_like(k)
+    rho = np.array(rho0, dtype=complex, order="C")  # a copy keeps a broadcast rho0's strides
+    rho_flat = rho.reshape(b, d * d)
+    rho_row = rho_flat.view(float)[:, None]
+    rho_re = rho.view(float)
+    diag = rho_flat[:, ::d + 1]
+    trace = np.empty(b, dtype=complex)
+    tr = trace.real
+    tr_col = tr[:, None, None]
+    inv = np.empty((b, 1, 1))
+    rows = len(jumps.idx)  # rows of the jump gather, 0 without unmonitored channels
+    gathered = np.empty((b, rows, d * d), dtype=complex)
+    jump_sum = gathered[:, 0] if rows == 1 else np.empty_like(rho_flat)  # one row is its own sum
+    scaled: dict[float, np.ndarray] = {}  # jump weights times dt, per distinct dt
 
-    bloch = np.empty((b, n + 1, 3))
+    readouts = np.empty((b, n + 1, 4))  # x, y, z, m per path and grid point
     states = np.empty((b, n + 1, d, d), dtype=complex) if store_states else None
-    rec_out = np.empty((b, n))
-    innov_out = np.empty((b, n))
-
-    rho = np.array(rho0, dtype=complex)
-    out = readout(rho, w)
-    bloch[:, 0] = out[:, :3]
+    np.matmul(rho_row, w, out=readouts[:, :1])
     if store_states:
         states[:, 0] = rho
 
-    for i in range(n):
-        dt = dts[i]
-        m = out[:, 3]
+    low = 1.0 / NORM_BOUND
+    last_dt = None
+    for i, dt in enumerate(dts):
+        if dt != last_dt:
+            last_dt = dt
+            dt_col.fill(dt)
+            w_dt = scaled.get(dt)
+            if w_dt is None:
+                w_dt = scaled[dt] = dt * jumps.w
         if increments is not None:
-            dw = increments[:, i]
-            dy = m * dt + dw
+            np.multiply(readouts[:, i, 3], dt, out=dy)
+            dy += increments[:, i]
         else:
-            dy = record[:, i]
-            dw = dy - m * dt
-        coef[:, 0, 1] = dt
-        coef[:, 0, 2] = dy
-        coef[:, 0, 3] = 0.5 * (dy * dy - dt)
-        k = (coef @ basis_re).view(complex).reshape(b, d, d)
-        rho = k @ rho @ k.conj().transpose(0, 2, 1) + jumps(rho, dt * jumps.w)
-        tr = rho.trace(axis1=1, axis2=2).real
-        ok = (tr >= 1.0 / NORM_BOUND) & (tr <= NORM_BOUND)
-        if not ok.all():
-            bad = np.flatnonzero(~ok)
+            dy[:] = record[:, i]
+        np.multiply(dy, dy, out=quad)
+        quad -= dt_col
+        np.matmul(coef, basis_re, out=k_re)
+        if rows:
+            np.take(rho_flat, jumps.idx, axis=1, out=gathered, mode="clip")
+            np.multiply(w_dt, gathered, out=gathered)
+            if rows > 1:
+                np.add.reduce(gathered, axis=1, out=jump_sum)
+        np.conjugate(k, out=k_conj)
+        np.matmul(k, rho, out=prod)
+        np.matmul(prod, k_dag, out=rho)
+        if rows:
+            rho_flat += jump_sum
+        np.add.reduce(diag, axis=1, out=trace)
+        if not (tr.min() >= low and tr.max() <= NORM_BOUND):
+            bad = np.flatnonzero(~((tr >= low) & (tr <= NORM_BOUND)))
             err = PositivityError(
                 f"normalization factor {tr[bad[0]]:.3e} outside [1/{NORM_BOUND:g}, "
                 f"{NORM_BOUND:g}] after step {i} (t={t0 + float(np.sum(dts[:i + 1])):.6g}); "
@@ -176,16 +215,13 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
             err.seeds = tuple(seeds[j] for j in bad) if len(seeds) else ()
             err.step = i
             raise err
-        rho *= (1.0 / tr)[:, None, None]
-        out = readout(rho, w)
-
-        rec_out[:, i] = m * dt + dw
-        innov_out[:, i] = dw
-        bloch[:, i + 1] = out[:, :3]
+        np.divide(1.0, tr_col, out=inv)
+        rho_re *= inv
+        np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])
         if store_states:
             states[:, i + 1] = rho
 
-    return bloch, states, rec_out, innov_out
+    return readouts[..., :3], states, readouts[:, :-1, 3]
 
 
 def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
@@ -193,7 +229,7 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
     """Draw the innovation path from ``seed`` and propagate the SME along it."""
     t, dts = grid_steps(t_grid)
     dw = wiener_increments(seed, dts)
-    bloch, states, rec, innov = _evolve(
+    bloch, states, signal = _evolve(
         rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
         increments=dw[None, :], seeds=(seed,), store_states=store_states, t0=t[0],
     )
@@ -202,8 +238,8 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
         layout=spec.layout,
         bloch=bloch[0],
         states=states[0] if states is not None else None,
-        record=rec[0],
-        innovations=innov[0],
+        record=signal[0] * dts + dw,
+        innovations=dw,
         seed=seed,
     )
 
@@ -220,7 +256,7 @@ def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     bad = np.flatnonzero(~np.isfinite(rec))
     if bad.size:
         raise ValueError(f"record entry {rec[bad[0]]} at step {bad[0]} is not finite")
-    _, states, _, _ = _evolve(
+    _, states, _ = _evolve(
         rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
         record=rec[None, :], store_states=True, t0=t[0],
     )
@@ -242,11 +278,13 @@ def _ensemble_worker(args):
     dw = np.stack([wiener_increments(s, dts) for s in seeds])
     rho0 = np.broadcast_to(rho0e, (b,) + rho0e.shape)
     try:
-        bloch, _, _, _ = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dts,
-                                 increments=dw, seeds=seeds)
+        bloch, _, _ = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dts,
+                              increments=dw, seeds=seeds)
     except PositivityError as err:
         return None, None, tuple(getattr(err, "seeds", ()) or seeds)
-    return bloch.sum(axis=0), (bloch * bloch).sum(axis=0), ()
+    total = bloch.sum(axis=0)
+    # the Bloch columns are this call's own, so they are squared in place
+    return total, np.square(bloch, out=bloch).sum(axis=0), ()
 
 
 def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,

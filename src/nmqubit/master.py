@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bloch
+from .operators import QUBIT, DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bloch
 from .slh import GeneratorSpec, qubit_operator
 
 #: smallest eigenvalue an integrated state may reach before the run aborts
@@ -125,10 +125,9 @@ class JumpGather:
         self.idx[rank, target] = source
         self.w[rank, target] = w
 
-    def __call__(self, r: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """The jump sum on one (d, d) state or a (B, d, d) batch; ``w``
-        replaces the stored weights, e.g. scaled by a step size."""
-        w = self.w if w is None else w
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The jump sum on one (d, d) state or a (B, d, d) batch."""
+        w = self.w
         if not len(w):
             return np.zeros(r.shape, dtype=complex)
         flat = r.reshape(r.shape[:-2] + (-1,))
@@ -356,8 +355,7 @@ def reduce_to_qubit(rho: DensityMatrix) -> DensityMatrix:
     if rho.layout.dims[0] != 2:
         raise ValueError("layout does not start with a qubit factor")
     d = rho.layout.total // 2
-    return DensityMatrix.wrap(HilbertLayout((2,)),
-                              np.trace(rho.entries.reshape(2, d, 2, d), axis1=1, axis2=3))
+    return DensityMatrix.wrap(QUBIT, rho.entries.reshape(2, d, 2, d).trace(axis1=1, axis2=3))
 
 
 def augmented_initial_state(bloch, layout: HilbertLayout) -> DensityMatrix:
@@ -376,8 +374,7 @@ def markovian_baseline_spec(omega_q: float, ancillas, gamma_q: float,
                             probe_scale: complex = 1.0) -> GeneratorSpec:
     """Qubit-only reference model: the bank couplings act directly as white
     noise channels sqrt(kappa_k) sigma_k next to the probe channel."""
-    qubit = HilbertLayout((2,))
     cops = [qubit_operator(p.sigma_kind, p.sigma_scale) * math.sqrt(p.kappa) for p in ancillas]
     cops.append(qubit_operator(probe_kind, probe_scale) * math.sqrt(gamma_q))
-    return GeneratorSpec(Operator(qubit, qubit_operator("pauli_z") * (0.5 * omega_q)),
-                         tuple(Operator(qubit, c) for c in cops))
+    return GeneratorSpec(Operator(QUBIT, qubit_operator("pauli_z") * (0.5 * omega_q)),
+                         tuple(Operator(QUBIT, c) for c in cops))

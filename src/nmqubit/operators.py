@@ -39,6 +39,10 @@ class HilbertLayout:
         return math.prod(self.dims) if self.dims else 1
 
 
+#: the layout of a lone qubit, shared by every qubit-only state and model
+QUBIT = HilbertLayout((2,))
+
+
 def _read_only_square(m: np.ndarray, total: int) -> np.ndarray:
     if m.shape != (total, total):
         raise ValueError(f"entries must be {total}x{total}, got {m.shape}")
@@ -102,7 +106,7 @@ class DensityMatrix:
         if not norm <= 1.0 + 1e-12:
             raise ValueError(f"Bloch vector ({x}, {y}, {z}) has norm {norm}, not at most 1")
         m = 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
-        return cls(HilbertLayout((2,)), m)
+        return cls(QUBIT, m)
 
     def bloch(self) -> tuple[float, float, float]:
         """Bloch components of a single-qubit state."""

@@ -110,8 +110,8 @@ class TestSmeStep:
         (bank,) = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
         rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
         dt, dys = 1e-3, np.array([0.05, -0.03, 0.011])
-        _, states, _, _ = _evolve(rho0, CompiledGenerator(spec), l, np.array([dt]),
-                                  record=dys[:, None], store_states=True)
+        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, np.array([dt]),
+                               record=dys[:, None], store_states=True)
         d = model.layout.total
         e = -1j * spec.hamiltonian.entries
         for op in spec.collapse_ops:
@@ -120,6 +120,33 @@ class TestSmeStep:
             m = np.eye(d) + dt * e + dy * l + 0.5 * (dy * dy - dt) * (l @ l)
             want = m @ r @ m.conj().T + dt * (bank @ r @ bank.conj().T)
             assert_allclose(got, want / np.trace(want).real, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bank", ["fig4", "bank2-shared"])
+    def test_alternating_step_sizes_batch_of_three(self, rng, bank):
+        # a replay of three paths over a grid whose steps alternate between
+        # dt and 3 dt: every step is the dense Kraus map at its own step size,
+        # so a dt column or a dt-scaled jump weight kept from the previous
+        # step fails it.  The preset's jump gather has one row, the shared
+        # two-mode bank's two.
+        model = (build_probed_model(nq.preset("paper-fig4")) if bank == "fig4"
+                 else bank2_model("shared"))
+        spec = generator_spec(model)
+        l = model.collapse_ops[model.probe_index].entries
+        jumps = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
+        rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
+        dts = np.tile([1e-3, 3e-3], 4)
+        dys = rng.normal(size=(3, len(dts))) * np.sqrt(dts)
+        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, dts, record=dys,
+                               store_states=True)
+        d = model.layout.total
+        e = -1j * spec.hamiltonian.entries
+        for op in spec.collapse_ops:
+            e = e - 0.5 * (op.entries.conj().T @ op.entries)
+        for path, path_dys in zip(states, dys):
+            for r, got, dt, dy in zip(path[:-1], path[1:], dts, path_dys):
+                m = np.eye(d) + dt * e + dy * l + 0.5 * (dy * dy - dt) * (l @ l)
+                want = m @ r @ m.conj().T + dt * sum(n @ r @ n.conj().T for n in jumps)
+                assert_allclose(got, want / np.trace(want).real, rtol=0, atol=1e-13)
 
     def test_readout_columns(self, rng):
         # the filter's one contraction: Bloch components of the reduced qubit,
@@ -159,6 +186,17 @@ class TestSmeStep:
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(PositivityError):
             replay_filter(rho0, spec, l_op, [1e6], [0.0, 1e-3])
+
+    def test_trace_below_lower_bound_aborts(self):
+        # from the +x eigenstate of L = sqrt(g) sigma_x, dY = -1/sqrt(g) makes
+        # M act as 1/2 - g dt, so the trace falls to about 1/4 - g dt, below
+        # 1/NORM_BOUND
+        cfg = short_cfg()
+        rho0, spec, l_op = filter_ingredients(cfg)
+        assert cfg.init_bloch == (1.0, 0.0, 0.0) and cfg.probe_kind == "pauli_x"
+        message = r"factor 2\.42\de-01 outside \[1/4, 4\] after step 0"
+        with pytest.raises(PositivityError, match=message):
+            replay_filter(rho0, spec, l_op, [-1 / math.sqrt(cfg.gamma_q)], [0.0, 1e-2])
 
     @pytest.mark.parametrize("record, grid, t_abort", [
         ([0.0, 1e6], [5.0, 5.001, 5.002], "5.002"),
@@ -260,9 +298,9 @@ class TestReplay:
         first, last = states[0].entries, states[-1].entries
         assert first.base is not None and first.base is last.base
         assert not first.flags.writeable and not last.flags.writeable
-        _, stack, _, _ = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries,
-                                 np.diff(traj.t_grid), record=traj.record[None],
-                                 store_states=True)
+        _, stack, _ = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries,
+                              np.diff(traj.t_grid), record=traj.record[None],
+                              store_states=True)
         assert np.array_equal([s.entries for s in states], stack[0])
 
     def test_zero_probe_record_is_noise(self):
@@ -309,9 +347,9 @@ def seed_records(rho0, spec, l_op, grid):
     dts = np.diff(grid)
     dw = np.stack([wiener_increments(s_, dts) for s_ in range(20)])
     batch = np.broadcast_to(rho0.entries, (20,) + rho0.entries.shape)
-    _, _, records, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
-                               increments=dw, seeds=tuple(range(20)))
-    return records
+    _, _, signal = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+                           increments=dw, seeds=tuple(range(20)))
+    return signal * dts + dw
 
 
 def qnd_final_bloch(cfg, y, t, factor=1.0):
@@ -367,8 +405,8 @@ class TestQndOracle:
         factor = coherence_factor([mode], "shared", grid)[-1]
         records = seed_records(rho0, spec, l_op, grid)
         batch = np.broadcast_to(rho0.entries, (20,) + rho0.entries.shape)
-        bloch, _, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, np.diff(grid),
-                                 record=records)
+        bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, np.diff(grid),
+                              record=records)
         errors = [float(np.max(np.abs(got - qnd_final_bloch(cfg, record.sum(), grid[-1], factor))))
                   for got, record in zip(bloch[:, -1], records)]
         assert np.median(errors) <= median_bound
@@ -535,8 +573,8 @@ class TestEngineConsistency:
         dts = np.diff(grid)
         dw = np.stack([wiener_increments(s_, dts) for s_ in seeds])
         batch = np.broadcast_to(rho0.entries, (len(seeds),) + rho0.entries.shape)
-        bloch, _, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
-                                 increments=dw, seeds=seeds)
+        bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+                              increments=dw, seeds=seeds)
         for row, s_ in zip(bloch, seeds):
             single = simulate_trajectory(rho0, spec, l_op, grid, seed=s_)
             assert np.max(np.abs(row - single.bloch)) == 0.0

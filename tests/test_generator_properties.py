@@ -106,8 +106,9 @@ def test_batched_filter_rows_match_single_trajectories(model, seed):
     rho0 = random_states(seed, layout.dims, 3)
     seeds = (seed, seed + 1, seed + 2)
     dw = np.stack([wiener_increments(s, dts) for s in seeds])
-    bloch, _, record, _ = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dts,
-                                  increments=dw, seeds=seeds)
+    bloch, _, signal = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dts,
+                               increments=dw, seeds=seeds)
+    record = signal * dts + dw
     for i, s in enumerate(seeds):
         traj = simulate_trajectory(DensityMatrix.wrap(layout, rho0[i]), spec, l_op, t, s)
         assert np.array_equal(bloch[i], traj.bloch)
