@@ -12,6 +12,9 @@ FITTING = "tests/test_spectra.py::TestFitting"
 WRONG_KIND = "tests/test_config_cli.py::TestMainEntry::test_json_value_of_wrong_kind_names_field"
 FILTERING = "src/nmqubit/filtering.py"
 SME_STEP = "tests/test_filtering.py::TestSmeStep"
+MASTER = "src/nmqubit/master.py"
+STEPPERS = "tests/test_master.py::TestIntegrate::test_steppers_match_plain_rk4"
+BASELINE = "tests/test_master.py::TestMarkovianBaseline"
 
 MUTANTS = [
     ("peak width from the left crossing only", SPECTRA,
@@ -77,4 +80,25 @@ MUTANTS = [
     ("record formed as m + dW", FILTERING,
      "record=signal[0] * dts + dw", "record=signal[0] + dw",
      ["tests/test_filtering.py::TestTrajectory::test_bookkeeping_identity_exact"]),
+    ("step count truncated, not rounded", "src/nmqubit/experiments.py",
+     "n = int(round(steps))", "n = int(steps)",
+     ["tests/test_config_cli.py::TestMainEntry::test_time_grid_rounds_step_count"]),
+    ("baseline channel kappa for sqrt(kappa)", MASTER,
+     "* math.sqrt(p.kappa) for p in ancillas", "* p.kappa for p in ancillas",
+     [f"{BASELINE}::test_sigma_x_rate_hand_value", f"{BASELINE}::test_bank_reaches_markov_limit"]),
+    ("tabulated RK4 step without its h^4 term", MASTER,
+     "np.array([h, h * h, h**3, h**4])", "np.array([h, h * h, h**3, 0.0])",
+     [STEPPERS]),
+    ("applied RK4 step weights k3 by 1, not 2", MASTER,
+     "2.0 * k3", "k3",
+     [STEPPERS]),
+    ("jump weights without the conjugate", MASTER,
+     "np.outer(v, v.conj())", "np.outer(v, v)",
+     ["tests/test_master.py::TestJumpGather"]),
+    ("the table's trace row skips the first diagonal entry", MASTER,
+     "ident[n2, :d] = 1.0", "ident[n2, 1:d] = 1.0",
+     ["tests/test_master.py::TestIntegrate::test_zero_generator_constant"]),
+    ("y Bloch weight with the wrong sign", "src/nmqubit/operators.py",
+     "w[r, top, 1, 1] = -2.0", "w[r, top, 1, 1] = 2.0",
+     ["tests/test_master.py::TestReduce::test_bloch_reductions_match_reshape_trace"]),
 ]

@@ -9,7 +9,6 @@ import numpy as np
 from .config import ExperimentConfig, with_truncation
 from .filtering import EnsembleResult, Trajectory, ensemble_average, simulate_trajectory
 from .master import (
-    GeneratorSpec,
     MasterResult,
     augmented_initial_state,
     generator_spec,
@@ -17,7 +16,7 @@ from .master import (
     markovian_baseline_spec,
 )
 from .operators import DensityMatrix, Operator
-from .slh import build_ancilla_bank, build_augmented, build_probed
+from .slh import GeneratorSpec, build_ancilla_bank, build_augmented, build_probed
 
 #: ``truncation_deviation`` compares against every truncation times this
 TRUNCATION_FACTOR = 2

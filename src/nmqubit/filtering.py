@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .master import CompiledGenerator, GeneratorSpec, JumpGather, PositivityError, grid_steps
+from .master import CompiledGenerator, JumpGather, PositivityError, grid_steps
 from .operators import (
     POSITIVITY_TOL,
     DensityMatrix,
@@ -53,6 +53,7 @@ from .operators import (
     qubit_bloch,
     readout_weights,
 )
+from .slh import GeneratorSpec
 
 #: a path aborts when the trace of its unnormalized Kraus update leaves
 #: [1/NORM_BOUND, NORM_BOUND]: healthy preset paths stay in [0.76, 1.34], about
@@ -84,12 +85,6 @@ def wiener_increments(seed: int, dts) -> np.ndarray:
     dts = np.asarray(dts, dtype=float)
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     return gen.standard_normal(len(dts)) * np.sqrt(dts)
-
-
-def _readout_weights(dims: tuple[int, ...], l: np.ndarray) -> np.ndarray:
-    """Weights of the filter's one per-step contraction: the qubit Bloch
-    components x, y, z, then the signal m = tr[(L + L^dag) rho]."""
-    return readout_weights(dims, l + l.conj().T)
 
 
 @dataclass
@@ -134,7 +129,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
     """
     b, d, _ = rho0.shape
     n = len(dts)
-    w = _readout_weights(gen.layout.dims, l)  # rejects a layout without a leading qubit
+    w = readout_weights(gen.layout.dims, l + l.conj().T)  # rejects a layout without a leading qubit
     unmonitored = [op for op in gen.collapse if not np.array_equal(op, l)]
     if len(gen.collapse) - len(unmonitored) != 1:
         raise ValueError("the probe operator must equal exactly one collapse operator")

@@ -141,7 +141,8 @@ class CompiledGenerator:
     """Precomputed arrays for fast repeated application.
 
     The generator is rewritten as E rho + rho E^dag + sum_k N_k rho N_k^dag
-    with E = -iH - (1/2) sum N^dag N (+ D - D^dag in the direct form).
+    with E = -iH - (1/2) sum N^dag N, H in the folded form of
+    ``generator_spec``, so a direct coupling D enters as i(D - D^dag) in H.
     ``apply`` takes one product X = E rho and forms E rho + rho E^dag as
     X + X^dag, which holds only for a Hermitian rho; the jump sum is a
     ``JumpGather`` over all channels, built on the first ``apply`` (the filter
@@ -153,13 +154,12 @@ class CompiledGenerator:
     __slots__ = ("layout", "e", "collapse", "_jumps")
 
     def __init__(self, spec: GeneratorSpec) -> None:
+        spec = generator_spec(spec)
         self.layout = spec.layout
         e = -1j * spec.hamiltonian.entries
         self.collapse = [op.entries for op in spec.collapse_ops]
         for n in self.collapse:
             e = e - 0.5 * (n.conj().T @ n)
-        if spec.direct is not None:
-            e = e + spec.direct.entries - spec.direct.entries.conj().T
         self.e = e
         self._jumps = None
 

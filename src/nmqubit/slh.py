@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import HilbertLayout, LayoutMismatchError, Operator
+from .operators import HERMITIAN_TOL, HilbertLayout, LayoutMismatchError, Operator
 
 FIELD_MODES = ("independent", "shared")
 
@@ -111,8 +111,8 @@ class GeneratorSpec:
         ops = self.collapse_ops if self.direct is None else (*self.collapse_ops, self.direct)
         if any(op.layout != self.layout for op in ops):
             raise LayoutMismatchError("all generator operators must share one layout")
-        if self.hamiltonian.herm_deviation() > 1e-10:
-            raise ValueError("generator hamiltonian must be Hermitian to 1e-10")
+        if self.hamiltonian.herm_deviation() > HERMITIAN_TOL:
+            raise ValueError(f"generator hamiltonian must be Hermitian to {HERMITIAN_TOL:g}")
 
     @property
     def layout(self) -> HilbertLayout:

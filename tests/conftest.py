@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import nmqubit as nq
+from nmqubit.config import preset, with_truncation
 from nmqubit.experiments import build_probed_model
 from nmqubit.master import lindblad_apply
 from nmqubit.operators import DensityMatrix, HilbertLayout, Operator
@@ -61,7 +61,7 @@ def reduce_ref(rho):
 def bank2_model(field_mode):
     """The paper-fig4 mode plus a second Lorentzian mode, 4 levels each (d = 32),
     probed through sigma_y, whose entries are imaginary."""
-    base = nq.with_truncation(nq.preset("paper-fig4"), 4)
+    base = with_truncation(preset("paper-fig4"), 4)
     extra = AncillaParams(omega=1.5, gamma=0.8, kappa=0.5, truncation=4)
     cfg = dataclasses.replace(base, ancillas=base.ancillas + (extra,), field_mode=field_mode,
                               probe_kind="pauli_y")

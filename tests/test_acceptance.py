@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-import nmqubit as nq
 from nmqubit.cli import run_command
+from nmqubit.config import preset, with_truncation
 from nmqubit.experiments import (
     build_probed_model,
     config_grid,
@@ -26,6 +26,7 @@ from nmqubit.master import (
     integrate_master,
     lindblad_apply,
 )
+from nmqubit.operators import DensityMatrix
 from nmqubit.spectra import (
     LorentzianComponent,
     SpectrumSamples,
@@ -46,7 +47,7 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 
 @pytest.fixture(scope="module")
 def preset_cfg():
-    return nq.preset("paper-fig4")
+    return preset("paper-fig4")
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def load_csv(path):
 
 def test_criterion_1_generator_equivalence(preset_cfg):
     t0 = time.perf_counter()
-    cfg = nq.with_truncation(preset_cfg, 4)
+    cfg = with_truncation(preset_cfg, 4)
     model = build_probed_model(cfg)
     spec = generator_spec(model)
     rng = np.random.default_rng(12345)
@@ -132,8 +133,8 @@ def test_criterion_3_linear_ancilla_oracle(preset_cfg):
     model = build_probed_model(cfg)
     bank = np.zeros((cfg.truncation,) * 2)
     bank[:2, :2] = 0.5  # the bank ket (|0> + |1>)/sqrt(2), so <a(0)> = 0.5
-    qubit = nq.DensityMatrix.from_bloch(*cfg.init_bloch).entries
-    rho0 = nq.DensityMatrix(model.layout, np.kron(qubit, bank))
+    qubit = DensityMatrix.from_bloch(*cfg.init_bloch).entries
+    rho0 = DensityMatrix(model.layout, np.kron(qubit, bank))
     result = integrate_master(rho0, generator_spec(model), config_grid(cfg))
     a_op = np.kron(np.eye(2), ladder(cfg.truncation))
     got = np.einsum("ij,tji->t", a_op, result.states)

@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-import nmqubit as nq
+from nmqubit.config import preset
 from nmqubit.experiments import run_unconditional, truncation_deviation
 from nmqubit.slh import AncillaParams
 
@@ -61,7 +61,7 @@ def oracle_config(modes, field_mode, truncation, t_final, dt):
     ancillas = tuple(AncillaParams(omega=w, gamma=g, kappa=k, sigma_kind="pauli_z",
                                    truncation=truncation) for w, g, k in modes)
     return dataclasses.replace(
-        nq.preset("paper-fig4"), omega_q=OMEGA_Q, ancillas=ancillas, truncation=truncation,
+        preset("paper-fig4"), omega_q=OMEGA_Q, ancillas=ancillas, truncation=truncation,
         field_mode=field_mode, probe_kind="pauli_z", gamma_q=0.0, init_bloch=(1.0, 0.0, 0.0),
         t_final=t_final, dt=dt,
     ).validate()

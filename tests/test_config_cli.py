@@ -22,7 +22,7 @@ from nmqubit.config import (
     preset,
     serialize_config,
 )
-from nmqubit.experiments import decay_time
+from nmqubit.experiments import decay_time, time_grid
 
 
 def coarse(cfg, **kw):
@@ -385,6 +385,11 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dt=1e-15" in err and "10000000000000000 steps" in err
         assert "Traceback" not in err
+
+    def test_time_grid_rounds_step_count(self):
+        # 0.3/0.1 is 2.9999999999999996, so truncating it would drop a step
+        grid = time_grid(0.3, 0.1)
+        assert len(grid) == 4 and grid[-1] == pytest.approx(0.3)
 
     def test_spectrum_too_large_to_allocate_is_out_of_memory(self, tmp_path, capsys):
         # 10**16 points ask np.linspace for 80 PB, beyond any address space, so

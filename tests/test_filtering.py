@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import nmqubit as nq
 from nmqubit import filtering
+from nmqubit.config import preset, with_truncation
 from nmqubit.experiments import (
     build_probed_model,
     config_grid,
@@ -19,23 +19,22 @@ from nmqubit.filtering import (
     UnsupportedModeError,
     _ensemble_worker,
     _evolve,
-    _readout_weights,
     conditional_qubit,
     ensemble_average,
     replay_filter,
     simulate_trajectory,
     wiener_increments,
 )
-from nmqubit.master import CompiledGenerator, GeneratorSpec, PositivityError, generator_spec, integrate_master, lindblad_apply
-from nmqubit.operators import DensityMatrix, Operator, qubit_bloch, readout
-from nmqubit.slh import AncillaParams, qubit_operator
+from nmqubit.master import CompiledGenerator, PositivityError, generator_spec, integrate_master, lindblad_apply
+from nmqubit.operators import DensityMatrix, Operator, qubit_bloch, readout, readout_weights
+from nmqubit.slh import AncillaParams, GeneratorSpec, qubit_operator
 
 from conftest import bank2_model, rand_density, reduce_ref, tagged
 from test_bank_oracle import coherence_factor
 
 
 def short_cfg(t_final=0.5, **kw):
-    cfg = dataclasses.replace(nq.preset("paper-fig4"), t_final=t_final, **kw)
+    cfg = dataclasses.replace(preset("paper-fig4"), t_final=t_final, **kw)
     return cfg
 
 
@@ -78,7 +77,7 @@ class TestSmeStep:
         # one replayed step against the Kraus map written out with dense
         # products: M rho M^dag + dt N rho N^dag for the merged bank operator N,
         # M = I + E dt + dY L + (dY^2 - dt) L^2 / 2, normalized
-        base = nq.with_truncation(nq.preset("paper-fig4"), 4)
+        base = with_truncation(preset("paper-fig4"), 4)
         extra = dataclasses.replace(base.ancillas[0], omega=1.5, gamma=0.8, kappa=0.5)
         cfg = dataclasses.replace(base, ancillas=base.ancillas + (extra,), field_mode="shared")
         model = build_probed_model(cfg.validate())
@@ -128,7 +127,7 @@ class TestSmeStep:
         # so a dt column or a dt-scaled jump weight kept from the previous
         # step fails it.  The preset's jump gather has one row, the shared
         # two-mode bank's two.
-        model = (build_probed_model(nq.preset("paper-fig4")) if bank == "fig4"
+        model = (build_probed_model(preset("paper-fig4")) if bank == "fig4"
                  else bank2_model("shared"))
         spec = generator_spec(model)
         l = model.collapse_ops[model.probe_index].entries
@@ -154,7 +153,7 @@ class TestSmeStep:
         model = bank2_model("shared")
         l = model.collapse_ops[model.probe_index].entries
         states = [rand_density(rng, model.layout.dims) for _ in range(4)]
-        out = readout(np.stack([s.entries for s in states]), _readout_weights(model.layout.dims, l))
+        out = readout(np.stack([s.entries for s in states]), readout_weights(model.layout.dims, l + l.conj().T))
         paulis = [qubit_operator(k) for k in ("pauli_x", "pauli_y", "pauli_z")]
         for row, s in zip(out, states):
             q = reduce_ref(s.entries)
@@ -164,9 +163,9 @@ class TestSmeStep:
 
     def test_single_step_readout_value(self):
         # from the +x product state: tr[(L+L^dag) rho] = 2 sqrt(0.8)
-        cfg = nq.preset("paper-fig4")
+        cfg = preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
-        m = readout(rho0.entries[None], _readout_weights(l_op.layout.dims, l_op.entries))[0, 3]
+        m = readout(rho0.entries[None], readout_weights(l_op.layout.dims, l_op.entries + l_op.entries.conj().T))[0, 3]
         assert m == pytest.approx(2 * math.sqrt(0.8), rel=1e-12)
         dt = 1e-3
         traj = simulate_trajectory(rho0, spec, l_op, [0.0, dt], seed=1)
@@ -257,12 +256,12 @@ class TestTrajectory:
         cfg = short_cfg()
         traj = run_filter_trajectory(cfg, store_states=True)
         _, _, l_op = filter_ingredients(cfg)
-        m = readout(traj.states[:-1], _readout_weights(l_op.layout.dims, l_op.entries))[:, 3]
+        m = readout(traj.states[:-1], readout_weights(l_op.layout.dims, l_op.entries + l_op.entries.conj().T))[:, 3]
         lhs = m * np.diff(traj.t_grid) + traj.innovations
         assert np.array_equal(lhs, traj.record)
 
     def test_innovation_statistics(self):
-        cfg = nq.preset("paper-fig4")
+        cfg = preset("paper-fig4")
         traj = run_filter_trajectory(cfg)
         dw = traj.innovations
         n = len(dw)
@@ -337,7 +336,7 @@ class TestReplay:
 
 def qnd_config(ancillas):
     return dataclasses.replace(
-        nq.preset("paper-fig4"), ancillas=ancillas, truncation=ancillas[0].truncation,
+        preset("paper-fig4"), ancillas=ancillas, truncation=ancillas[0].truncation,
         probe_kind="pauli_z", init_bloch=(0.6, 0.0, 0.8), t_final=2.0, dt=1e-3,
     ).validate()
 
@@ -370,7 +369,7 @@ class TestQndOracle:
         # record only through Y = sum dY:
         #   rho00 e^{2 sqrt(g) Y - 2 g t}, rho11 e^{-2 sqrt(g) Y - 2 g t},
         #   rho01 e^{-2 g t - i omega_q t}
-        base = nq.preset("paper-fig4")
+        base = preset("paper-fig4")
         cfg = qnd_config(tuple(dataclasses.replace(a, kappa=0.0) for a in base.ancillas))
         rho0, spec, l_op = filter_ingredients(cfg)
         grid = config_grid(cfg)
@@ -432,7 +431,7 @@ class TestConditionalQubit:
         # per-step Bloch columns bit for bit
         cfg = short_cfg()
         if modes == 2:
-            cfg = nq.with_truncation(cfg, 4)
+            cfg = with_truncation(cfg, 4)
             extra = dataclasses.replace(cfg.ancillas[0], omega=1.5, gamma=0.8, kappa=0.5)
             cfg = dataclasses.replace(cfg, ancillas=cfg.ancillas + (extra,),
                                       probe_kind="pauli_y").validate()
@@ -523,7 +522,7 @@ class TestEnsemble:
 
     def test_failures_reported_with_seeds(self):
         # a huge dt makes every trajectory abort; the error must name seeds
-        cfg = dataclasses.replace(nq.preset("paper-fig4"), dt=0.4, t_final=8.0)
+        cfg = dataclasses.replace(preset("paper-fig4"), dt=0.4, t_final=8.0)
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(EnsembleError) as err:
             ensemble_average(rho0, spec, l_op, config_grid(cfg), 4, 7)
@@ -550,7 +549,7 @@ class TestEngineConsistency:
         # only path 1 gets a huge kick, at step 22, and only its
         # normalization factor leaves the bound: the abort must name its
         # seed, not the seed of path 0
-        cfg = nq.preset("paper-fig4")
+        cfg = preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
         seeds = (60, 61, 62)
         dts = np.full(50, cfg.dt)
@@ -566,7 +565,7 @@ class TestEngineConsistency:
     def test_path_independent_of_batch_mates(self):
         # over 3000 steps, each path in a batch of ten must reproduce its
         # own single-trajectory run bit for bit
-        cfg = nq.preset("paper-fig4")
+        cfg = preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
         seeds = tuple(range(60, 70))
         grid = cfg.dt * np.arange(3001)

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import nmqubit as nq
 from nmqubit import master
+from nmqubit.config import preset, with_truncation
 from nmqubit.experiments import build_probed_model, config_grid, run_baseline, run_unconditional
 from nmqubit.filtering import Trajectory, conditional_qubit, simulate_trajectory
 from nmqubit.master import (
     CompiledGenerator,
-    GeneratorSpec,
     JumpGather,
     MasterResult,
     PositivityError,
@@ -24,7 +23,7 @@ from nmqubit.master import (
     reduce_to_qubit,
 )
 from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch
-from nmqubit.slh import AncillaParams, qubit_operator
+from nmqubit.slh import AncillaParams, GeneratorSpec, qubit_operator
 
 from conftest import bank2_model, ladder, plain_rk4, rand_density, rand_hermitian, tagged
 
@@ -60,16 +59,16 @@ def exact_propagator(spec, dt):
 
 def preset_problem(truncation=5, form="lindblad", extra_mode=False, **changes):
     """(spec, rho0) of the preset at a truncation, optionally with a second mode."""
-    cfg = dataclasses.replace(nq.preset("paper-fig4"), **changes)
+    cfg = dataclasses.replace(preset("paper-fig4"), **changes)
     if extra_mode:
         cfg = dataclasses.replace(cfg, ancillas=cfg.ancillas + (AncillaParams(omega=1.5, gamma=0.8, kappa=0.5),))
-    cfg = nq.with_truncation(cfg, truncation).validate()
+    cfg = with_truncation(cfg, truncation).validate()
     model = build_probed_model(cfg)
     return generator_spec(model, form), augmented_initial_state(cfg.init_bloch, model.layout)
 
 
 def baseline_problem():
-    cfg = nq.preset("paper-fig4")
+    cfg = preset("paper-fig4")
     spec = markovian_baseline_spec(cfg.omega_q, cfg.ancillas, cfg.gamma_q, cfg.probe_kind)
     return spec, DensityMatrix.from_bloch(*cfg.init_bloch)
 
@@ -122,8 +121,8 @@ class TestLindbladApply:
 
 class TestGeneratorForms:
     def test_equivalence_on_random_states(self, rng):
-        cfg = dataclasses.replace(nq.preset("paper-fig4"))
-        cfg = nq.with_truncation(cfg, 4)
+        cfg = dataclasses.replace(preset("paper-fig4"))
+        cfg = with_truncation(cfg, 4)
         model = build_probed_model(cfg)
         spec = generator_spec(model)
         worst = 0.0
@@ -135,7 +134,7 @@ class TestGeneratorForms:
         assert worst <= 1e-12
 
     def test_compiled_matches_literal(self, rng):
-        cfg = nq.with_truncation(nq.preset("paper-fig4"), 3)
+        cfg = with_truncation(preset("paper-fig4"), 3)
         model = build_probed_model(cfg)
         spec = generator_spec(model)
         gen = CompiledGenerator(spec)
@@ -144,7 +143,7 @@ class TestGeneratorForms:
             assert_allclose(gen.apply(rho), lindblad_apply(rho, spec), atol=1e-13)
 
     def test_shared_field_mode_single_mode_equal(self, rng):
-        cfg = nq.preset("paper-fig4")
+        cfg = preset("paper-fig4")
         shared = dataclasses.replace(cfg, field_mode="shared")
         m1 = build_probed_model(cfg)
         m2 = build_probed_model(shared)
@@ -253,7 +252,7 @@ class TestIntegrate:
         assert_allclose(purity, purity[0], atol=1e-8)
 
     def test_conservation_short_run(self):
-        cfg = dataclasses.replace(nq.preset("paper-fig4"), t_final=1.0)
+        cfg = dataclasses.replace(preset("paper-fig4"), t_final=1.0)
         from nmqubit.experiments import run_unconditional
 
         result = run_unconditional(cfg)
@@ -267,11 +266,11 @@ class TestIntegrate:
         # that kept stepping after a state that cannot be positive would
         # overflow and warn before its block is checked
         monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 401 * 16 * 10**2)
-        preset = nq.preset("paper-fig4")
+        fig4 = preset("paper-fig4")
         for table_max_dim in (master.TABLE_MAX_DIM, 0):  # 0: every run applies the generator
             monkeypatch.setattr(master, "TABLE_MAX_DIM", table_max_dim)
             for dt in (0.5, 5.0, 50.0):
-                cfg = dataclasses.replace(preset, dt=dt, t_final=400 * dt)
+                cfg = dataclasses.replace(fig4, dt=dt, t_final=400 * dt)
                 # the memoryless qubit stays positive at the smallest step
                 for run in (run_unconditional,) + ((run_baseline,) if dt > 0.5 else ()):
                     with warnings.catch_warnings():
@@ -386,7 +385,7 @@ class TestMomentOracle:
     @pytest.fixture(scope="class")
     def moments(self):
         mode = AncillaParams(omega=10.0, gamma=0.6, kappa=0.0, truncation=5)
-        cfg = dataclasses.replace(nq.preset("paper-fig4"), ancillas=(mode,), t_final=5.0)
+        cfg = dataclasses.replace(preset("paper-fig4"), ancillas=(mode,), t_final=5.0)
         model = build_probed_model(cfg)
         bank = np.zeros((5, 5))
         bank[:2, :2] = 0.5
@@ -409,14 +408,16 @@ class TestMomentOracle:
 class TestMarkovianBaseline:
     def test_sigma_x_rate_hand_value(self):
         # d<sx>/dt = -omega_q <sy> - 2 kappa <sx> from Pauli algebra;
-        # the sigma_x probe channel leaves <sx> untouched
-        kappa, gamma_q, omega_q = 1.0, 0.8, 2.0
+        # the sigma_x probe channel leaves <sx> untouched; at kappa = 1 the
+        # channel's sqrt(kappa) equals kappa, so a second kappa tells them apart
+        gamma_q, omega_q = 0.8, 2.0
         rho = DensityMatrix.from_bloch(1, 0, 0)
-        bank = [AncillaParams(omega=2.0, gamma=0.6, kappa=kappa, sigma_kind="pauli_y")]
-        out = lindblad_apply(rho, markovian_baseline_spec(omega_q, bank, gamma_q, "pauli_x"))
         sx = qubit_operator("pauli_x")
-        rate = float(np.real(np.trace(sx @ out)))
-        assert rate == pytest.approx(-2.0 * kappa)
+        for kappa in (1.0, 0.7):
+            bank = [AncillaParams(omega=2.0, gamma=0.6, kappa=kappa, sigma_kind="pauli_y")]
+            out = lindblad_apply(rho, markovian_baseline_spec(omega_q, bank, gamma_q, "pauli_x"))
+            rate = float(np.real(np.trace(sx @ out)))
+            assert rate == pytest.approx(-2.0 * kappa)
 
     def test_pure_precession(self):
         rho = DensityMatrix.from_bloch(1, 0, 0)
@@ -431,7 +432,7 @@ class TestMarkovianBaseline:
         assert abs(np.trace(out)) < 1e-13
 
     def test_spec_builder_matches(self, rng):
-        cfg = nq.preset("paper-fig4")
+        cfg = preset("paper-fig4")
         spec = markovian_baseline_spec(cfg.omega_q, cfg.ancillas, cfg.gamma_q,
                                        cfg.probe_kind)
         rho = rand_density(rng, (2,))
@@ -443,6 +444,22 @@ class TestMarkovianBaseline:
         )
         direct = lindblad_apply(rho, hand)
         assert_allclose(via_spec, direct, atol=1e-14)
+
+
+    def test_bank_reaches_markov_limit(self):
+        # at fixed kappa a faster mode forgets sooner, so the qubit's
+        # evolution approaches the memoryless baseline; the gaps are the
+        # measured ones (RK4 at dt = 1e-3 is accurate to about 1e-12), and the
+        # baseline with kappa in place of sqrt(kappa) reads 0.091, 0.079, 0.11
+        base = dataclasses.replace(with_truncation(preset("paper-fig4"), 4), t_final=3.0)
+        gaps = []
+        for gamma in (5.0, 20.0, 80.0):
+            mode = dataclasses.replace(base.ancillas[0], gamma=gamma, kappa=0.5)
+            cfg = dataclasses.replace(base, ancillas=(mode,))
+            gap = run_unconditional(cfg).qubit_bloch() - run_baseline(cfg).qubit_bloch()
+            gaps.append(np.abs(gap).max())
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert_allclose(gaps, [0.1700, 0.0776, 0.0241], rtol=0.01)
 
 
 class TestInitialState:
