@@ -17,29 +17,29 @@ normalization stays near 1 on a healthy path; a value outside
 [1/NORM_BOUND, NORM_BOUND], or not finite, means a corrupted record or a step
 far too large, and aborts the trajectory.
 
-A step of a batch of paths takes one small product per path to build M: its
-coefficient row (1, dt, dY, dY^2 - dt) times the stacked basis
-[I, E, L, L^2 / 2], built once, on the interleaved real view of the complex
-entries.  Every buffer (the coefficient rows, M and its conjugate, the
+A run steps its uniform grid by one dt (see ``master.grid_steps``).  A step
+of a batch of paths takes one small product per path to build M: its
+coefficient row (1, dY, dY^2 - dt) times the stacked basis
+[I + dt E, L, L^2 / 2], built once, on the interleaved real view of the
+complex entries.  Every buffer (the coefficient rows, M and its conjugate, the
 product, the state, the jump gather, the readouts) is allocated once per run
 and filled in place with ``out=``, since at d = 10 a step is dominated by the
 per-call overhead of its small numpy operations.  dY is written straight into
-the coefficient row; the dt column and the jump weights scaled by dt (cached
-per distinct dt) change only when the step size does.  The state is
+the coefficient row, and the jump weights are scaled by dt once.  The state is
 normalized by multiplying with the reciprocal trace, and one real contraction
 (the per-row product of ``operators.readout``) writes the qubit Bloch
 components and the next signal m = tr[(L+L^dag) rho] into one (B, n + 1, 4)
-array.  The loop returns m and
-forms no record: a simulated record is m dt + dW, formed once afterwards.
-Every per-path product is a stacked per-row matmul, (B, 1, k) @ (k, n), never
-one 2-D product over the batch: a BLAS 2-D product may round a row
-differently depending on how many rows it holds, and a path must not depend
-on its batch mates.
+array.  The loop returns m and forms no record: a simulated record is
+m dt + dW, formed once afterwards.  Every per-path product is a stacked
+per-row matmul, (B, 1, k) @ (k, n), never one 2-D product over the batch: a
+BLAS 2-D product may round a row differently depending on how many rows it
+holds, and a path must not depend on its batch mates.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +76,14 @@ class EnsembleError(RuntimeError):
         super().__init__(f"trajectories failed for seeds {sorted(self.failing_seeds)}")
 
 
-def wiener_increments(seed: int, dts) -> np.ndarray:
-    """Normal(0, dt_i) increments from a Philox stream keyed by ``seed``.
+def wiener_increments(seed: int, n: int, dt: float) -> np.ndarray:
+    """``n`` Normal(0, dt) increments from a Philox stream keyed by ``seed``.
 
-    The i-th increment is a pure function of (seed, i); parallel callers can
-    draw disjoint trajectories without coordination.
+    The i-th increment is a pure function of (seed, i, dt); parallel callers
+    can draw disjoint trajectories without coordination.
     """
-    dts = np.asarray(dts, dtype=float)
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    return gen.standard_normal(len(dts)) * np.sqrt(dts)
+    return gen.standard_normal(n) * np.sqrt(dt)
 
 
 @dataclass
@@ -114,21 +113,21 @@ class EnsembleResult:
     seeds: tuple[int, ...]
 
 
-def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.ndarray,
+def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
             *, increments: np.ndarray | None = None, record: np.ndarray | None = None,
             seeds=(), store_states: bool = False, t0: float = 0.0):
     """Batched Kraus-map propagation of the normalized SME.
 
-    ``increments`` drives simulation mode (dW given, dY computed); ``record``
-    drives replay mode (dY given).  ``l`` must equal exactly one collapse
-    operator of ``gen``; ``t0`` is the time of the first grid point, named
-    with the later ones in an abort.  Returns (bloch, states, signal): the
-    (B, n + 1, 3) Bloch components, the (B, n + 1, d, d) states or None, and
-    the (B, n) signal m = tr[(L+L^dag) rho] before each step, so a simulated
-    record is m dt + dW and a replayed innovation dY - m dt.
+    ``increments`` (simulation: dW given, dY computed) or ``record`` (replay:
+    dY given) is a (B, n) array for n steps of ``dt``.  ``l`` must equal
+    exactly one collapse operator of ``gen``; ``t0`` is the time of the first
+    grid point, named with the later ones in an abort.  Returns (bloch,
+    states, signal): the (B, n + 1, 3) Bloch components, the (B, n + 1, d, d)
+    states or None, and the (B, n) signal m = tr[(L+L^dag) rho] before each
+    step, so a simulated record is m dt + dW and a replayed innovation dY - m dt.
     """
     b, d, _ = rho0.shape
-    n = len(dts)
+    n = (record if increments is None else increments).shape[1]
     w = readout_weights(gen.layout.dims, l + l.conj().T)  # rejects a layout without a leading qubit
     unmonitored = [op for op in gen.collapse if not np.array_equal(op, l)]
     if len(gen.collapse) - len(unmonitored) != 1:
@@ -139,14 +138,14 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         np.linalg.cholesky(rho0 + POSITIVITY_TOL * ident)
     except np.linalg.LinAlgError:
         raise ValueError(f"initial state has an eigenvalue below -{POSITIVITY_TOL:g}") from None
-    # M = coef @ basis with the row (1, dt, dY, dY^2 - dt); the 1/2 of the last
+    # M = coef @ basis with the row (1, dY, dY^2 - dt); the 1/2 of the last
     # term sits in the basis, where scaling by 1/2 rounds exactly as in coef
-    basis_re = np.array([ident, gen.e, l, 0.5 * (l @ l)], dtype=complex).reshape(4, -1).view(float)
+    basis_re = np.array([ident + dt * gen.e, l, 0.5 * (l @ l)], dtype=complex).reshape(3, -1).view(float)
 
     # buffers allocated once per call and filled in place every step, most of
     # them through the views named here
-    coef = np.ones((b, 1, 4))
-    _, dt_col, dy, quad = coef[:, 0].T  # quad holds dY^2 - dt
+    coef = np.ones((b, 1, 3))
+    _, dy, quad = coef[:, 0].T  # quad holds dY^2 - dt
     k_re = np.empty((b, 1, 2 * d * d))
     k = k_re.view(complex).reshape(b, d, d)
     k_conj = np.empty_like(k)
@@ -164,7 +163,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
     rows = len(jumps.idx)  # rows of the jump gather, 0 without unmonitored channels
     gathered = np.empty((b, rows, d * d), dtype=complex)
     jump_sum = gathered[:, 0] if rows == 1 else np.empty_like(rho_flat)  # one row is its own sum
-    scaled: dict[float, np.ndarray] = {}  # jump weights times dt, per distinct dt
+    w_dt = dt * jumps.w
 
     readouts = np.empty((b, n + 1, 4))  # x, y, z, m per path and grid point
     states = np.empty((b, n + 1, d, d), dtype=complex) if store_states else None
@@ -173,21 +172,14 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
         states[:, 0] = rho
 
     low = 1.0 / NORM_BOUND
-    last_dt = None
-    for i, dt in enumerate(dts):
-        if dt != last_dt:
-            last_dt = dt
-            dt_col.fill(dt)
-            w_dt = scaled.get(dt)
-            if w_dt is None:
-                w_dt = scaled[dt] = dt * jumps.w
+    for i in range(n):
         if increments is not None:
             np.multiply(readouts[:, i, 3], dt, out=dy)
             dy += increments[:, i]
         else:
             dy[:] = record[:, i]
         np.multiply(dy, dy, out=quad)
-        quad -= dt_col
+        quad -= dt
         np.matmul(coef, basis_re, out=k_re)
         if rows:
             np.take(rho_flat, jumps.idx, axis=1, out=gathered, mode="clip")
@@ -204,7 +196,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
             bad = np.flatnonzero(~((tr >= low) & (tr <= NORM_BOUND)))
             err = PositivityError(
                 f"normalization factor {tr[bad[0]]:.3e} outside [1/{NORM_BOUND:g}, "
-                f"{NORM_BOUND:g}] after step {i} (t={t0 + float(np.sum(dts[:i + 1])):.6g}); "
+                f"{NORM_BOUND:g}] after step {i} (t={t0 + (i + 1) * dt:.6g}); "
                 f"the record is corrupted or the step size far too large"
             )
             err.seeds = tuple(seeds[j] for j in bad) if len(seeds) else ()
@@ -222,10 +214,10 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dts: np.nda
 def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                         t_grid, seed: int, store_states: bool = False) -> Trajectory:
     """Draw the innovation path from ``seed`` and propagate the SME along it."""
-    t, dts = grid_steps(t_grid)
-    dw = wiener_increments(seed, dts)
+    t, dt = grid_steps(t_grid)
+    dw = wiener_increments(seed, len(t) - 1, dt)
     bloch, states, signal = _evolve(
-        rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
+        rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dt,
         increments=dw[None, :], seeds=(seed,), store_states=store_states, t0=t[0],
     )
     return Trajectory(
@@ -233,7 +225,7 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
         layout=spec.layout,
         bloch=bloch[0],
         states=states[0] if states is not None else None,
-        record=signal[0] * dts + dw,
+        record=signal[0] * dt + dw,
         innovations=dw,
         seed=seed,
     )
@@ -242,17 +234,15 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
 def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                   record, t_grid) -> list[DensityMatrix]:
     """Reconstruct the conditional states from a measurement record alone."""
-    t, dts = grid_steps(t_grid)
+    t, dt = grid_steps(t_grid)
     rec = np.asarray(record, dtype=float)
-    if rec.shape != dts.shape:
-        raise ValueError(
-            f"record length {rec.shape} does not match the {len(dts)} grid steps"
-        )
+    if rec.shape != (len(t) - 1,):
+        raise ValueError(f"record length {rec.shape} does not match the {len(t) - 1} grid steps")
     bad = np.flatnonzero(~np.isfinite(rec))
     if bad.size:
         raise ValueError(f"record entry {rec[bad[0]]} at step {bad[0]} is not finite")
     _, states, _ = _evolve(
-        rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dts,
+        rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dt,
         record=rec[None, :], store_states=True, t0=t[0],
     )
     return [DensityMatrix.wrap(spec.layout, s) for s in states[0]]
@@ -268,12 +258,12 @@ def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
 
 
 def _ensemble_worker(args):
-    rho0e, spec, l_op, dts, seeds = args
+    rho0e, spec, l_op, n, dt, seeds = args
     b = len(seeds)
-    dw = np.stack([wiener_increments(s, dts) for s in seeds])
+    dw = np.stack([wiener_increments(s, n, dt) for s in seeds])
     rho0 = np.broadcast_to(rho0e, (b,) + rho0e.shape)
     try:
-        bloch, _, _ = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dts,
+        bloch, _, _ = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt,
                               increments=dw, seeds=seeds)
     except PositivityError as err:
         return None, None, tuple(getattr(err, "seeds", ()) or seeds)
@@ -294,25 +284,23 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
-    t, dts = grid_steps(t_grid)
+    t, dt = grid_steps(t_grid)
     seeds = tuple(int(base_seed) + k for k in range(n_traj))
-    tasks = [(rho0.entries, spec, l_op, dts, seeds[i:i + ENSEMBLE_BATCH])
+    tasks = [(rho0.entries, spec, l_op, len(t) - 1, dt, seeds[i:i + ENSEMBLE_BATCH])
              for i in range(0, n_traj, ENSEMBLE_BATCH)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_ensemble_worker, tasks))
-    else:
-        results = map(_ensemble_worker, tasks)
-
+    pool = (ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+            if workers > 1 and len(tasks) > 1 else None)
     failing: list[int] = []
     total = np.zeros((len(t), 3))
     total_sq = np.zeros((len(t), 3))
-    for s, sq, failed in results:
-        if failed:
-            failing.extend(failed)
-            continue
-        total += s
-        total_sq += sq
+    # each result is summed as it arrives, in task order, not kept to the end
+    with pool or nullcontext():
+        for s, sq, failed in (pool.map if pool else map)(_ensemble_worker, tasks):
+            if failed:
+                failing.extend(failed)
+                continue
+            total += s
+            total_sq += sq
     if failing:
         raise EnsembleError(failing)
 

@@ -24,9 +24,9 @@ POSITIVITY_ABORT = 1e-6
 #: but numpy's per-call overhead dominates small d (see README, Numerical notes)
 TABLE_MAX_DIM = 16
 
-#: step maps a tabulated run keeps, one per distinct step size; a uniform grid
-#: built as ``arange(n + 1) * dt`` has 13 to 16 distinct differences
-_STEP_MAPS = 32
+#: largest deviation of a grid step from the grid's one step size h, in units
+#: of h: rounding keeps ``arange``/``linspace`` grids below 2e-9, 12 digits 2e-7
+GRID_STEP_TOL = 1e-6
 
 #: bytes of stored states written out from their coordinates and checked for
 #: eigenvalues in one stacked call
@@ -227,14 +227,14 @@ class _HermitianCoordinates:
         return out
 
 
-def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates):
-    """Classic RK4 with four generator applies: ``step(v, h)`` writes the
+def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: float):
+    """Classic RK4 with four generator applies: ``step(v)`` writes the
     coordinates v out as a matrix, steps it by h and returns the coordinates
     of the result and its trace."""
     d = coords.d
     rho = np.empty((d, d), dtype=complex)
 
-    def step(v: np.ndarray, h: float):
+    def step(v: np.ndarray):
         r = coords.write(v, rho)
         k1 = gen.apply(r)
         k2 = gen.apply(r + 0.5 * h * k1)
@@ -246,12 +246,12 @@ def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates):
     return step
 
 
-def _tabulated_step(gen: CompiledGenerator, coords: _HermitianCoordinates):
+def _tabulated_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: float):
     """The same RK4 step, tabulated.  For a linear, time-independent generator
-    a step is v -> P(h) v = sum_{j<=4} (h L)^j/j! v on the state's real
+    a step is v -> P v = sum_{j<=4} (h L)^j/j! v on the state's real
     coordinates v; L^j/j! is read once from ``gen.apply`` on the d^2 Hermitian
-    basis matrices, and P(h), with one more row that gives the trace of the
-    result, is formed once per distinct step size."""
+    basis matrices, and P, with one more row that gives the trace of the
+    result, is formed once."""
     d = coords.d
     n2 = d * d
     x = coords.write(np.eye(n2), np.empty((n2, d, d), dtype=complex))
@@ -260,17 +260,12 @@ def _tabulated_step(gen: CompiledGenerator, coords: _HermitianCoordinates):
         x = gen.apply(x) / j
         powers.append(coords.read(x).T)  # column k: coordinates of L^j/j! on basis matrix k
     powers = np.array(powers)
-    ident = np.eye(n2 + 1, n2)  # each map's last row sums the diagonal: the trace
+    ident = np.eye(n2 + 1, n2)  # the map's last row sums the diagonal: the trace
     ident[n2, :d] = 1.0
     table = np.concatenate([powers, powers[:, :d].sum(axis=1, keepdims=True)], axis=1).reshape(4, -1)
-    maps: dict[float, np.ndarray] = {}
+    p = ident + (np.array([h, h * h, h**3, h**4]) @ table).reshape(n2 + 1, n2)
 
-    def step(v: np.ndarray, h: float):
-        p = maps.get(h)
-        if p is None:
-            if len(maps) == _STEP_MAPS:
-                maps.clear()
-            p = maps[h] = ident + (np.array([h, h * h, h**3, h**4]) @ table).reshape(n2 + 1, n2)
+    def step(v: np.ndarray):
         u = p @ v
         return u[:n2], u[n2]
 
@@ -291,20 +286,26 @@ def _diagnose(states: np.ndarray, t: np.ndarray, min_eig: np.ndarray, lo: int, h
         )
 
 
-def grid_steps(t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """The times of ``t_grid`` and its steps; rejects a grid that is not 1-d,
-    has fewer than two times or is not strictly increasing."""
+def grid_steps(t_grid) -> tuple[np.ndarray, float]:
+    """The times of ``t_grid`` and its one step size h = (t[-1] - t[0])/(n - 1),
+    by which every integrator and filter steps; rejects a grid that is not
+    1-d, has fewer than two times, is not increasing or is not uniform."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 2:
         raise ValueError("t_grid must contain at least two times")
-    dts = np.diff(t)
-    if np.any(dts <= 0):
+    h = (t[-1] - t[0]) / (len(t) - 1)
+    if not h > 0:
         raise ValueError("t_grid must be strictly increasing")
-    return t, dts
+    dev = np.abs(np.diff(t) / h - 1.0)
+    if not dev.max() <= GRID_STEP_TOL:  # also a nan
+        i = int(np.argmax(dev))
+        raise ValueError(f"t_grid must be uniform: step {i} is {dev[i]:.3g} h off its "
+                         f"step size h = {h:.6g}, more than {GRID_STEP_TOL:g} h")
+    return t, float(h)
 
 
 def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> MasterResult:
-    """Propagate with classic fixed-step RK4 over the given time grid.
+    """Propagate with classic RK4 by the one step size of a uniform time grid.
 
     The state is carried as its d^2 real Hermitian coordinates, so every
     stored state and step input is exactly Hermitian, as
@@ -318,11 +319,11 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     before it overflows.
     """
     _check_layout(rho0, spec.layout)
-    t, dts = grid_steps(t_grid)
+    t, h = grid_steps(t_grid)
     n = len(t)
     d = spec.layout.total
     coords = _HermitianCoordinates(d)
-    step = (_tabulated_step if d <= TABLE_MAX_DIM else _applied_step)(CompiledGenerator(spec), coords)
+    step = (_tabulated_step if d <= TABLE_MAX_DIM else _applied_step)(CompiledGenerator(spec), coords, h)
     states = np.empty((n, d, d), dtype=complex)
     tr_drift = np.empty(n)
     min_eig = np.empty(n)
@@ -338,8 +339,8 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     tr_drift[0] = abs(tr - 1.0)
     v = np.divide(u, tr, out=buf[0])
     lo = 0
-    for i, h in enumerate(dts.tolist(), 1):
-        u, tr = step(v, h)
+    for i in range(1, n):
+        u, tr = step(v)
         tr_drift[i] = abs(tr - 1.0)
         v = np.divide(u, tr, out=buf[i - lo])
         if i + 1 - lo == block or i + 1 == n or not v @ v <= bound:

@@ -82,7 +82,7 @@ class SpectrumSamples:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    w, v = line.split(",")[:2]
+                    w, v = line.split(",")
                     rows.append((float(w), float(v)))
                     linenos.append(lineno)
                 except ValueError:

@@ -22,7 +22,9 @@ from nmqubit.config import (
     preset,
     serialize_config,
 )
-from nmqubit.experiments import decay_time, time_grid
+from nmqubit.experiments import decay_time, filter_ingredients, time_grid
+from nmqubit.filtering import replay_filter
+from nmqubit.operators import qubit_bloch
 
 
 def coarse(cfg, **kw):
@@ -191,6 +193,18 @@ class TestCommands:
         rows = np.loadtxt(record_path, delimiter=",", skiprows=7)
         assert rows.shape[1] == 4  # step, t, dY, dW
         assert rows.shape[0] == 100
+
+    def test_filter_csvs_replay_to_their_bloch_columns(self, tmp_path):
+        # the record CSV's dY replayed on the grid read back from the Bloch
+        # CSV's 12-digit t column: 4.9e-12 from the Bloch columns when pinned
+        cfg = dataclasses.replace(preset("paper-fig4"), out_dir=str(tmp_path))
+        bloch_path, record_path = run_command("filter", cfg)
+        bloch = np.loadtxt(bloch_path, delimiter=",", skiprows=7)
+        record = np.loadtxt(record_path, delimiter=",", skiprows=7)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        states = replay_filter(rho0, spec, l_op, record[:, 2], bloch[:, 0])
+        got = qubit_bloch(np.array([s.entries for s in states]), spec.layout.dims)
+        assert np.max(np.abs(got - bloch[:, 1:])) <= 1e-11
 
     def test_ensemble_then_compare_bit_identical_means(self, tmp_path):
         cfg = coarse(preset("paper-fig4"), out_dir=str(tmp_path))

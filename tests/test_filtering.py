@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from nmqubit.filtering import (
     simulate_trajectory,
     wiener_increments,
 )
-from nmqubit.master import CompiledGenerator, PositivityError, generator_spec, integrate_master, lindblad_apply
+from nmqubit.master import (
+    CompiledGenerator,
+    PositivityError,
+    generator_spec,
+    grid_steps,
+    integrate_master,
+    lindblad_apply,
+)
 from nmqubit.operators import DensityMatrix, Operator, qubit_bloch, readout, readout_weights
 from nmqubit.slh import AncillaParams, GeneratorSpec, qubit_operator
 
@@ -40,16 +48,13 @@ def short_cfg(t_final=0.5, **kw):
 
 class TestWienerIncrements:
     def test_deterministic(self):
-        dts = np.full(100, 1e-3)
-        assert_allclose(wiener_increments(7, dts), wiener_increments(7, dts))
+        assert_allclose(wiener_increments(7, 100, 1e-3), wiener_increments(7, 100, 1e-3))
 
     def test_seed_dependence(self):
-        dts = np.full(100, 1e-3)
-        assert not np.allclose(wiener_increments(7, dts), wiener_increments(8, dts))
+        assert not np.allclose(wiener_increments(7, 100, 1e-3), wiener_increments(8, 100, 1e-3))
 
     def test_scaling(self):
-        dts = np.full(50000, 4e-3)
-        dw = wiener_increments(3, dts)
+        dw = wiener_increments(3, 50000, 4e-3)
         assert np.var(dw) == pytest.approx(4e-3, rel=0.05)
 
 
@@ -109,7 +114,7 @@ class TestSmeStep:
         (bank,) = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
         rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
         dt, dys = 1e-3, np.array([0.05, -0.03, 0.011])
-        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, np.array([dt]),
+        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, dt,
                                record=dys[:, None], store_states=True)
         d = model.layout.total
         e = -1j * spec.hamiltonian.entries
@@ -122,27 +127,25 @@ class TestSmeStep:
 
     @pytest.mark.parametrize("bank", ["fig4", "bank2-shared"])
     def test_alternating_step_sizes_batch_of_three(self, rng, bank):
-        # a replay of three paths over a grid whose steps alternate between
-        # dt and 3 dt: every step is the dense Kraus map at its own step size,
-        # so a dt column or a dt-scaled jump weight kept from the previous
-        # step fails it.  The preset's jump gather has one row, the shared
-        # two-mode bank's two.
+        # a replay of three paths over eight steps of 3e-3: every step is the
+        # dense Kraus map, so jump weights or E not scaled by dt fail it.  The
+        # preset's jump gather has one row, the shared two-mode bank's two.
         model = (build_probed_model(preset("paper-fig4")) if bank == "fig4"
                  else bank2_model("shared"))
         spec = generator_spec(model)
         l = model.collapse_ops[model.probe_index].entries
         jumps = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
         rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
-        dts = np.tile([1e-3, 3e-3], 4)
-        dys = rng.normal(size=(3, len(dts))) * np.sqrt(dts)
-        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, dts, record=dys,
+        dt = 3e-3
+        dys = rng.normal(size=(3, 8)) * np.sqrt(dt)
+        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, dt, record=dys,
                                store_states=True)
         d = model.layout.total
         e = -1j * spec.hamiltonian.entries
         for op in spec.collapse_ops:
             e = e - 0.5 * (op.entries.conj().T @ op.entries)
         for path, path_dys in zip(states, dys):
-            for r, got, dt, dy in zip(path[:-1], path[1:], dts, path_dys):
+            for r, got, dy in zip(path[:-1], path[1:], path_dys):
                 m = np.eye(d) + dt * e + dy * l + 0.5 * (dy * dy - dt) * (l @ l)
                 want = m @ r @ m.conj().T + dt * sum(n @ r @ n.conj().T for n in jumps)
                 assert_allclose(got, want / np.trace(want).real, rtol=0, atol=1e-13)
@@ -257,7 +260,7 @@ class TestTrajectory:
         traj = run_filter_trajectory(cfg, store_states=True)
         _, _, l_op = filter_ingredients(cfg)
         m = readout(traj.states[:-1], readout_weights(l_op.layout.dims, l_op.entries + l_op.entries.conj().T))[:, 3]
-        lhs = m * np.diff(traj.t_grid) + traj.innovations
+        lhs = m * grid_steps(traj.t_grid)[1] + traj.innovations
         assert np.array_equal(lhs, traj.record)
 
     def test_innovation_statistics(self):
@@ -298,7 +301,7 @@ class TestReplay:
         assert first.base is not None and first.base is last.base
         assert not first.flags.writeable and not last.flags.writeable
         _, stack, _ = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries,
-                              np.diff(traj.t_grid), record=traj.record[None],
+                              grid_steps(traj.t_grid)[1], record=traj.record[None],
                               store_states=True)
         assert np.array_equal([s.entries for s in states], stack[0])
 
@@ -343,12 +346,12 @@ def qnd_config(ancillas):
 
 def seed_records(rho0, spec, l_op, grid):
     """The records of seeds 0-19, drawn in one batch."""
-    dts = np.diff(grid)
-    dw = np.stack([wiener_increments(s_, dts) for s_ in range(20)])
+    _, dt = grid_steps(grid)
+    dw = np.stack([wiener_increments(s_, len(grid) - 1, dt) for s_ in range(20)])
     batch = np.broadcast_to(rho0.entries, (20,) + rho0.entries.shape)
-    _, _, signal = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+    _, _, signal = _evolve(batch, CompiledGenerator(spec), l_op.entries, dt,
                            increments=dw, seeds=tuple(range(20)))
-    return signal * dts + dw
+    return signal * dt + dw
 
 
 def qnd_final_bloch(cfg, y, t, factor=1.0):
@@ -404,7 +407,7 @@ class TestQndOracle:
         factor = coherence_factor([mode], "shared", grid)[-1]
         records = seed_records(rho0, spec, l_op, grid)
         batch = np.broadcast_to(rho0.entries, (20,) + rho0.entries.shape)
-        bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, np.diff(grid),
+        bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, grid_steps(grid)[1],
                               record=records)
         errors = [float(np.max(np.abs(got - qnd_final_bloch(cfg, record.sum(), grid[-1], factor))))
                   for got, record in zip(bloch[:, -1], records)]
@@ -520,6 +523,40 @@ class TestEnsemble:
         assert sizes == [2]
         assert ens.n_traj == 100
 
+    def test_results_summed_as_they_arrive(self, monkeypatch):
+        # when a pool yields a task's (sum, sum of squares), no more than one
+        # earlier task's arrays may still be alive, and the sums keep their bits
+        live, refs = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                for task in tasks:
+                    s, sq, failed = fn(task)
+                    live.append(sum(r() is not None for r in refs) // 2)
+                    refs.extend((weakref.ref(s), weakref.ref(sq)))
+                    yield s, sq, failed
+                    del s, sq
+
+        monkeypatch.setattr(filtering, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(filtering, "ENSEMBLE_BATCH", 2)
+        cfg = short_cfg(t_final=0.01)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        grid = config_grid(cfg)
+        pooled = ensemble_average(rho0, spec, l_op, grid, 8, 0, workers=2)
+        assert live == [0, 1, 1, 1]
+        serial = ensemble_average(rho0, spec, l_op, grid, 8, 0)
+        assert np.array_equal(pooled.mean, serial.mean)
+        assert np.array_equal(pooled.stderr, serial.stderr)
+
     def test_failures_reported_with_seeds(self):
         # a huge dt makes every trajectory abort; the error must name seeds
         cfg = dataclasses.replace(preset("paper-fig4"), dt=0.4, t_final=8.0)
@@ -537,8 +574,8 @@ class TestEngineConsistency:
         rho0, spec, l_op = filter_ingredients(cfg)
         grid = config_grid(cfg)
         single = simulate_trajectory(rho0, spec, l_op, grid, seed=60)
-        dts = np.diff(grid)
-        s, sq, failed = _ensemble_worker((rho0.entries, spec, l_op, dts, (60, 61, 62)))
+        _, dt = grid_steps(grid)
+        s, sq, failed = _ensemble_worker((rho0.entries, spec, l_op, len(grid) - 1, dt, (60, 61, 62)))
         three = [simulate_trajectory(rho0, spec, l_op, grid, seed=s_) for s_ in (60, 61, 62)]
         total = sum(t.bloch for t in three)
         assert not failed
@@ -552,12 +589,11 @@ class TestEngineConsistency:
         cfg = preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
         seeds = (60, 61, 62)
-        dts = np.full(50, cfg.dt)
-        dw = np.stack([wiener_increments(s_, dts) for s_ in seeds])
+        dw = np.stack([wiener_increments(s_, 50, cfg.dt) for s_ in seeds])
         dw[1, 22] = 1e6
         batch = np.broadcast_to(rho0.entries, (3,) + rho0.entries.shape)
         with pytest.raises(PositivityError) as err:
-            _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+            _evolve(batch, CompiledGenerator(spec), l_op.entries, cfg.dt,
                     increments=dw, seeds=seeds)
         assert err.value.seeds == (61,)
         assert err.value.step == 22
@@ -569,10 +605,10 @@ class TestEngineConsistency:
         rho0, spec, l_op = filter_ingredients(cfg)
         seeds = tuple(range(60, 70))
         grid = cfg.dt * np.arange(3001)
-        dts = np.diff(grid)
-        dw = np.stack([wiener_increments(s_, dts) for s_ in seeds])
+        _, dt = grid_steps(grid)
+        dw = np.stack([wiener_increments(s_, 3000, dt) for s_ in seeds])
         batch = np.broadcast_to(rho0.entries, (len(seeds),) + rho0.entries.shape)
-        bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dts,
+        bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, dt,
                               increments=dw, seeds=seeds)
         for row, s_ in zip(bloch, seeds):
             single = simulate_trajectory(rho0, spec, l_op, grid, seed=s_)

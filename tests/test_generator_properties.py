@@ -14,6 +14,7 @@ from nmqubit.filtering import _evolve, simulate_trajectory, wiener_increments
 from nmqubit.master import (
     CompiledGenerator,
     generator_spec,
+    grid_steps,
     integrate_master,
     lindblad_apply,
     reduce_to_qubit,
@@ -102,13 +103,13 @@ def test_batched_filter_rows_match_single_trajectories(model, seed):
     spec = generator_spec(model)
     l_op = model.collapse_ops[model.probe_index]
     t = 1e-3 * np.arange(41)
-    dts = np.diff(t)
+    _, dt = grid_steps(t)
     rho0 = random_states(seed, layout.dims, 3)
     seeds = (seed, seed + 1, seed + 2)
-    dw = np.stack([wiener_increments(s, dts) for s in seeds])
-    bloch, _, signal = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dts,
+    dw = np.stack([wiener_increments(s, 40, dt) for s in seeds])
+    bloch, _, signal = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt,
                                increments=dw, seeds=seeds)
-    record = signal * dts + dw
+    record = signal * dt + dw
     for i, s in enumerate(seeds):
         traj = simulate_trajectory(DensityMatrix.wrap(layout, rho0[i]), spec, l_op, t, s)
         assert np.array_equal(bloch[i], traj.bloch)

@@ -8,8 +8,20 @@ from numpy.testing import assert_allclose
 
 from nmqubit import master
 from nmqubit.config import preset, with_truncation
-from nmqubit.experiments import build_probed_model, config_grid, run_baseline, run_unconditional
-from nmqubit.filtering import Trajectory, conditional_qubit, simulate_trajectory
+from nmqubit.experiments import (
+    build_probed_model,
+    config_grid,
+    filter_ingredients,
+    run_baseline,
+    run_unconditional,
+)
+from nmqubit.filtering import (
+    Trajectory,
+    conditional_qubit,
+    ensemble_average,
+    replay_filter,
+    simulate_trajectory,
+)
 from nmqubit.master import (
     CompiledGenerator,
     JumpGather,
@@ -17,6 +29,7 @@ from nmqubit.master import (
     PositivityError,
     augmented_initial_state,
     generator_spec,
+    grid_steps,
     integrate_master,
     lindblad_apply,
     markovian_baseline_spec,
@@ -287,8 +300,8 @@ class TestIntegrate:
         assert (spec.layout.total <= master.TABLE_MAX_DIM) == tabulated
         if grid == "linspace":
             t = np.linspace(0.0, 1.0, 201)
-        else:  # every step size distinct, checked in blocks of five states
-            t = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 120)])
+        else:  # 120 steps from t0 = 1e-3, checked in blocks of five states
+            t = 1e-3 + np.arange(121) * ((1.0 - 1e-3) / 120)
             monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 5 * 16 * spec.layout.total**2)
         result = integrate_master(rho0, spec, t)
         want = plain_rk4(rho0, spec, t)
@@ -326,6 +339,71 @@ class TestIntegrate:
             integrate_master(rho0, spec, [0.0, 0.5, 0.5])
         with pytest.raises(ValueError, match="two times"):
             integrate_master(rho0, spec, [0.0])
+
+
+#: two grids that step by more than one size, and how far their worst step is off
+NON_UNIFORM = {
+    "geometric": (np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 120)]), r"step 119 is 5\.77 h off"),
+    "alternating": (np.concatenate([[0.0], np.cumsum(np.tile([1e-3, 3e-3], 4))]),
+                    r"step 0 is 0\.5 h off"),
+}
+
+
+def step_deviation(t):
+    """Largest |t[i+1] - t[i] - h| / h over a grid that ``grid_steps`` accepts."""
+    t, h = grid_steps(t)
+    return float(np.max(np.abs(np.diff(t) / h - 1.0)))
+
+
+class TestGridSteps:
+    # deviations measured when pinned, at 10^6 steps: 9.0e-11 (arange),
+    # 8.2e-11 (linspace), 5.0e-11 (cumsum), 1.1e-9 offset to t0 = 100; and
+    # 2.0e-7 for a t column printed to 12 digits, inside GRID_STEP_TOL = 1e-6
+    @pytest.mark.parametrize("grid, bound", [
+        (lambda n: np.arange(n + 1) * 1e-3, 1.1e-10),
+        (lambda n: np.linspace(0.0, 1.0, n + 1), 1.1e-10),
+        (lambda n: np.concatenate([[0.0], np.cumsum(np.full(n, 1e-3))]), 1.1e-10),
+        (lambda n: np.linspace(100.0, 110.0, n + 1), 1.5e-9),
+    ], ids=["arange", "linspace", "cumsum", "offset"])
+    @pytest.mark.parametrize("n", [1, 1000, 10**6])
+    def test_rounded_uniform_grids_accepted(self, grid, bound, n):
+        assert step_deviation(grid(n)) <= bound
+
+    def test_printed_time_column_accepted(self):
+        # the t column of a CSV holds 12 significant digits
+        t = np.array(["%.12g" % x for x in np.arange(10**5 + 1) * (1 / 30)], dtype=float)
+        assert step_deviation(t) <= 2.1e-7
+
+    def test_two_point_grid(self):
+        t, h = grid_steps([0.25, 1.0])
+        assert h == 0.75 and list(t) == [0.25, 1.0]
+
+    @pytest.mark.parametrize("grid, message", [
+        *NON_UNIFORM.values(),
+        ([0.0, 1.0, float("nan"), 3.0], r"step 1 is nan h off"),
+    ], ids=[*NON_UNIFORM, "nan"])
+    def test_non_uniform_grid_named(self, grid, message):
+        with pytest.raises(ValueError, match=rf"t_grid must be uniform: {message}"):
+            grid_steps(grid)
+
+    @pytest.mark.parametrize("grid", NON_UNIFORM)
+    @pytest.mark.parametrize("entry", ["integrate", "simulate", "replay", "ensemble"])
+    def test_entry_points_reject_non_uniform_grid(self, entry, grid):
+        t, message = NON_UNIFORM[grid]
+        rho0, spec, l_op = filter_ingredients(preset("paper-fig4"))
+        run = {
+            "integrate": lambda: integrate_master(rho0, spec, t),
+            "simulate": lambda: simulate_trajectory(rho0, spec, l_op, t, seed=1),
+            "replay": lambda: replay_filter(rho0, spec, l_op, np.zeros(len(t) - 1), t),
+            "ensemble": lambda: ensemble_average(rho0, spec, l_op, t, 2, 0),
+        }[entry]
+        with pytest.raises(ValueError, match=rf"t_grid must be uniform: {message}"):
+            run()
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.0], [1.0, 0.0], [0.0, float("nan")]])
+    def test_non_increasing_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            grid_steps(grid)
 
 
 class TestReduce:

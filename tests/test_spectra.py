@@ -236,7 +236,7 @@ class TestSamplesCsv:
         assert_allclose(back.omega, samples.omega)
         assert_allclose(back.values, samples.values)
 
-    @pytest.mark.parametrize("row", ["0.5", "0.5,abc"])
+    @pytest.mark.parametrize("row", ["0.5", "0.5,abc", "0.5,1.0,2.0"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "spec.csv"
         path.write_text(f"# comment\nomega,psd\n0.0,1.0\n{row}\n")
