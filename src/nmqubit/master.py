@@ -8,6 +8,7 @@ trace-preserving form N rho N^dag - (N^dag N rho + rho N^dag N)/2.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,8 +30,10 @@ TABLE_MAX_DIM = 16
 GRID_STEP_TOL = 1e-6
 
 #: bytes of stored states written out from their coordinates and checked for
-#: eigenvalues in one stacked call
-DIAG_BLOCK_BYTES = 1 << 18
+#: eigenvalues in one stacked call.  numpy releases the GIL in that call only
+#: when states times d exceeds 500, so the check overlaps the integration
+#: only from there: 1 MiB holds 26 states at d = 50 (256 KiB held 6)
+DIAG_BLOCK_BYTES = 1 << 20
 
 
 class PositivityError(RuntimeError):
@@ -125,16 +128,18 @@ class JumpGather:
         self.idx[rank, target] = source
         self.w[rank, target] = w
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """The jump sum on one (d, d) state or a (B, d, d) batch."""
-        w = self.w
-        if not len(w):
-            return np.zeros(r.shape, dtype=complex)
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The jump sum on one (d, d) state or a (B, d, d) batch, written into
+        ``out`` if given.  The rows are summed in order, as a loop over them
+        would."""
+        if out is None:
+            out = np.empty(r.shape, dtype=complex)
         flat = r.reshape(r.shape[:-2] + (-1,))
-        out = w[0] * flat[..., self.idx[0]]
-        for s in range(1, len(w)):
-            out += w[s] * flat[..., self.idx[s]]
-        return out.reshape(r.shape)
+        gathered = np.empty(flat.shape[:-1] + self.w.shape, dtype=complex)
+        np.take(flat, self.idx, axis=-1, out=gathered, mode="clip")
+        np.multiply(self.w, gathered, out=gathered)
+        np.add.reduce(gathered, axis=-2, out=out.reshape(flat.shape))
+        return out
 
 
 class CompiledGenerator:
@@ -228,19 +233,31 @@ class _HermitianCoordinates:
 
 
 def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: float):
-    """Classic RK4 with four generator applies: ``step(v)`` writes the
-    coordinates v out as a matrix, steps it by h and returns the coordinates
-    of the result and its trace."""
+    """The RK4 step with four generator applies, in Horner form
+    r + hL(r + h/2 L(r + h/3 L(r + h/4 L r))): the same polynomial
+    sum_{j<=4} (h L)^j/j! that ``_tabulated_step`` tabulates.  ``step(v)``
+    writes the coordinates v out as a matrix, steps it by h and returns the
+    coordinates of the result and its trace.  Every stage applies the
+    generator into buffers allocated here, once per run."""
     d = coords.d
     rho = np.empty((d, d), dtype=complex)
+    y, x, k, jump_sum = (np.empty_like(rho) for _ in range(4))
+    e, jumps, x_t = gen.e, gen.jumps, x.T
+    coefs = (h / 4.0, h / 3.0, h / 2.0, h)
 
     def step(v: np.ndarray):
         r = coords.write(v, rho)
-        k1 = gen.apply(r)
-        k2 = gen.apply(r + 0.5 * h * k1)
-        k3 = gen.apply(r + 0.5 * h * k2)
-        k4 = gen.apply(r + h * k3)
-        u = coords.read(r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        src = r
+        for c in coefs:
+            # k = L src as in ``CompiledGenerator.apply``, then y = r + c k
+            np.matmul(e, src, out=x)
+            np.conjugate(x_t, out=k)
+            np.add(k, x, out=k)
+            np.add(k, jumps(src, jump_sum), out=k)
+            np.multiply(k, c, out=y)
+            np.add(y, r, out=y)
+            src = y
+        u = coords.read(y)
         return u, u[:d].sum()
 
     return step
@@ -314,8 +331,12 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     renormalized by its trace, with the drift logged.  Up to ``TABLE_MAX_DIM``
     a step is one product with a tabulated map, above it four generator
     applies.  States are written out and their eigenvalues checked per block
-    of about ``DIAG_BLOCK_BYTES``, aborting below ``-POSITIVITY_ABORT``; a
-    block ends early after a state that cannot pass, so a diverging run stops
+    of about ``DIAG_BLOCK_BYTES``, aborting below ``-POSITIVITY_ABORT``.  A
+    helper thread checks each block while the next one integrates (see
+    ``DIAG_BLOCK_BYTES`` for when the two overlap).  The previous block's
+    check is collected before the next is handed over, so the first failing
+    grid point is the one named.  A block ends early after a state that
+    cannot pass and its check is collected at once, so a diverging run stops
     before it overflows.
     """
     _check_layout(rho0, spec.layout)
@@ -339,14 +360,22 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
     tr_drift[0] = abs(tr - 1.0)
     v = np.divide(u, tr, out=buf[0])
     lo = 0
-    for i in range(1, n):
-        u, tr = step(v)
-        tr_drift[i] = abs(tr - 1.0)
-        v = np.divide(u, tr, out=buf[i - lo])
-        if i + 1 - lo == block or i + 1 == n or not v @ v <= bound:
-            coords.write(buf[:i + 1 - lo], states[lo:i + 1])
-            _diagnose(states, t, min_eig, lo, i + 1)
-            lo = i + 1
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        checked = None  # the check in flight: at most one block
+        for i in range(1, n):
+            u, tr = step(v)
+            tr_drift[i] = abs(tr - 1.0)
+            v = np.divide(u, tr, out=buf[i - lo])
+            diverged = not v @ v <= bound
+            if i + 1 - lo == block or i + 1 == n or diverged:
+                coords.write(buf[:i + 1 - lo], states[lo:i + 1])
+                if checked is not None:
+                    checked.result()
+                checked = pool.submit(_diagnose, states, t, min_eig, lo, i + 1)
+                if diverged:
+                    checked.result()
+                lo = i + 1
+        checked.result()
     return MasterResult(t, spec.layout, states, tr_drift, min_eig)
 
 

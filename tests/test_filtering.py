@@ -126,7 +126,7 @@ class TestSmeStep:
             assert_allclose(got, want / np.trace(want).real, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bank", ["fig4", "bank2-shared"])
-    def test_alternating_step_sizes_batch_of_three(self, rng, bank):
+    def test_eight_steps_batch_of_three(self, rng, bank):
         # a replay of three paths over eight steps of 3e-3: every step is the
         # dense Kraus map, so jump weights or E not scaled by dt fail it.  The
         # preset's jump gather has one row, the shared two-mode bank's two.

@@ -212,6 +212,32 @@ class TestJumpGather:
             assert np.array_equal(row, gen.apply(rho))
             assert_allclose(row, lindblad_apply(rho, spec), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("spec", [
+        lambda: generator_spec(bank2_model("shared")),
+        lambda: preset_problem(form="direct")[0],
+        lambda: GeneratorSpec(tagged(np.diag([1.0, -1.0, 0.5])), ()),
+    ], ids=["shared-bank", "preset-direct", "no-collapse"])
+    def test_apply_bits_of_a_row_loop(self, spec, rng):
+        # the gather's one take/multiply/reduce sums its rows in the order of
+        # a loop over them, so apply keeps the bits of that loop
+        spec = spec()
+        gen = CompiledGenerator(spec)
+        d = spec.layout.total
+
+        def row_loop(r):
+            flat = r.reshape(r.shape[:-2] + (-1,))
+            jump = np.zeros(flat.shape, dtype=complex)
+            if len(gen.jumps.w):
+                jump = gen.jumps.w[0] * flat[..., gen.jumps.idx[0]]
+                for w, idx in zip(gen.jumps.w[1:], gen.jumps.idx[1:]):
+                    jump += w * flat[..., idx]
+            x = gen.e @ r
+            return x + x.conj().swapaxes(-1, -2) + jump.reshape(r.shape)
+
+        batch = np.stack([unit_trace_hermitian(rng, d) for _ in range(3)])
+        assert np.array_equal(gen.apply(batch), row_loop(batch))
+        assert np.array_equal(gen.apply(batch[1]), row_loop(batch[1]))
+
     def test_one_build_per_call(self, monkeypatch):
         # the all-channel gather is built on the first apply, so a filter
         # call builds only its own over the unmonitored channels
@@ -277,8 +303,29 @@ class TestIntegrate:
         # an absurd step size must trip the abort diagnostic at the first step,
         # on either stepper; one block holds all 401 stored states, so a run
         # that kept stepping after a state that cannot be positive would
-        # overflow and warn before its block is checked
+        # overflow and warn before its block is checked, and one that did not
+        # wait for that block's check would take a step more
         monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 401 * 16 * 10**2)
+        # whether each stepped state fails the v.v certificate, per run
+        over = []
+
+        def recording(make):
+            def build(gen, coords, h):
+                step = make(gen, coords, h)
+                bound = (1.0 + coords.d * master.POSITIVITY_ABORT) ** 2
+
+                def recorded(v):
+                    u, tr = step(v)
+                    w = u / tr
+                    over.append(not w @ w <= bound)
+                    return u, tr
+
+                return recorded
+
+            return build
+
+        for name in ("_tabulated_step", "_applied_step"):
+            monkeypatch.setattr(master, name, recording(getattr(master, name)))
         fig4 = preset("paper-fig4")
         for table_max_dim in (master.TABLE_MAX_DIM, 0):  # 0: every run applies the generator
             monkeypatch.setattr(master, "TABLE_MAX_DIM", table_max_dim)
@@ -286,14 +333,17 @@ class TestIntegrate:
                 cfg = dataclasses.replace(fig4, dt=dt, t_final=400 * dt)
                 # the memoryless qubit stays positive at the smallest step
                 for run in (run_unconditional,) + ((run_baseline,) if dt > 0.5 else ()):
+                    over.clear()
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         with pytest.raises(PositivityError,
                                            match=rf"t={dt:.6g} \(grid point 1\)"):
                             run(cfg)
+                    # no step is taken after the first state that cannot pass
+                    assert over.index(True) == len(over) - 1
 
     @pytest.mark.parametrize("name", RK4_PROBLEMS)
-    @pytest.mark.parametrize("grid", ["linspace", "geometric"])
+    @pytest.mark.parametrize("grid", ["linspace", "offset-blocks"])
     def test_steppers_match_plain_rk4(self, name, grid, monkeypatch):
         problem, tabulated = RK4_PROBLEMS[name]
         spec, rho0 = problem()
@@ -309,6 +359,38 @@ class TestIntegrate:
         assert_allclose(result.min_eig, np.linalg.eigvalsh(want)[:, 0], rtol=0, atol=1e-12)
         assert np.array_equal(result.states, result.states.conj().swapaxes(1, 2))
         assert result.tr_drift.max() <= 1e-12
+
+    @pytest.mark.parametrize("name", ["preset-d10", "apply-d18"])
+    def test_min_eig_is_one_stacked_call(self, name, monkeypatch):
+        # the blocks checked on the helper thread give the bits of one
+        # stacked eigvalsh over all states; 201 states in blocks of 40
+        spec, rho0 = RK4_PROBLEMS[name][0]()
+        monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 40 * 16 * spec.layout.total**2)
+        result = integrate_master(rho0, spec, np.linspace(0.0, 1.0, 201))
+        assert np.array_equal(result.min_eig, np.linalg.eigvalsh(result.states)[:, 0])
+
+    @pytest.mark.parametrize("table_max_dim", [master.TABLE_MAX_DIM, 0])
+    def test_abort_in_last_block(self, table_max_dim, monkeypatch):
+        # half the preset's state mixed with I/d is positive definite, and at
+        # dt = 0.3 it loses positivity slowly: grid point 17 is the first
+        # below -POSITIVITY_ABORT while every v.v stays inside its bound.  In
+        # blocks of five, 20 points put it in the fourth and last block, whose
+        # check the run must collect before it returns
+        monkeypatch.setattr(master, "TABLE_MAX_DIM", table_max_dim)  # 0: applied step
+        cfg = preset("paper-fig4")
+        model = build_probed_model(cfg)
+        spec, d = generator_spec(model), model.layout.total
+        rho0 = DensityMatrix(model.layout, 0.5 * augmented_initial_state(cfg.init_bloch, model.layout).entries
+                             + 0.5 * np.eye(d) / d)
+        t = 0.3 * np.arange(20)
+        want = plain_rk4(rho0, spec, t)
+        w = np.linalg.eigvalsh(want)[:, 0]
+        assert np.flatnonzero(w < -master.POSITIVITY_ABORT)[0] == 17
+        # the squared Frobenius norm bounds v.v from above
+        assert np.all(np.sum(np.abs(want) ** 2, axis=(1, 2)) <= (1.0 + d * master.POSITIVITY_ABORT) ** 2)
+        monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 5 * 16 * d**2)
+        with pytest.raises(PositivityError, match=rf"t=5.1 \(grid point 17\) has eigenvalue {w[17]:.3e} "):
+            integrate_master(rho0, spec, t)
 
     @pytest.mark.parametrize("truncation", [5, 9])
     def test_weak_error_against_exact_propagator(self, truncation):
