@@ -91,7 +91,7 @@ def cmd_spectrum(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _bloch_table(result, config: ExperimentConfig, command: str, path: Path) -> Path:
     return write_table(path, config, command, {
-        "t": result.t_grid, **_xyz("", result.qubit_bloch()),
+        "t": result.t_grid, **_xyz("", result.bloch),
         "tr_drift": result.tr_drift, "min_eig": result.min_eig,
     })
 
@@ -143,12 +143,11 @@ def cmd_fit(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def cmd_compare(config: ExperimentConfig, out: Path) -> list[Path]:
-    # only Bloch columns are written; the unconditional states (16 MB at
-    # preset size) are dropped before the ensemble runs
-    bloch_u = run_unconditional(config).qubit_bloch()
+    # both master-equation runs keep their Bloch columns, not their states
+    bloch_u = run_unconditional(config).bloch
     ens = run_ensemble(config)
     markov = run_baseline(config)
-    bloch_m = markov.qubit_bloch()
+    bloch_m = markov.bloch
     summary = {
         "decay_time_non_markovian": _fmt(decay_time(markov.t_grid, bloch_u[:, 0])),
         "decay_time_markovian": _fmt(decay_time(markov.t_grid, bloch_m[:, 0])),

@@ -60,15 +60,15 @@ def initial_state(config: ExperimentConfig, model: GeneratorSpec) -> DensityMatr
     return augmented_initial_state(config.init_bloch, model.layout)
 
 
-def run_unconditional(config: ExperimentConfig) -> MasterResult:
+def run_unconditional(config: ExperimentConfig, store_states: bool = False) -> MasterResult:
     """Integrate the augmented master equation for the configured experiment."""
     model = build_probed_model(config)
     spec = generator_spec(model)
     rho0 = initial_state(config, model)
-    return integrate_master(rho0, spec, config_grid(config))
+    return integrate_master(rho0, spec, config_grid(config), store_states=store_states)
 
 
-def run_baseline(config: ExperimentConfig) -> MasterResult:
+def run_baseline(config: ExperimentConfig, store_states: bool = False) -> MasterResult:
     """Integrate the memoryless qubit-only reference dynamics."""
     spec = markovian_baseline_spec(
         config.omega_q, config.ancillas, config.gamma_q,
@@ -76,7 +76,7 @@ def run_baseline(config: ExperimentConfig) -> MasterResult:
     )
     x, y, z = config.init_bloch
     rho0 = DensityMatrix.from_bloch(x, y, z)
-    return integrate_master(rho0, spec, config_grid(config))
+    return integrate_master(rho0, spec, config_grid(config), store_states=store_states)
 
 
 def filter_ingredients(config: ExperimentConfig) -> tuple[DensityMatrix, GeneratorSpec, Operator]:
@@ -105,9 +105,8 @@ def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
 def truncation_deviation(config: ExperimentConfig) -> float:
     """Max qubit Bloch deviation when every mode's truncation is multiplied by
     ``TRUNCATION_FACTOR``; the convergence check for the finite ladder."""
-    base = run_unconditional(config).qubit_bloch()
-    refined = run_unconditional(
-        with_truncation(config, TRUNCATION_FACTOR * config.truncation)).qubit_bloch()
+    base = run_unconditional(config).bloch
+    refined = run_unconditional(with_truncation(config, TRUNCATION_FACTOR * config.truncation)).bloch
     return float(np.max(np.abs(base - refined)))
 
 

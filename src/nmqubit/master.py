@@ -13,7 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import QUBIT, DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bloch
+from .operators import (
+    QUBIT, DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, readout, readout_weights,
+)
 from .slh import GeneratorSpec, qubit_operator
 
 #: smallest eigenvalue an integrated state may reach before the run aborts
@@ -183,22 +185,21 @@ class CompiledGenerator:
 
 @dataclass
 class MasterResult:
-    """Integrated states plus per-point conservation diagnostics.
+    """An unconditional run: the reduced qubit's Bloch components (``None``
+    for a layout without a leading qubit factor), the joint states if stored
+    (else ``None``), and per-point conservation diagnostics, all on one grid.
 
     ``tr_drift`` is the pre-renormalization |trace - 1| of each step and
-    ``min_eig`` the smallest eigenvalue, both recorded on the same grid as
-    ``states``, which are Hermitian by construction.
+    ``min_eig`` the smallest eigenvalue of each state, which is Hermitian by
+    construction.
     """
 
     t_grid: np.ndarray
     layout: HilbertLayout
-    states: np.ndarray
+    bloch: np.ndarray | None
+    states: np.ndarray | None
     tr_drift: np.ndarray
     min_eig: np.ndarray
-
-    def qubit_bloch(self) -> np.ndarray:
-        """(n, 3) Bloch components of the reduced qubit over the grid."""
-        return qubit_bloch(self.states, self.layout.dims)
 
 
 class _HermitianCoordinates:
@@ -289,11 +290,16 @@ def _tabulated_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: fl
     return step
 
 
-def _diagnose(states: np.ndarray, t: np.ndarray, min_eig: np.ndarray, lo: int, hi: int) -> None:
-    """Smallest eigenvalue of stored points lo..hi - 1, as one stacked call;
-    aborts at the first state below -POSITIVITY_ABORT."""
-    w = np.linalg.eigvalsh(states[lo:hi])[:, 0]
-    min_eig[lo:hi] = w
+def _diagnose(block: np.ndarray, lo: int, t: np.ndarray, result: MasterResult,
+              weights: np.ndarray | None) -> None:
+    """Bloch rows (by ``readout`` with the qubit's ``weights``, if any) and
+    smallest eigenvalue, as one stacked call, of the states of grid points
+    lo.. in ``block``; aborts at the first state below -POSITIVITY_ABORT."""
+    hi = lo + len(block)
+    if weights is not None:
+        result.bloch[lo:hi] = readout(block, weights)
+    w = np.linalg.eigvalsh(block)[:, 0]
+    result.min_eig[lo:hi] = w
     bad = np.flatnonzero(w < -POSITIVITY_ABORT)
     if bad.size:
         i = lo + int(bad[0])
@@ -321,34 +327,41 @@ def grid_steps(t_grid) -> tuple[np.ndarray, float]:
     return t, float(h)
 
 
-def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> MasterResult:
+def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid,
+                     store_states: bool = False) -> MasterResult:
     """Propagate with classic RK4 by the one step size of a uniform time grid.
 
     The state is carried as its d^2 real Hermitian coordinates, so every
-    stored state and step input is exactly Hermitian, as
+    written state and step input is exactly Hermitian, as
     ``CompiledGenerator.apply`` requires; rho0 enters as its Hermitian part (a
     ``DensityMatrix`` may deviate by up to 1e-10).  Every state is
     renormalized by its trace, with the drift logged.  Up to ``TABLE_MAX_DIM``
     a step is one product with a tabulated map, above it four generator
-    applies.  States are written out and their eigenvalues checked per block
-    of about ``DIAG_BLOCK_BYTES``, aborting below ``-POSITIVITY_ABORT``.  A
-    helper thread checks each block while the next one integrates (see
-    ``DIAG_BLOCK_BYTES`` for when the two overlap).  The previous block's
-    check is collected before the next is handed over, so the first failing
-    grid point is the one named.  A block ends early after a state that
-    cannot pass and its check is collected at once, so a diverging run stops
-    before it overflows.
+    applies.  States are written out per block of about ``DIAG_BLOCK_BYTES``,
+    reduced to their Bloch rows and checked for eigenvalues, aborting below
+    ``-POSITIVITY_ABORT``.  A helper thread does this for each block while
+    the next one integrates (see ``DIAG_BLOCK_BYTES`` for when the two
+    overlap).  The previous block's check is collected before the next block
+    is written, so the first failing grid point is the one named.  Unless
+    ``store_states`` asks for the (n, d, d) stack, every block is written
+    into one reusable buffer, so a run holds O(block d^2 + n) memory.  A
+    block ends early after a state that cannot pass and its check is
+    collected at once, so a diverging run stops before it overflows.
     """
     _check_layout(rho0, spec.layout)
     t, h = grid_steps(t_grid)
     n = len(t)
-    d = spec.layout.total
+    dims, d = spec.layout.dims, spec.layout.total
     coords = _HermitianCoordinates(d)
     step = (_tabulated_step if d <= TABLE_MAX_DIM else _applied_step)(CompiledGenerator(spec), coords, h)
-    states = np.empty((n, d, d), dtype=complex)
-    tr_drift = np.empty(n)
-    min_eig = np.empty(n)
-    block = max(2, DIAG_BLOCK_BYTES // states[0].nbytes)
+    weights = readout_weights(dims) if dims[0] == 2 else None
+    # the largest per-point array first, so a grid too long to hold fails on it
+    bloch = None if weights is None else np.empty((n, 3))
+    block = max(2, DIAG_BLOCK_BYTES // (16 * d * d))
+    stack = np.empty((n if store_states else block, d, d), dtype=complex)
+    result = MasterResult(t, spec.layout, bloch, stack if store_states else None,
+                          np.empty(n), np.empty(n))
+    tr_drift = result.tr_drift
     buf = np.empty((block, d * d))
     # a unit-trace state with no eigenvalue below -POSITIVITY_ABORT has a squared
     # Frobenius norm below this, and v.v is at most that norm
@@ -368,15 +381,17 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid) -> Master
             v = np.divide(u, tr, out=buf[i - lo])
             diverged = not v @ v <= bound
             if i + 1 - lo == block or i + 1 == n or diverged:
-                coords.write(buf[:i + 1 - lo], states[lo:i + 1])
                 if checked is not None:
                     checked.result()
-                checked = pool.submit(_diagnose, states, t, min_eig, lo, i + 1)
+                # a stored block fills its rows of the stack, else the buffer's first rows
+                rows = stack[lo:i + 1] if store_states else stack[:i + 1 - lo]
+                checked = pool.submit(_diagnose, coords.write(buf[:i + 1 - lo], rows), lo, t,
+                                      result, weights)
                 if diverged:
                     checked.result()
                 lo = i + 1
         checked.result()
-    return MasterResult(t, spec.layout, states, tr_drift, min_eig)
+    return result
 
 
 def reduce_to_qubit(rho: DensityMatrix) -> DensityMatrix:

@@ -53,7 +53,7 @@ def preset_cfg():
 @pytest.fixture(scope="module")
 def uncond(preset_cfg):
     t0 = time.perf_counter()
-    result = run_unconditional(preset_cfg)
+    result = run_unconditional(preset_cfg, store_states=True)
     return result, time.perf_counter() - t0
 
 
@@ -135,7 +135,7 @@ def test_criterion_3_linear_ancilla_oracle(preset_cfg):
     bank[:2, :2] = 0.5  # the bank ket (|0> + |1>)/sqrt(2), so <a(0)> = 0.5
     qubit = DensityMatrix.from_bloch(*cfg.init_bloch).entries
     rho0 = DensityMatrix(model.layout, np.kron(qubit, bank))
-    result = integrate_master(rho0, generator_spec(model), config_grid(cfg))
+    result = integrate_master(rho0, generator_spec(model), config_grid(cfg), store_states=True)
     a_op = np.kron(np.eye(2), ladder(cfg.truncation))
     got = np.einsum("ij,tji->t", a_op, result.states)
     mode = cfg.ancillas[0]

@@ -88,7 +88,7 @@ def oracle_config(modes, field_mode, truncation, t_final, dt):
 def evolve_bloch(modes, field_mode, truncation, t_final, dt):
     """``evolve``'s grid and Bloch vectors on the oracle's model."""
     result = run_unconditional(oracle_config(modes, field_mode, truncation, t_final, dt))
-    return result.t_grid, result.qubit_bloch()
+    return result.t_grid, result.bloch
 
 
 def max_error(t, bloch, factor):

@@ -419,10 +419,12 @@ class TestMainEntry:
         assert "Traceback" not in err
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
-    def test_state_stack_beyond_address_limit_is_out_of_memory(self, tmp_path):
-        # 10**7 steps fit the grid (80 MB) but not the 14.9 GiB of stored
-        # states; the child caps its own address space at 2 GiB, so np.empty
-        # fails at once instead of reserving memory it never touches
+    def test_bloch_columns_beyond_address_limit_are_out_of_memory(self, tmp_path):
+        # 7.1e7 steps fit the grid (571 MB) and its uniformity check, which
+        # holds three arrays of that size at once, but not the 1.6 GiB Bloch
+        # columns, which a run allocates before it steps.  The child caps its
+        # own address space at 2 GiB, so np.empty fails at once; at dt =
+        # 1.2e-7 the uniformity check peaked 0.8 MB under the cap when pinned
         import resource
 
         def cap():
@@ -433,12 +435,13 @@ class TestMainEntry:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "nmqubit", "evolve", "--preset", "paper-fig4",
-             "--dt", "1e-6", "--out", str(tmp_path)],
+             "--dt", "1.4e-7", "--out", str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: out of memory (") and "GiB" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "shape (71428572, 3)" in proc.stderr
 
     @pytest.mark.parametrize("text", [
         '{"ancilla": ' + "[" * 100_000 + "]" * 100_000 + "}",

@@ -252,7 +252,7 @@ class TestTrajectory:
         # L = 0 carries no information; conditional equals unconditional
         cfg = short_cfg(gamma_q=0.0)
         traj = run_filter_trajectory(cfg, seed=11)
-        uncond = run_unconditional(cfg).qubit_bloch()
+        uncond = run_unconditional(cfg).bloch
         assert np.max(np.abs(traj.bloch - uncond)) < 5e-3  # Euler vs RK4 drift only
 
     def test_bookkeeping_identity_exact(self):
@@ -459,7 +459,7 @@ class TestEnsemble:
         cfg = short_cfg(gamma_q=0.0)
         rho0, spec, l_op = filter_ingredients(cfg)
         ens = ensemble_average(rho0, spec, l_op, config_grid(cfg), 2, 100)
-        uncond = run_unconditional(cfg).qubit_bloch()
+        uncond = run_unconditional(cfg).bloch
         # trajectories are seed-independent here, so stderr vanishes
         assert np.max(ens.stderr) < 1e-12
         assert np.max(np.abs(ens.mean - uncond)) < 5e-3

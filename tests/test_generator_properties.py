@@ -89,7 +89,7 @@ def test_rk4_states_hermitian_and_match_plain_rk4(model, seed):
     (rho,) = random_states(seed, model.layout.dims, 1)
     rho0 = DensityMatrix.wrap(model.layout, rho)
     t = np.linspace(0.0, 0.2, 21)
-    states = integrate_master(rho0, spec, t).states
+    states = integrate_master(rho0, spec, t, store_states=True).states
     want = plain_rk4(rho0, spec, t)
     assert np.array_equal(states, states.conj().swapaxes(1, 2))
     assert_allclose(np.trace(states, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14)

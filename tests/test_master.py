@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +27,6 @@ from nmqubit.filtering import (
 from nmqubit.master import (
     CompiledGenerator,
     JumpGather,
-    MasterResult,
     PositivityError,
     augmented_initial_state,
     generator_spec,
@@ -265,7 +266,7 @@ class TestIntegrate:
         spec = GeneratorSpec(Operator(HilbertLayout((4,)), h), ())
         rho0 = rand_density(rng, (4,))
         t_grid = np.linspace(0, 1.0, 501)
-        result = integrate_master(rho0, spec, t_grid)
+        result = integrate_master(rho0, spec, t_grid, store_states=True)
         w, v = np.linalg.eigh(h)
         for idx in (100, 250, 500):
             t = t_grid[idx]
@@ -276,7 +277,7 @@ class TestIntegrate:
     def test_zero_generator_constant(self, rng):
         spec = GeneratorSpec(tagged(np.zeros((3, 3))), ())
         rho0 = rand_density(rng, (3,))
-        result = integrate_master(rho0, spec, np.linspace(0, 5, 11))
+        result = integrate_master(rho0, spec, np.linspace(0, 5, 11), store_states=True)
         for s in result.states:
             assert_allclose(s, rho0.entries, atol=1e-14)
 
@@ -286,7 +287,7 @@ class TestIntegrate:
         h = Operator(HilbertLayout((2, 3)), np.kron(np.diag([1.0, -1.0]), np.eye(3)))
         spec = GeneratorSpec(h, ())
         rho0 = augmented_initial_state((1, 0, 0), HilbertLayout((2, 3)))
-        result = integrate_master(rho0, spec, np.linspace(0, 2, 201))
+        result = integrate_master(rho0, spec, np.linspace(0, 2, 201), store_states=True)
         purity = [float(np.real(np.trace(s @ s))) for s in result.states]
         assert_allclose(purity, purity[0], atol=1e-8)
 
@@ -294,7 +295,7 @@ class TestIntegrate:
         cfg = dataclasses.replace(preset("paper-fig4"), t_final=1.0)
         from nmqubit.experiments import run_unconditional
 
-        result = run_unconditional(cfg)
+        result = run_unconditional(cfg, store_states=True)
         assert result.tr_drift.max() <= 1e-8
         assert np.array_equal(result.states, result.states.conj().swapaxes(1, 2))
         assert result.min_eig.min() >= -1e-8
@@ -333,14 +334,15 @@ class TestIntegrate:
                 cfg = dataclasses.replace(fig4, dt=dt, t_final=400 * dt)
                 # the memoryless qubit stays positive at the smallest step
                 for run in (run_unconditional,) + ((run_baseline,) if dt > 0.5 else ()):
-                    over.clear()
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        with pytest.raises(PositivityError,
-                                           match=rf"t={dt:.6g} \(grid point 1\)"):
-                            run(cfg)
-                    # no step is taken after the first state that cannot pass
-                    assert over.index(True) == len(over) - 1
+                    for store_states in (False, True):
+                        over.clear()
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            with pytest.raises(PositivityError,
+                                               match=rf"t={dt:.6g} \(grid point 1\)"):
+                                run(cfg, store_states=store_states)
+                        # no step is taken after the first state that cannot pass
+                        assert over.index(True) == len(over) - 1
 
     @pytest.mark.parametrize("name", RK4_PROBLEMS)
     @pytest.mark.parametrize("grid", ["linspace", "offset-blocks"])
@@ -353,7 +355,7 @@ class TestIntegrate:
         else:  # 120 steps from t0 = 1e-3, checked in blocks of five states
             t = 1e-3 + np.arange(121) * ((1.0 - 1e-3) / 120)
             monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 5 * 16 * spec.layout.total**2)
-        result = integrate_master(rho0, spec, t)
+        result = integrate_master(rho0, spec, t, store_states=True)
         want = plain_rk4(rho0, spec, t)
         assert_allclose(result.states, want, rtol=0, atol=1e-12)
         assert_allclose(result.min_eig, np.linalg.eigvalsh(want)[:, 0], rtol=0, atol=1e-12)
@@ -366,7 +368,7 @@ class TestIntegrate:
         # stacked eigvalsh over all states; 201 states in blocks of 40
         spec, rho0 = RK4_PROBLEMS[name][0]()
         monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 40 * 16 * spec.layout.total**2)
-        result = integrate_master(rho0, spec, np.linspace(0.0, 1.0, 201))
+        result = integrate_master(rho0, spec, np.linspace(0.0, 1.0, 201), store_states=True)
         assert np.array_equal(result.min_eig, np.linalg.eigvalsh(result.states)[:, 0])
 
     @pytest.mark.parametrize("table_max_dim", [master.TABLE_MAX_DIM, 0])
@@ -389,8 +391,54 @@ class TestIntegrate:
         # the squared Frobenius norm bounds v.v from above
         assert np.all(np.sum(np.abs(want) ** 2, axis=(1, 2)) <= (1.0 + d * master.POSITIVITY_ABORT) ** 2)
         monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 5 * 16 * d**2)
-        with pytest.raises(PositivityError, match=rf"t=5.1 \(grid point 17\) has eigenvalue {w[17]:.3e} "):
+        for store_states in (False, True):
+            with pytest.raises(PositivityError, match=rf"t=5.1 \(grid point 17\) has eigenvalue {w[17]:.3e} "):
+                integrate_master(rho0, spec, t, store_states=store_states)
+
+    @pytest.mark.parametrize("name", ["preset-d10", "apply-d18"])
+    def test_streamed_equals_stored(self, name, monkeypatch):
+        # 101 states in blocks of 30, the last of 11: each block reduced in the
+        # one reused buffer gives the bits of the stored stack, row for row
+        spec, rho0 = RK4_PROBLEMS[name][0]()
+        monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 30 * 16 * spec.layout.total**2)
+        diagnose = master._diagnose
+
+        def held(block, *args):
+            # a check that outlasts the next block's steps: that block must
+            # not be written into the buffer before this check is collected
+            seen = block.copy()
+            time.sleep(0.01)
+            assert np.array_equal(block, seen)
+            diagnose(block, *args)
+
+        monkeypatch.setattr(master, "_diagnose", held)
+        t = np.linspace(0.0, 1.0, 101)
+        streamed = integrate_master(rho0, spec, t)
+        stored = integrate_master(rho0, spec, t, store_states=True)
+        assert streamed.states is None
+        for field in ("bloch", "min_eig", "tr_drift"):
+            assert np.array_equal(getattr(streamed, field), getattr(stored, field))
+        assert np.array_equal(streamed.bloch, qubit_bloch(stored.states, spec.layout.dims))
+        assert np.array_equal(streamed.min_eig, np.linalg.eigvalsh(stored.states)[:, 0])
+
+    def test_streamed_run_holds_no_state_stack(self):
+        # a two-mode bank (d = 50) over 2,001 points, whose stored stack would
+        # be 76.3 MiB; a streamed run peaked at 3.2 MiB when pinned
+        spec, rho0 = preset_problem(5, extra_mode=True)
+        t = np.linspace(0.0, 2.0, 2001)
+        tracemalloc.start()
+        try:
             integrate_master(rho0, spec, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20 < 16 * len(t) * spec.layout.total**2
+
+    def test_layout_without_qubit_factor_has_no_bloch(self, rng):
+        spec = GeneratorSpec(tagged(rand_hermitian(rng, 3)), ())
+        result = integrate_master(rand_density(rng, (3,)), spec, np.linspace(0.0, 1.0, 11))
+        assert result.bloch is None and result.states is None
+        assert result.min_eig.min() > 0.0
 
     @pytest.mark.parametrize("truncation", [5, 9])
     def test_weak_error_against_exact_propagator(self, truncation):
@@ -404,8 +452,8 @@ class TestIntegrate:
             exact = [rho0.entries.reshape(-1)]
             for _ in range(steps):
                 exact.append(prop @ exact[-1])
-            exact = np.array(exact).reshape(result.states.shape)
-            return float(np.max(np.abs(result.qubit_bloch() - qubit_bloch(exact, layout.dims))))
+            exact = np.array(exact).reshape(-1, layout.total, layout.total)
+            return float(np.max(np.abs(result.bloch - qubit_bloch(exact, layout.dims))))
 
         # errors measured when pinned: 2.0e-13 (d = 10) and 2.1e-13 (d = 18)
         # at dt = 1e-3, 1.12e-6 and 6.9e-8 at dt = 0.05 and 0.025 on both
@@ -513,10 +561,9 @@ class TestReduce:
             for s in states
         ])
         t = np.arange(len(states), dtype=float)
-        result = MasterResult(t, layout, states, *(np.zeros(len(t)),) * 2)
         traj = Trajectory(t, layout, None, states, np.zeros(3), np.zeros(3), seed=0)
         singles = [reduce_to_qubit(DensityMatrix.wrap(layout, s)).bloch() for s in states]
-        assert_allclose(result.qubit_bloch(), want, atol=1e-12)
+        assert_allclose(qubit_bloch(states, dims), want, atol=1e-12)
         assert_allclose(conditional_qubit(traj), want, atol=1e-12)
         assert_allclose(singles, want, atol=1e-12)
 
@@ -550,7 +597,7 @@ class TestMomentOracle:
         bank = np.zeros((5, 5))
         bank[:2, :2] = 0.5
         rho0 = DensityMatrix(model.layout, np.kron(DensityMatrix.from_bloch(0, 0, 1).entries, bank))
-        result = integrate_master(rho0, generator_spec(model), config_grid(cfg))
+        result = integrate_master(rho0, generator_spec(model), config_grid(cfg), store_states=True)
         return result.t_grid, np.einsum("ij,tji->t", np.kron(np.eye(2), ladder(5)), result.states)
 
     def test_t0(self, moments):
@@ -616,7 +663,7 @@ class TestMarkovianBaseline:
         for gamma in (5.0, 20.0, 80.0):
             mode = dataclasses.replace(base.ancillas[0], gamma=gamma, kappa=0.5)
             cfg = dataclasses.replace(base, ancillas=(mode,))
-            gap = run_unconditional(cfg).qubit_bloch() - run_baseline(cfg).qubit_bloch()
+            gap = run_unconditional(cfg).bloch - run_baseline(cfg).bloch
             gaps.append(np.abs(gap).max())
         assert gaps[0] > gaps[1] > gaps[2]
         assert_allclose(gaps, [0.1700, 0.0776, 0.0241], rtol=0.01)
