@@ -34,10 +34,12 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
     if n < 1:
         raise ValueError(f"t_final={t_final} spans no full step of dt={dt}")
     try:
-        return np.arange(n + 1) * dt
+        grid = np.arange(n + 1, dtype=float)
     except MemoryError:
         raise ValueError(f"t_final={t_final} over dt={dt} is {n} steps, "
                          f"a grid too large to allocate") from None
+    grid *= dt  # in place: no second grid
+    return grid
 
 
 def config_grid(config: ExperimentConfig) -> np.ndarray:

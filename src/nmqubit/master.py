@@ -185,9 +185,9 @@ class CompiledGenerator:
 
 @dataclass
 class MasterResult:
-    """An unconditional run: the reduced qubit's Bloch components (``None``
-    for a layout without a leading qubit factor), the joint states if stored
-    (else ``None``), and per-point conservation diagnostics, all on one grid.
+    """An unconditional run on its time grid: the reduced qubit's Bloch
+    components (``None`` for a layout without a leading qubit factor), the
+    joint states if stored (else ``None``) and per-point diagnostics.
 
     ``tr_drift`` is the pre-renormalization |trace - 1| of each step and
     ``min_eig`` the smallest eigenvalue of each state, which is Hermitian by
@@ -195,7 +195,6 @@ class MasterResult:
     """
 
     t_grid: np.ndarray
-    layout: HilbertLayout
     bloch: np.ndarray | None
     states: np.ndarray | None
     tr_drift: np.ndarray
@@ -235,11 +234,11 @@ class _HermitianCoordinates:
 
 def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: float):
     """The RK4 step with four generator applies, in Horner form
-    r + hL(r + h/2 L(r + h/3 L(r + h/4 L r))): the same polynomial
-    sum_{j<=4} (h L)^j/j! that ``_tabulated_step`` tabulates.  ``step(v)``
-    writes the coordinates v out as a matrix, steps it by h and returns the
-    coordinates of the result and its trace.  Every stage applies the
-    generator into buffers allocated here, once per run."""
+    r + hL(r + h/2 L(r + h/3 L(r + h/4 L r))), the only place the polynomial
+    sum_{j<=4} (h L)^j/j! is written.  ``step(v)`` writes the coordinates v
+    out as a matrix, steps it by h and returns the coordinates of the result
+    and its trace.  Every stage applies the generator into buffers allocated
+    here, once per run."""
     d = coords.d
     rho = np.empty((d, d), dtype=complex)
     y, x, k, jump_sum = (np.empty_like(rho) for _ in range(4))
@@ -266,26 +265,15 @@ def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: floa
 
 def _tabulated_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: float):
     """The same RK4 step, tabulated.  For a linear, time-independent generator
-    a step is v -> P v = sum_{j<=4} (h L)^j/j! v on the state's real
-    coordinates v; L^j/j! is read once from ``gen.apply`` on the d^2 Hermitian
-    basis matrices, and P, with one more row that gives the trace of the
-    result, is formed once."""
-    d = coords.d
-    n2 = d * d
-    x = coords.write(np.eye(n2), np.empty((n2, d, d), dtype=complex))
-    powers = []
-    for j in range(1, 5):
-        x = gen.apply(x) / j
-        powers.append(coords.read(x).T)  # column k: coordinates of L^j/j! on basis matrix k
-    powers = np.array(powers)
-    ident = np.eye(n2 + 1, n2)  # the map's last row sums the diagonal: the trace
-    ident[n2, :d] = 1.0
-    table = np.concatenate([powers, powers[:, :d].sum(axis=1, keepdims=True)], axis=1).reshape(4, -1)
-    p = ident + (np.array([h, h * h, h**3, h**4]) @ table).reshape(n2 + 1, n2)
+    the applied step is a map v -> P v of the state's real coordinates, with
+    one more row of P for the trace it returns; P is read once, column k as
+    the applied step on the k-th basis coordinate vector."""
+    applied = _applied_step(gen, coords, h)
+    p = np.array([np.append(*applied(e)) for e in np.eye(coords.d ** 2)]).T.copy()
 
     def step(v: np.ndarray):
         u = p @ v
-        return u[:n2], u[n2]
+        return u[:-1], u[-1]
 
     return step
 
@@ -319,7 +307,10 @@ def grid_steps(t_grid) -> tuple[np.ndarray, float]:
     h = (t[-1] - t[0]) / (len(t) - 1)
     if not h > 0:
         raise ValueError("t_grid must be strictly increasing")
-    dev = np.abs(np.diff(t) / h - 1.0)
+    dev = np.diff(t)  # |step/h - 1|, in place: one array beside the grid
+    dev /= h
+    dev -= 1.0
+    np.abs(dev, out=dev)
     if not dev.max() <= GRID_STEP_TOL:  # also a nan
         i = int(np.argmax(dev))
         raise ValueError(f"t_grid must be uniform: step {i} is {dev[i]:.3g} h off its "
@@ -359,8 +350,7 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid,
     bloch = None if weights is None else np.empty((n, 3))
     block = max(2, DIAG_BLOCK_BYTES // (16 * d * d))
     stack = np.empty((n if store_states else block, d, d), dtype=complex)
-    result = MasterResult(t, spec.layout, bloch, stack if store_states else None,
-                          np.empty(n), np.empty(n))
+    result = MasterResult(t, bloch, stack if store_states else None, np.empty(n), np.empty(n))
     tr_drift = result.tr_drift
     buf = np.empty((block, d * d))
     # a unit-trace state with no eigenvalue below -POSITIVITY_ABORT has a squared
