@@ -33,18 +33,26 @@ array.  The loop returns m and forms no record: a simulated record is
 m dt + dW, formed once afterwards.  Every per-path product is a stacked
 per-row matmul, (B, 1, k) @ (k, n), never one 2-D product over the batch: a
 BLAS 2-D product may round a row differently depending on how many rows it
-holds, and a path must not depend on its batch mates.
+holds, and a path must not depend on its batch mates.  A run that stores its
+states takes each one's d^2 real Hermitian coordinates (the diagonal's real
+part and the strict upper triangle, ``master._HermitianCoordinates``), half
+the bytes of the complex state, and hands them out as ``StoredStates``.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .master import CompiledGenerator, JumpGather, PositivityError, grid_steps
+from .master import (
+    DIAG_BLOCK_BYTES, CompiledGenerator, JumpGather, PositivityError, _check_layout,
+    _HermitianCoordinates, grid_steps,
+)
 from .operators import (
     POSITIVITY_TOL,
     DensityMatrix,
@@ -86,6 +94,54 @@ def wiener_increments(seed: int, n: int, dt: float) -> np.ndarray:
     return gen.standard_normal(n) * np.sqrt(dt)
 
 
+class StoredStates(Sequence):
+    """The conditional states of one path, n + 1 read-only ``DensityMatrix``
+    items held as one (n + 1, d^2) stack of their real Hermitian coordinates.
+
+    An item is written out as a matrix when it is read: ``[i]`` writes one
+    state (a slice is another ``StoredStates`` on a view of the stack),
+    iteration one block of about ``DIAG_BLOCK_BYTES`` at a time, and
+    ``np.asarray`` the whole (n + 1, d, d) stack.  Every written state is
+    exactly Hermitian.
+    """
+
+    __slots__ = ("layout", "coords", "_herm", "_block")
+
+    def __init__(self, layout: HilbertLayout, coords: np.ndarray) -> None:
+        self.layout = layout
+        self.coords = coords
+        self._herm = _HermitianCoordinates(layout.total)
+        self._block = max(1, DIAG_BLOCK_BYTES // (16 * layout.total ** 2))
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def _write(self, lo: int, k: int) -> np.ndarray:
+        """States lo .. lo + k - 1 (fewer at the end) as one (k, d, d) stack."""
+        v = self.coords[lo:lo + k]
+        return self._herm.write(v, np.empty((len(v),) + (self._herm.d,) * 2, dtype=complex))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):  # a view of the coordinates, no copy
+            return StoredStates(self.layout, self.coords[i])
+        i = range(len(self))[operator.index(i)]  # a negative i counts from the end
+        return DensityMatrix.wrap(self.layout, self._write(i, 1)[0])
+
+    def __iter__(self):
+        for lo in range(0, len(self), self._block):
+            states = self._write(lo, self._block)
+            states.setflags(write=False)
+            for s in states:
+                yield DensityMatrix.wrap(self.layout, s)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty((len(self),) + (self._herm.d,) * 2, dtype=complex)
+        for lo in range(0, len(self), self._block):  # by blocks, so no full-size temporary
+            hi = lo + self._block
+            self._herm.write(self.coords[lo:hi], out[lo:hi])
+        return np.asarray(out, dtype=dtype)
+
+
 @dataclass
 class Trajectory:
     """One conditional path: qubit Bloch components (and, if stored, the full
@@ -95,7 +151,7 @@ class Trajectory:
     t_grid: np.ndarray
     layout: HilbertLayout
     bloch: np.ndarray
-    states: np.ndarray | None
+    states: StoredStates | None
     record: np.ndarray
     innovations: np.ndarray
     seed: int
@@ -122,9 +178,10 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
     dY given) is a (B, n) array for n steps of ``dt``.  ``l`` must equal
     exactly one collapse operator of ``gen``; ``t0`` is the time of the first
     grid point, named with the later ones in an abort.  Returns (bloch,
-    states, signal): the (B, n + 1, 3) Bloch components, the (B, n + 1, d, d)
-    states or None, and the (B, n) signal m = tr[(L+L^dag) rho] before each
-    step, so a simulated record is m dt + dW and a replayed innovation dY - m dt.
+    states, signal): the (B, n + 1, 3) Bloch components, the states' (B,
+    n + 1, d^2) real Hermitian coordinates or None, and the (B, n) signal
+    m = tr[(L+L^dag) rho] before each step, so a simulated record is
+    m dt + dW and a replayed innovation dY - m dt.
     """
     b, d, _ = rho0.shape
     n = (record if increments is None else increments).shape[1]
@@ -153,7 +210,8 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
     prod = np.empty_like(k)
     rho = np.array(rho0, dtype=complex, order="C")  # a copy keeps a broadcast rho0's strides
     rho_flat = rho.reshape(b, d * d)
-    rho_row = rho_flat.view(float)[:, None]
+    rho_reals = rho_flat.view(float)
+    rho_row = rho_reals[:, None]
     rho_re = rho.view(float)
     diag = rho_flat[:, ::d + 1]
     trace = np.empty(b, dtype=complex)
@@ -166,10 +224,11 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
     w_dt = dt * jumps.w
 
     readouts = np.empty((b, n + 1, 4))  # x, y, z, m per path and grid point
-    states = np.empty((b, n + 1, d, d), dtype=complex) if store_states else None
+    states = np.empty((b, n + 1, d * d)) if store_states else None
+    if store_states:  # the gather of ``_HermitianCoordinates.read``, one per step
+        coords = _HermitianCoordinates(d).coords
+        np.take(rho_reals, coords, axis=1, out=states[:, 0])
     np.matmul(rho_row, w, out=readouts[:, :1])
-    if store_states:
-        states[:, 0] = rho
 
     low = 1.0 / NORM_BOUND
     for i in range(n):
@@ -206,7 +265,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
         rho_re *= inv
         np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])
         if store_states:
-            states[:, i + 1] = rho
+            np.take(rho_reals, coords, axis=1, out=states[:, i + 1])
 
     return readouts[..., :3], states, readouts[:, :-1, 3]
 
@@ -214,6 +273,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
 def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
                         t_grid, seed: int, store_states: bool = False) -> Trajectory:
     """Draw the innovation path from ``seed`` and propagate the SME along it."""
+    _check_layout(rho0, spec.layout)
     t, dt = grid_steps(t_grid)
     dw = wiener_increments(seed, len(t) - 1, dt)
     bloch, states, signal = _evolve(
@@ -224,7 +284,7 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
         t_grid=t,
         layout=spec.layout,
         bloch=bloch[0],
-        states=states[0] if states is not None else None,
+        states=None if states is None else StoredStates(spec.layout, states[0]),
         record=signal[0] * dt + dw,
         innovations=dw,
         seed=seed,
@@ -232,8 +292,9 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
 
 
 def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
-                  record, t_grid) -> list[DensityMatrix]:
+                  record, t_grid) -> StoredStates:
     """Reconstruct the conditional states from a measurement record alone."""
+    _check_layout(rho0, spec.layout)
     t, dt = grid_steps(t_grid)
     rec = np.asarray(record, dtype=float)
     if rec.shape != (len(t) - 1,):
@@ -245,7 +306,7 @@ def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
         rho0.entries[None, :, :], CompiledGenerator(spec), l_op.entries, dt,
         record=rec[None, :], store_states=True, t0=t[0],
     )
-    return [DensityMatrix.wrap(spec.layout, s) for s in states[0]]
+    return StoredStates(spec.layout, states[0])
 
 
 def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
@@ -254,7 +315,7 @@ def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
         raise UnsupportedModeError(
             "trajectory stores expectations only; rerun with store_states=True"
         )
-    return qubit_bloch(trajectory.states, trajectory.layout.dims)
+    return qubit_bloch(np.asarray(trajectory.states), trajectory.layout.dims)
 
 
 def _ensemble_worker(args):
@@ -284,6 +345,7 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
+    _check_layout(rho0, spec.layout)
     t, dt = grid_steps(t_grid)
     seeds = tuple(int(base_seed) + k for k in range(n_traj))
     tasks = [(rho0.entries, spec, l_op, len(t) - 1, dt, seeds[i:i + ENSEMBLE_BATCH])

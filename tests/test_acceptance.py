@@ -211,7 +211,7 @@ def test_criterion_7_replay_determinism(probe_trajectory):
     traj, (rho0, spec, l_op, grid) = probe_trajectory
     states = replay_filter(rho0, spec, l_op, traj.record, grid)
     dev = max(
-        float(np.max(np.abs(s.entries - traj.states[i]))) for i, s in enumerate(states)
+        float(np.max(np.abs(s.entries - traj.states[i].entries))) for i, s in enumerate(states)
     )
     rerun = simulate_trajectory(rho0, spec, l_op, grid, traj.seed, store_states=True)
     identical = (

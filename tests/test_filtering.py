@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from nmqubit.experiments import (
 )
 from nmqubit.filtering import (
     EnsembleError,
+    StoredStates,
     UnsupportedModeError,
     _ensemble_worker,
     _evolve,
@@ -30,11 +32,16 @@ from nmqubit.master import (
     CompiledGenerator,
     PositivityError,
     generator_spec,
+    DIAG_BLOCK_BYTES,
+    _HermitianCoordinates,
     grid_steps,
     integrate_master,
     lindblad_apply,
 )
-from nmqubit.operators import DensityMatrix, Operator, qubit_bloch, readout, readout_weights
+from nmqubit.operators import (
+    DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bloch, readout,
+    readout_weights,
+)
 from nmqubit.slh import AncillaParams, GeneratorSpec, qubit_operator
 
 from conftest import bank2_model, rand_density, reduce_ref, tagged
@@ -114,8 +121,9 @@ class TestSmeStep:
         (bank,) = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
         rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
         dt, dys = 1e-3, np.array([0.05, -0.03, 0.011])
-        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, dt,
+        _, coords, _ = _evolve(rho0, CompiledGenerator(spec), l, dt,
                                record=dys[:, None], store_states=True)
+        states = np.array([StoredStates(model.layout, c) for c in coords])
         d = model.layout.total
         e = -1j * spec.hamiltonian.entries
         for op in spec.collapse_ops:
@@ -138,8 +146,9 @@ class TestSmeStep:
         rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(3)])
         dt = 3e-3
         dys = rng.normal(size=(3, 8)) * np.sqrt(dt)
-        _, states, _ = _evolve(rho0, CompiledGenerator(spec), l, dt, record=dys,
+        _, coords, _ = _evolve(rho0, CompiledGenerator(spec), l, dt, record=dys,
                                store_states=True)
+        states = np.array([StoredStates(model.layout, c) for c in coords])
         d = model.layout.total
         e = -1j * spec.hamiltonian.entries
         for op in spec.collapse_ops:
@@ -227,6 +236,22 @@ class TestSmeStep:
         with pytest.raises(ValueError, match="collapse operator"):
             replay_filter(rho0, spec, Operator(l_op.layout, 2.0 * l_op.entries), [0.0], [0.0, 1e-3])
 
+    @pytest.mark.parametrize("entry", ["simulate", "replay", "ensemble"])
+    def test_initial_state_on_another_layout_rejected(self, entry):
+        # the preset's model is on (2, 5): its state on (10,) has the right
+        # size, and a qubit-only state failed on a bare IndexError
+        rho0, spec, l_op = filter_ingredients(short_cfg())
+        t = [0.0, 1e-3]
+        run = {
+            "simulate": lambda r: simulate_trajectory(r, spec, l_op, t, seed=1),
+            "replay": lambda r: replay_filter(r, spec, l_op, [0.0], t),
+            "ensemble": lambda r: ensemble_average(r, spec, l_op, t, 2, 0),
+        }[entry]
+        for bad in (DensityMatrix(HilbertLayout((10,)), rho0.entries),
+                    DensityMatrix.from_bloch(1.0, 0.0, 0.0)):
+            with pytest.raises(LayoutMismatchError, match=r"state layout \((10,|2,)\)"):
+                run(bad)
+
     def test_wrapped_non_positive_initial_state_rejected(self):
         # the Kraus map only preserves positivity, so an unvalidated initial
         # state with a negative eigenvalue is refused at entry
@@ -256,12 +281,23 @@ class TestTrajectory:
         assert np.max(np.abs(traj.bloch - uncond)) < 5e-3  # Euler vs RK4 drift only
 
     def test_bookkeeping_identity_exact(self):
+        # the record is m dt + dW with the filter's own signal m before each
+        # step, bit for bit, and the stored states give back the filter's
+        # Bloch columns bit for bit.  The stored states are the Hermitian
+        # parts of the propagated ones, while m reads both triangles, so the
+        # stored states give back m only to round-off: 3.3e-15 measured on
+        # this path, bound 1e-14, where a signal one step late is at least
+        # 3.8e-6 off
         cfg = short_cfg()
         traj = run_filter_trajectory(cfg, store_states=True)
-        _, _, l_op = filter_ingredients(cfg)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        dt = grid_steps(traj.t_grid)[1]
+        _, _, signal = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries, dt,
+                               increments=traj.innovations[None])
+        assert np.array_equal(signal[0] * dt + traj.innovations, traj.record)
+        assert np.array_equal(conditional_qubit(traj), traj.bloch)
         m = readout(traj.states[:-1], readout_weights(l_op.layout.dims, l_op.entries + l_op.entries.conj().T))[:, 3]
-        lhs = m * grid_steps(traj.t_grid)[1] + traj.innovations
-        assert np.array_equal(lhs, traj.record)
+        assert np.max(np.abs(m - signal[0])) <= 1e-14
 
     def test_innovation_statistics(self):
         cfg = preset("paper-fig4")
@@ -287,23 +323,25 @@ class TestReplay:
         rho0, spec, l_op = filter_ingredients(cfg)
         states = replay_filter(rho0, spec, l_op, traj.record, traj.t_grid)
         dev = max(
-            float(np.max(np.abs(s.entries - traj.states[i])))
+            float(np.max(np.abs(s.entries - traj.states[i].entries)))
             for i, s in enumerate(states)
         )
         assert dev <= 1e-10
 
-    def test_states_are_read_only_views_of_one_stack(self):
+    def test_states_are_read_only_and_the_coordinate_stack_written_out(self):
         cfg = short_cfg(t_final=0.05)
         traj = run_filter_trajectory(cfg, seed=9)
         rho0, spec, l_op = filter_ingredients(cfg)
         states = replay_filter(rho0, spec, l_op, traj.record, traj.t_grid)
-        first, last = states[0].entries, states[-1].entries
-        assert first.base is not None and first.base is last.base
-        assert not first.flags.writeable and not last.flags.writeable
-        _, stack, _ = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries,
-                              grid_steps(traj.t_grid)[1], record=traj.record[None],
-                              store_states=True)
-        assert np.array_equal([s.entries for s in states], stack[0])
+        assert isinstance(states, StoredStates) and len(states) == len(traj.t_grid)
+        assert not any(s.entries.flags.writeable for s in (states[0], states[-1], *states))
+        _, coords, _ = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries,
+                               grid_steps(traj.t_grid)[1], record=traj.record[None],
+                               store_states=True)
+        assert np.array_equal(states.coords, coords[0])
+        d = spec.layout.total
+        written = _HermitianCoordinates(d).write(coords[0], np.empty((len(states), d, d), dtype=complex))
+        assert np.array_equal([s.entries for s in states], written)
 
     def test_zero_probe_record_is_noise(self):
         cfg = short_cfg(gamma_q=0.0)
@@ -335,6 +373,81 @@ class TestReplay:
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(ValueError):
             replay_filter(rho0, spec, l_op, traj.record[:-5], traj.t_grid)
+
+
+class TestStoredStates:
+    def test_items_iteration_and_array_agree(self):
+        # 1501 states at d = 10: two whole blocks of 655 and a partial one
+        cfg = short_cfg(t_final=1.5)
+        traj = run_filter_trajectory(cfg, seed=3, store_states=True)
+        states = traj.states
+        d = traj.layout.total
+        block = DIAG_BLOCK_BYTES // (16 * d * d)
+        assert len(states) == 1501 and len(states) > block and len(states) % block
+        stack = np.asarray(states)
+        assert stack.shape == (1501, d, d) and stack.dtype == complex
+        iterated = list(states)
+        assert len(iterated) == len(states)
+        assert np.array_equal([s.entries for s in iterated], stack)
+        for i in (0, block - 1, block, 2 * block, len(states) - 1, -1, -len(states)):
+            item = states[i]
+            assert item.layout == traj.layout and not item.entries.flags.writeable
+            assert np.array_equal(item.entries, stack[i])
+        assert np.array_equal(states[np.int64(-1)].entries, iterated[-1].entries)
+        for s in (iterated[0], iterated[block], iterated[-1]):
+            assert not s.entries.flags.writeable and not s.entries.base.flags.writeable
+        for i in (len(states), -len(states) - 1):
+            with pytest.raises(IndexError):
+                states[i]
+        # a slice is a StoredStates on a view of the same coordinates
+        for sl in (slice(None, -1), slice(block - 2, 2 * block + 3), slice(None, None, -7)):
+            part = states[sl]
+            assert isinstance(part, StoredStates) and np.shares_memory(part.coords, states.coords)
+            assert len(part) == len(range(len(states))[sl])
+            assert np.array_equal(np.asarray(part), stack[sl])
+            assert np.array_equal([s.entries for s in part], stack[sl])
+
+    def test_stored_states_are_the_propagated_states_hermitian_parts(self, rng):
+        # under a zero generator and a zero probe M = I, so every propagated
+        # state is rho0 bit for bit, and rho0 is Hermitian only to 1e-13
+        layout = HilbertLayout((2, 2))
+        zero = Operator(layout, np.zeros((4, 4)))
+        spec = GeneratorSpec(zero, (zero,))
+        m = 0.01 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m += m.conj().T
+        m[np.diag_indices(4)] = [0.5 + 1e-13j, 0.25, 0.125, 0.125]
+        upper = np.triu(np.ones((4, 4), dtype=bool))
+        m[~upper] += 1e-13 * (1 + 1j)
+        rho0 = DensityMatrix(layout, m)
+        assert not np.array_equal(m, m.conj().T) and np.trace(m).real == 1.0
+        traj = simulate_trajectory(rho0, spec, zero, np.linspace(0.0, 0.01, 11), seed=2,
+                                   store_states=True)
+        want = np.where(upper, m, m.conj().T)
+        want[np.diag_indices(4)] = m.diagonal().real
+        stack = np.asarray(traj.states)
+        assert np.array_equal(stack, np.broadcast_to(want, stack.shape))
+        assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+
+    def test_replay_holds_half_the_complex_stack(self):
+        # the replay keeps (n + 1) d^2 reals, half the bytes of the complex
+        # states: 3001 states at d = 10 held 0.503 of the complex stack and
+        # peaked at 0.529 when pinned (1.118 and 1.138 with complex states)
+        cfg = short_cfg(t_final=3.0)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        grid = config_grid(cfg)
+        record = np.zeros(len(grid) - 1)
+        replay_filter(rho0, spec, l_op, record[:10], grid[:11])  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            states = replay_filter(rho0, spec, l_op, record, grid)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        complex_stack = len(grid) * spec.layout.total ** 2 * 16
+        assert len(states) == len(grid)
+        assert (held - base) / complex_stack <= 0.55
+        assert (peak - base) / complex_stack <= 0.6
 
 
 def qnd_config(ancillas):
@@ -424,7 +537,7 @@ class TestConditionalQubit:
         paulis = [np.kron(qubit_operator(k), np.eye(lay.total // 2))
                   for k in ("pauli_x", "pauli_y", "pauli_z")]
         for idx in (0, len(traj.t_grid) // 2, -1):
-            rho = traj.states[idx]
+            rho = traj.states[idx].entries
             direct = [np.trace(rho @ p).real for p in paulis]
             assert_allclose(bloch[idx], direct, atol=1e-12)
 
