@@ -3,12 +3,12 @@
     python bench/record.py --base HEAD~1 --out BENCH_<n>.json
 
 The change is this checkout as it stands, working tree included; the parent
-is the commit ``--base``, checked out in a temporary ``git worktree`` that is
-removed afterwards.  For every workload of ``BENCHMARK.json`` and each of
-``PAIRS`` pairs k = 1, 2, ..., both sides run ``perfbench/run.py --seed k``
-for the benchmark's ``run_seconds``, the parent first in odd pairs and the
-change first in even ones, so a drift of the machine's speed hits both
-sides alike.  The JSON written holds the machine,
+is the commit ``--base``, extracted from ``git archive`` into a temporary
+directory that is removed afterwards.  For every workload of
+``BENCHMARK.json`` and each of ``PAIRS`` pairs k = 1, 2, ..., both sides run
+``perfbench/run.py --seed k`` for the benchmark's ``run_seconds``, the
+parent first in odd pairs and the change first in even ones, so a drift of
+the machine's speed hits both sides alike.  The JSON written holds the machine,
 cores, Python, numpy and BLAS that perfbench reports, every run's metrics,
 and per workload and metric the medians and quartiles of each side and the
 per-pair ratios change/parent, the steadier statistic on a noisy machine.
@@ -18,11 +18,13 @@ Uses the standard library and git only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -101,27 +103,26 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     base = git("rev-parse", args.base)
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so the worktree is removed
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so the copy is removed
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp, "parent")
-        git("worktree", "add", "--detach", str(parent), base)
-        try:
-            for workload in (w["name"] for w in spec["workloads"]):
-                for seed in range(1, PAIRS + 1):
-                    sides = {"parent": parent, "change": ROOT}
-                    order = ["parent", "change"] if seed % 2 else ["change", "parent"]
-                    pair = {"workload": workload, "seed": seed, "first": order[0]}
-                    for side in order:
-                        pair[side] = perfbench(sides[side], workload, seed, seconds)
-                        print(f"{workload} seed {seed} {side}: " + ", ".join(
-                            f"{n} {m['value']:.4g}"
-                            for n, m in pair[side]["result"]["metrics"].items()),
-                            file=sys.stderr)
-                    runs.append(pair)
-        finally:
-            git("worktree", "remove", "--force", str(parent))
-            git("worktree", "prune")
+        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent, filter="data")
+        for workload in (w["name"] for w in spec["workloads"]):
+            for seed in range(1, PAIRS + 1):
+                sides = {"parent": parent, "change": ROOT}
+                order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+                pair = {"workload": workload, "seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = perfbench(sides[side], workload, seed, seconds)
+                    print(f"{workload} seed {seed} {side}: " + ", ".join(
+                        f"{n} {m['value']:.4g}"
+                        for n, m in pair[side]["result"]["metrics"].items()),
+                        file=sys.stderr)
+                runs.append(pair)
 
     env = runs[0]["change"]["detail"]["env"]
     record = {

@@ -35,6 +35,10 @@ from .filtering import EnsembleError
 from .spectra import LorentzianComponent, SpectrumSamples, mixture_psd, nested_fits
 
 
+#: rows ``write_table`` formats per write
+CSV_CHUNK_ROWS = 4096
+
+
 def _fmt(value: float) -> str:
     return "%.12g" % value
 
@@ -54,11 +58,13 @@ def write_table(path: Path, config: ExperimentConfig, command: str, columns: dic
     data = list(columns.values())
     if any(len(col) != len(data[0]) for col in data):
         raise ValueError("all columns must have equal length")
-    row_fmt = ",".join(["%.12g"] * len(data))
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(",".join(columns))
-    lines.extend(row_fmt % row for row in zip(*data))
-    path.write_text("\n".join(lines) + "\n")
+    row_fmt = ",".join(["%.12g"] * len(data)) + "\n"
+    with path.open("w") as f:  # rows formatted a chunk at a time, never the whole file
+        f.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+        f.write(",".join(columns) + "\n")
+        for lo in range(0, len(data[0]), CSV_CHUNK_ROWS):
+            chunk = (col[lo:lo + CSV_CHUNK_ROWS] for col in data)
+            f.write("".join(row_fmt % row for row in zip(*chunk)))
     return path
 
 

@@ -30,13 +30,24 @@ normalized by multiplying with the reciprocal trace, and one real contraction
 (the per-row product of ``operators.readout``) writes the qubit Bloch
 components and the next signal m = tr[(L+L^dag) rho] into one (B, n + 1, 4)
 array.  The loop returns m and forms no record: a simulated record is
-m dt + dW, formed once afterwards.  Every per-path product is a stacked
-per-row matmul, (B, 1, k) @ (k, n), never one 2-D product over the batch: a
-BLAS 2-D product may round a row differently depending on how many rows it
-holds, and a path must not depend on its batch mates.  A run that stores its
-states takes each one's d^2 real Hermitian coordinates (the diagonal's real
-part and the strict upper triangle, ``master._HermitianCoordinates``), half
-the bytes of the complex state, and hands them out as ``StoredStates``.
+m dt + dW, formed once afterwards.  Every per-path product is a per-row
+matmul, (1, k) @ (k, n), stacked over the batch as (B, 1, k) @ (k, n), never
+one 2-D product over the batch's rows: a BLAS 2-D product may round a row
+differently depending on how many rows it holds, and a path must not depend
+on its batch mates.  A run that stores its states takes each one's d^2 real
+Hermitian coordinates (the diagonal's real part and the strict upper
+triangle, ``master._HermitianCoordinates``), half the bytes of the complex
+state, and hands them out as ``StoredStates``.
+
+One path (B = 1: a simulated trajectory, a replay, an ensemble's last batch
+when it holds one path) steps in a loop of its own, on 2-D views of the same
+buffers, with dY, dY^2 - dt and the trace as scalars: at B = 1 the per-call
+overhead of the batched loop is most of a step.  Its 2-D products keep the
+bits of a batched row, since numpy's stacked matmul calls the same per-item
+kernel as a 2-D matmul on the same (1, k) @ (k, n) or (d, d) @ (d, d)
+operands.  The rest is the same arithmetic in the same order: m dt, then
++ dW; dY dY, then - dt; the trace as the reduction of the strided diagonal;
+the normalization on the float view.  B alone chooses the loop.
 """
 
 from __future__ import annotations
@@ -169,10 +180,25 @@ class EnsembleResult:
     seeds: tuple[int, ...]
 
 
+def _abort(tr: np.ndarray, i: int, dt: float, t0: float, seeds) -> PositivityError:
+    """The abort of step i, given the traces ``tr`` of a batch's rows: names
+    the first failing row's trace and every failing row's seed."""
+    bad = np.flatnonzero(~((tr >= 1.0 / NORM_BOUND) & (tr <= NORM_BOUND)))
+    err = PositivityError(
+        f"normalization factor {tr[bad[0]]:.3e} outside [1/{NORM_BOUND:g}, "
+        f"{NORM_BOUND:g}] after step {i} (t={t0 + (i + 1) * dt:.6g}); "
+        f"the record is corrupted or the step size far too large"
+    )
+    err.seeds = tuple(seeds[j] for j in bad) if len(seeds) else ()
+    err.step = i
+    return err
+
+
 def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
             *, increments: np.ndarray | None = None, record: np.ndarray | None = None,
             seeds=(), store_states: bool = False, t0: float = 0.0):
-    """Batched Kraus-map propagation of the normalized SME.
+    """Batched Kraus-map propagation of the normalized SME; one path
+    steps in a loop of its own (see the module docstring).
 
     ``increments`` (simulation: dW given, dY computed) or ``record`` (replay:
     dY given) is a (B, n) array for n steps of ``dt``.  ``l`` must equal
@@ -214,10 +240,6 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
     rho_row = rho_reals[:, None]
     rho_re = rho.view(float)
     diag = rho_flat[:, ::d + 1]
-    trace = np.empty(b, dtype=complex)
-    tr = trace.real
-    tr_col = tr[:, None, None]
-    inv = np.empty((b, 1, 1))
     rows = len(jumps.idx)  # rows of the jump gather, 0 without unmonitored channels
     gathered = np.empty((b, rows, d * d), dtype=complex)
     jump_sum = gathered[:, 0] if rows == 1 else np.empty_like(rho_flat)  # one row is its own sum
@@ -231,6 +253,47 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
     np.matmul(rho_row, w, out=readouts[:, :1])
 
     low = 1.0 / NORM_BOUND
+    if b == 1:
+        # one path: the batched loop's products on the 2-D views of row 0,
+        # dY, dY^2 - dt and the trace as scalars (see the module docstring)
+        c, c_row, k_row, k_1, k_conj_1, k_dag_1 = (
+            coef[0, 0], coef[0], k_re[0], k[0], k_conj[0], k_dag[0])
+        prod_1, rho_1, flat_1, re_1, reals_1 = (
+            prod[0], rho[0], rho_flat[0], rho_re[0], rho_reals[0])
+        gathered_1, jump_sum_1, diag_1, out_1 = gathered[0], jump_sum[0], diag[0], readouts[0]
+        states_1 = states[0] if store_states else None
+        given = (record if increments is None else increments)[0]
+        m = out_1[:, 3]
+        for i in range(n):
+            y = given[i]
+            if increments is not None:  # m dt, then + dW
+                y = m[i] * dt + y
+            c[1] = y
+            c[2] = y * y - dt
+            np.matmul(c_row, basis_re, out=k_row)
+            if rows:
+                np.take(flat_1, jumps.idx, out=gathered_1, mode="clip")
+                np.multiply(w_dt, gathered_1, out=gathered_1)
+                if rows > 1:
+                    np.add.reduce(gathered_1, axis=0, out=jump_sum_1)
+            np.conjugate(k_1, out=k_conj_1)
+            np.matmul(k_1, rho_1, out=prod_1)
+            np.matmul(prod_1, k_dag_1, out=rho_1)
+            if rows:
+                flat_1 += jump_sum_1
+            t = np.add.reduce(diag_1).real
+            if not low <= t <= NORM_BOUND:
+                raise _abort(np.array([t]), i, dt, t0, seeds)
+            re_1 *= 1.0 / t
+            np.matmul(rho_reals, w, out=out_1[i + 1:i + 2])
+            if store_states:
+                np.take(reals_1, coords, out=states_1[i + 1])
+        return readouts[..., :3], states, readouts[:, :-1, 3]
+
+    trace = np.empty(b, dtype=complex)
+    tr = trace.real
+    tr_col = tr[:, None, None]
+    inv = np.empty((b, 1, 1))
     for i in range(n):
         if increments is not None:
             np.multiply(readouts[:, i, 3], dt, out=dy)
@@ -252,15 +315,7 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
             rho_flat += jump_sum
         np.add.reduce(diag, axis=1, out=trace)
         if not (tr.min() >= low and tr.max() <= NORM_BOUND):
-            bad = np.flatnonzero(~((tr >= low) & (tr <= NORM_BOUND)))
-            err = PositivityError(
-                f"normalization factor {tr[bad[0]]:.3e} outside [1/{NORM_BOUND:g}, "
-                f"{NORM_BOUND:g}] after step {i} (t={t0 + (i + 1) * dt:.6g}); "
-                f"the record is corrupted or the step size far too large"
-            )
-            err.seeds = tuple(seeds[j] for j in bad) if len(seeds) else ()
-            err.step = i
-            raise err
+            raise _abort(tr, i, dt, t0, seeds)
         np.divide(1.0, tr_col, out=inv)
         rho_re *= inv
         np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,30 @@ class TestCommands:
         first = p1.read_bytes()
         (p2,) = run_command("evolve", cfg)
         assert p2.read_bytes() == first
+
+    def test_table_written_in_chunks(self, tmp_path):
+        # a 1e5-row record table (4.4 MiB) is written a chunk of rows at a
+        # time: 0.59 MiB traced peak measured, where formatting, joining and
+        # encoding the whole file peaked at 18.5 MiB.  The row count leaves a
+        # partial last chunk, and the bytes are those of the whole-file text
+        n = 100_000
+        assert n % cli.CSV_CHUNK_ROWS
+        rng = np.random.default_rng(1)
+        columns = {"step": np.arange(n), "t": 1e-3 * np.arange(n),
+                   "dY": 0.03 * rng.normal(size=n), "dW": 0.03 * rng.normal(size=n)}
+        cfg = preset("paper-fig4")
+        tracemalloc.start()
+        try:
+            path = cli.write_table(tmp_path / "record.csv", cfg, "filter", columns, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        meta = (f"# artifact: nmqubit {VERSION}\n# command: filter\n"
+                f"# config_hash: {config_hash(cfg)}\n# base_seed: {cfg.base_seed}\n"
+                f"# field_mode: {cfg.field_mode}\n# seed: 7\nstep,t,dY,dW\n")
+        rows = "".join("%.12g,%.12g,%.12g,%.12g\n" % row for row in zip(*columns.values()))
+        assert path.read_text() == meta + rows
 
     def test_fit_command(self, tmp_path):
         from nmqubit.spectra import LorentzianComponent, SpectrumSamples, mixture_psd

@@ -33,6 +33,7 @@ from nmqubit.master import (
     PositivityError,
     generator_spec,
     DIAG_BLOCK_BYTES,
+    JumpGather,
     _HermitianCoordinates,
     grid_steps,
     integrate_master,
@@ -208,6 +209,20 @@ class TestSmeStep:
         message = r"factor 2\.42\de-01 outside \[1/4, 4\] after step 0"
         with pytest.raises(PositivityError, match=message):
             replay_filter(rho0, spec, l_op, [-1 / math.sqrt(cfg.gamma_q)], [0.0, 1e-2])
+
+    def test_trace_below_lower_bound_aborts_in_a_batch(self):
+        # the same kick at row 1 of a batch of three, whose other rows stay
+        # in the bound: the batched loop's check names row 1's seed
+        cfg = short_cfg()
+        rho0, spec, l_op = filter_ingredients(cfg)
+        record = np.zeros((3, 1))
+        record[1, 0] = -1 / math.sqrt(cfg.gamma_q)
+        batch = np.broadcast_to(rho0.entries, (3,) + rho0.entries.shape)
+        message = r"factor 2\.42\de-01 outside \[1/4, 4\] after step 0"
+        with pytest.raises(PositivityError, match=message) as err:
+            _evolve(batch, CompiledGenerator(spec), l_op.entries, 1e-2, record=record,
+                    seeds=(5, 6, 7))
+        assert err.value.seeds == (6,)
 
     @pytest.mark.parametrize("record, grid, t_abort", [
         ([0.0, 1e6], [5.0, 5.001, 5.002], "5.002"),
@@ -710,6 +725,12 @@ class TestEngineConsistency:
                     increments=dw, seeds=seeds)
         assert err.value.seeds == (61,)
         assert err.value.step == 22
+        # path 1 alone takes the batch-1 loop and aborts with the same text
+        with pytest.raises(PositivityError) as alone:
+            _evolve(batch[1:2], CompiledGenerator(spec), l_op.entries, cfg.dt,
+                    increments=dw[1:2], seeds=seeds[1:2])
+        assert str(alone.value) == str(err.value)
+        assert (alone.value.seeds, alone.value.step) == ((61,), 22)
 
     def test_path_independent_of_batch_mates(self):
         # over 3000 steps, each path in a batch of ten must reproduce its
@@ -726,3 +747,48 @@ class TestEngineConsistency:
         for row, s_ in zip(bloch, seeds):
             single = simulate_trajectory(rho0, spec, l_op, grid, seed=s_)
             assert np.max(np.abs(row - single.bloch)) == 0.0
+
+    @pytest.mark.parametrize("bank, rows", [
+        ("fig4", 1), ("bank2-independent", 2), ("bank2-shared", 4),
+    ])
+    def test_path_alone_and_at_row_1_of_three(self, rng, bank, rows):
+        # a path alone takes the batch-1 loop, at row 1 of three the batched
+        # one: simulated and replayed, its Bloch rows, signal and stored
+        # coordinates agree bit for bit.  ``rows`` counts the jump gather's
+        # rows, which the batch-1 loop sums on its own when there are several
+        model = (build_probed_model(preset("paper-fig4")) if bank == "fig4"
+                 else bank2_model(bank.split("-")[1]))
+        spec = generator_spec(model)
+        gen = CompiledGenerator(spec)
+        l_op = model.collapse_ops[model.probe_index]
+        unmonitored = [op for op in gen.collapse if not np.array_equal(op, l_op.entries)]
+        assert len(JumpGather(unmonitored, model.layout.total).idx) == rows
+        rho0 = [rand_density(rng, model.layout.dims) for _ in range(3)]
+        seeds = (5, 6, 7)
+        grid = 2e-3 * np.arange(401)
+        _, dt = grid_steps(grid)
+        alone = simulate_trajectory(rho0[1], spec, l_op, grid, seed=6, store_states=True)
+        replayed = replay_filter(rho0[1], spec, l_op, alone.record, grid)
+        batch = np.stack([r.entries for r in rho0])
+        dw = np.stack([wiener_increments(s_, 400, dt) for s_ in seeds])
+        bloch, coords, signal = _evolve(batch, gen, l_op.entries, dt, increments=dw,
+                                        seeds=seeds, store_states=True)
+        assert np.array_equal(bloch[1], alone.bloch)
+        assert np.array_equal(signal[1] * dt + dw[1], alone.record)
+        assert np.array_equal(coords[1], alone.states.coords)
+        _, coords, _ = _evolve(batch, gen, l_op.entries, dt, record=signal * dt + dw,
+                               store_states=True)
+        assert np.array_equal(coords[1], replayed.coords)
+
+    def test_ensemble_batches_of_two_and_one(self, monkeypatch):
+        # with batches of two, three paths make one batch of two and a last
+        # batch of one, which takes the batch-1 loop: the mean is the single
+        # paths' Bloch rows summed in task order, bit for bit
+        monkeypatch.setattr(filtering, "ENSEMBLE_BATCH", 2)
+        cfg = short_cfg(t_final=0.2)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        grid = config_grid(cfg)
+        ens = ensemble_average(rho0, spec, l_op, grid, 3, 40)
+        b0, b1, b2 = (simulate_trajectory(rho0, spec, l_op, grid, seed=s_).bloch
+                      for s_ in (40, 41, 42))
+        assert np.array_equal(ens.mean, ((b0 + b1) + b2) / 3)
