@@ -17,11 +17,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from table import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: mutants tested at once, each in its own copy and pytest process
+WORKERS = 2
 
 
 def run_tests(edit: tuple[str, str, str] | None, tests: list[str]) -> subprocess.CompletedProcess:
@@ -46,6 +50,21 @@ def run_tests(edit: tuple[str, str, str] | None, tests: list[str]) -> subprocess
         )
 
 
+def verdict_of(mutant) -> tuple[str, str, float, str]:
+    """(name, verdict, seconds, detail) of one mutant of the table."""
+    name, file, old, new, tests = mutant
+    t0 = time.perf_counter()
+    try:
+        proc = run_tests((file, old, new), tests)
+        # pytest exits 1 when a test fails; any other code means the
+        # tests did not run as asked, which catches nothing
+        verdict = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
+        detail = proc.stdout[-2000:] if verdict == "ERROR" else ""
+    except LookupError as exc:
+        verdict, detail = "MISSING", str(exc)
+    return name, verdict, time.perf_counter() - t0, detail
+
+
 def main() -> int:
     start = time.perf_counter()
     # the tests must pass before a failure can mean the mutant was caught
@@ -55,20 +74,14 @@ def main() -> int:
         print("mutation gate: the unmutated code fails its tests")
         return 1
     bad = 0
-    for name, file, old, new, tests in MUTANTS:
-        t0 = time.perf_counter()
-        try:
-            proc = run_tests((file, old, new), tests)
-            # pytest exits 1 when a test fails; any other code means the
-            # tests did not run as asked, which catches nothing
-            verdict = {0: "SURVIVED", 1: "killed"}.get(proc.returncode, "ERROR")
-            detail = proc.stdout[-2000:] if verdict == "ERROR" else ""
-        except LookupError as exc:
-            verdict, detail = "MISSING", str(exc)
-        bad += verdict != "killed"
-        print(f"{verdict:8s} {time.perf_counter() - t0:5.1f} s  {name}")
-        if detail:
-            print(detail)
+    # a mutant's run is mostly pytest start-up in its own process, so
+    # WORKERS of them run side by side; the report keeps the table's order
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for name, verdict, seconds, detail in pool.map(verdict_of, MUTANTS):
+            bad += verdict != "killed"
+            print(f"{verdict:8s} {seconds:5.1f} s  {name}")
+            if detail:
+                print(detail)
     print(f"mutation gate: {len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0

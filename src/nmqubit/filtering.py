@@ -17,37 +17,37 @@ normalization stays near 1 on a healthy path; a value outside
 [1/NORM_BOUND, NORM_BOUND], or not finite, means a corrupted record or a step
 far too large, and aborts the trajectory.
 
-A run steps its uniform grid by one dt (see ``master.grid_steps``).  A step
-of a batch of paths takes one small product per path to build M: its
-coefficient row (1, dY, dY^2 - dt) times the stacked basis
-[I + dt E, L, L^2 / 2], built once, on the interleaved real view of the
-complex entries.  Every buffer (the coefficient rows, M and its conjugate, the
-product, the state, the jump gather, the readouts) is allocated once per run
-and filled in place with ``out=``, since at d = 10 a step is dominated by the
-per-call overhead of its small numpy operations.  dY is written straight into
-the coefficient row, and the jump weights are scaled by dt once.  The state is
-normalized by multiplying with the reciprocal trace, and one real contraction
-(the per-row product of ``operators.readout``) writes the qubit Bloch
-components and the next signal m = tr[(L+L^dag) rho] into one (B, n + 1, 4)
-array.  The loop returns m and forms no record: a simulated record is
-m dt + dW, formed once afterwards.  Every per-path product is a per-row
-matmul, (1, k) @ (k, n), stacked over the batch as (B, 1, k) @ (k, n), never
-one 2-D product over the batch's rows: a BLAS 2-D product may round a row
-differently depending on how many rows it holds, and a path must not depend
-on its batch mates.  A run that stores its states takes each one's d^2 real
-Hermitian coordinates (the diagonal's real part and the strict upper
-triangle, ``master._HermitianCoordinates``), half the bytes of the complex
-state, and hands them out as ``StoredStates``.
+A run steps its uniform grid by one dt (see ``master.grid_steps``).  For an
+exactly Hermitian rho, M rho M^dag = (rho M^dag)^dag M^dag, and a right
+product with a complex A is one real product with a (2d, 2d) matrix R(A) on
+the interleaved real (d, 2d) view of the state.  A step builds W = R(M^dag)
+as its coefficient row (1, dY, dY^2 - dt) times R of the adjoint basis
+[I + dt E, L, L^2 / 2]^dag, built once, and forms Y = rho W, Y^dag by one
+conjugate of Y's transposed complex view, and rho = Y^dag W: BLAS runs real
+products about twice as fast as complex ones of the same flops.  The state
+enters as rho0's Hermitian part.  Every buffer is allocated once per run and
+filled in place with ``out=``: at d = 10 the per-call overhead of small numpy
+operations dominates a step.  One real contraction (``operators.readout``)
+writes the qubit Bloch components and the next signal m = tr[(L+L^dag) rho];
+a simulated record is m dt + dW, formed afterwards.  Every per-path product
+is a per-row matmul stacked over the batch, never one 2-D product over its
+rows, which BLAS may round differently depending on how many rows it holds.
+Stored states are kept as their d^2 real Hermitian coordinates
+(``master._HermitianCoordinates``) and handed out as ``StoredStates``.
 
 One path (B = 1: a simulated trajectory, a replay, an ensemble's last batch
-when it holds one path) steps in a loop of its own, on 2-D views of the same
-buffers, with dY, dY^2 - dt and the trace as scalars: at B = 1 the per-call
-overhead of the batched loop is most of a step.  Its 2-D products keep the
-bits of a batched row, since numpy's stacked matmul calls the same per-item
-kernel as a 2-D matmul on the same (1, k) @ (k, n) or (d, d) @ (d, d)
-operands.  The rest is the same arithmetic in the same order: m dt, then
+of one) steps in a loop of its own on 2-D views of the same buffers, with
+dY, dY^2 - dt and the trace as scalars, since the batched loop's per-call
+overhead is most of a step at B = 1.  It keeps a batched row's bits: numpy's
+stacked matmul calls the same per-item kernel as a 2-D matmul on the same
+operands, and the rest is the same arithmetic in the same order (m dt, then
 + dW; dY dY, then - dt; the trace as the reduction of the strided diagonal;
-the normalization on the float view.  B alone chooses the loop.
+the normalization on the float view).  B alone chooses the loop.  An
+ensemble worker's batch streams: its readouts (x, y, z, m per path and grid
+point) go through a ring of about ``DIAG_BLOCK_BYTES`` whose row 0 carries
+the previous block's last point, every block is summed into the per-time
+moments, and every block's innovations are drawn in place, the numbers of
+``wiener_increments``, so a worker holds O(B block + n) floats.
 """
 
 from __future__ import annotations
@@ -196,133 +196,156 @@ def _abort(tr: np.ndarray, i: int, dt: float, t0: float, seeds) -> PositivityErr
 
 def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
             *, increments: np.ndarray | None = None, record: np.ndarray | None = None,
-            seeds=(), store_states: bool = False, t0: float = 0.0):
-    """Batched Kraus-map propagation of the normalized SME; one path
-    steps in a loop of its own (see the module docstring).
-
-    ``increments`` (simulation: dW given, dY computed) or ``record`` (replay:
-    dY given) is a (B, n) array for n steps of ``dt``.  ``l`` must equal
-    exactly one collapse operator of ``gen``; ``t0`` is the time of the first
-    grid point, named with the later ones in an abort.  Returns (bloch,
-    states, signal): the (B, n + 1, 3) Bloch components, the states' (B,
-    n + 1, d^2) real Hermitian coordinates or None, and the (B, n) signal
-    m = tr[(L+L^dag) rho] before each step, so a simulated record is
-    m dt + dW and a replayed innovation dY - m dt.
+            stream=None, seeds=(), store_states: bool = False, t0: float = 0.0):
+    """Batched Kraus-map propagation of the normalized SME (see the module
+    docstring).  ``increments`` (simulation: dW given, dY computed) or
+    ``record`` (replay: dY given) is a (B, n) array for n steps of ``dt``.
+    ``l`` must equal exactly one collapse operator of ``gen``; ``t0`` is the
+    time of the first grid point, named with the later ones in an abort.
+    Returns (bloch, states, signal): the (B, n + 1, 3) Bloch components, the
+    states' (B, n + 1, d^2) real Hermitian coordinates or None, and the (B, n)
+    signal m = tr[(L+L^dag) rho] before each step, so a simulated record is
+    m dt + dW and a replayed innovation dY - m dt.  A ``stream``
+    (``_Moments``) replaces ``increments`` and the returned arrays:
+    ``draw(out)`` fills the (B, k) ``out`` with the next k increments, and
+    ``add(start, bloch)`` takes the (B, k, 3) Bloch rows from grid point start.
     """
     b, d, _ = rho0.shape
-    n = (record if increments is None else increments).shape[1]
+    given = record if increments is None else increments
+    n = stream.n if given is None else given.shape[1]
     w = readout_weights(gen.layout.dims, l + l.conj().T)  # rejects a layout without a leading qubit
     unmonitored = [op for op in gen.collapse if not np.array_equal(op, l)]
     if len(gen.collapse) - len(unmonitored) != 1:
         raise ValueError("the probe operator must equal exactly one collapse operator")
     jumps = JumpGather(unmonitored, d)
     ident = np.eye(d)
+    # rho0's Hermitian part, which the real Kraus products need, C-ordered
+    rho = np.empty((b, d, d), dtype=complex)
+    np.add(rho0, rho0.conj().swapaxes(1, 2), out=rho)
+    rho_re = rho.view(float)
+    rho_re *= 0.5
     try:  # the Kraus map preserves positivity, so the initial state must have it
-        np.linalg.cholesky(rho0 + POSITIVITY_TOL * ident)
+        np.linalg.cholesky(rho + POSITIVITY_TOL * ident)
     except np.linalg.LinAlgError:
         raise ValueError(f"initial state has an eigenvalue below -{POSITIVITY_TOL:g}") from None
-    # M = coef @ basis with the row (1, dY, dY^2 - dt); the 1/2 of the last
-    # term sits in the basis, where scaling by 1/2 rounds exactly as in coef
-    basis_re = np.array([ident + dt * gen.e, l, 0.5 * (l @ l)], dtype=complex).reshape(3, -1).view(float)
+    # W = R(M^dag) = coef @ basis_w with the row (1, dY, dY^2 - dt), the
+    # basis R([I + dt E, L, L^2 / 2]^dag) and R(A) the (2d, 2d) matrix with
+    # x.view(float) @ R(A) = (x @ A).view(float): its 2x2 block (k, j) is
+    # [[Re A_kj, Im A_kj], [-Im A_kj, Re A_kj]].  The 1/2 of the last term
+    # sits in the basis, where scaling by 1/2 rounds exactly as in coef
+    adj = np.array([ident + dt * gen.e, l, 0.5 * (l @ l)], dtype=complex).conj().swapaxes(1, 2)
+    re, im = adj.real, adj.imag
+    basis_w = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], -3).reshape(3, -1)
 
     # buffers allocated once per call and filled in place every step, most of
     # them through the views named here
     coef = np.ones((b, 1, 3))
     _, dy, quad = coef[:, 0].T  # quad holds dY^2 - dt
-    k_re = np.empty((b, 1, 2 * d * d))
-    k = k_re.view(complex).reshape(b, d, d)
-    k_conj = np.empty_like(k)
-    k_dag = k_conj.transpose(0, 2, 1)
-    prod = np.empty_like(k)
-    rho = np.array(rho0, dtype=complex, order="C")  # a copy keeps a broadcast rho0's strides
+    w_flat = np.empty((b, 1, 4 * d * d))
+    w_mat = w_flat.reshape(b, 2 * d, 2 * d)  # W = R(M^dag)
+    y_re = np.empty((b, d, 2 * d))  # Y = rho M^dag
+    y_t = y_re.view(complex).transpose(0, 2, 1)
+    ydag = np.empty((b, d, d), dtype=complex)  # Y^dag = M rho
+    ydag_re = ydag.view(float)
     rho_flat = rho.reshape(b, d * d)
     rho_reals = rho_flat.view(float)
     rho_row = rho_reals[:, None]
-    rho_re = rho.view(float)
     diag = rho_flat[:, ::d + 1]
     rows = len(jumps.idx)  # rows of the jump gather, 0 without unmonitored channels
     gathered = np.empty((b, rows, d * d), dtype=complex)
     jump_sum = gathered[:, 0] if rows == 1 else np.empty_like(rho_flat)  # one row is its own sum
     w_dt = dt * jumps.w
 
-    readouts = np.empty((b, n + 1, 4))  # x, y, z, m per path and grid point
+    one_path = b == 1  # B alone chooses the loop (see the module docstring)
+    # readouts (x, y, z, m per path and grid point): a ring if streamed, else all n
+    block = n if stream is None or one_path else min(n, max(1, DIAG_BLOCK_BYTES // (32 * b)))
+    readouts = np.empty((b, block + 1, 4))
+    given = given if stream is None else np.empty((b, block))
     states = np.empty((b, n + 1, d * d)) if store_states else None
     if store_states:  # the gather of ``_HermitianCoordinates.read``, one per step
         coords = _HermitianCoordinates(d).coords
         np.take(rho_reals, coords, axis=1, out=states[:, 0])
     np.matmul(rho_row, w, out=readouts[:, :1])
+    if stream is not None:
+        stream.add(0, readouts[:, :1, :3])
 
     low = 1.0 / NORM_BOUND
-    if b == 1:
+    if one_path:
         # one path: the batched loop's products on the 2-D views of row 0,
         # dY, dY^2 - dt and the trace as scalars (see the module docstring)
-        c, c_row, k_row, k_1, k_conj_1, k_dag_1 = (
-            coef[0, 0], coef[0], k_re[0], k[0], k_conj[0], k_dag[0])
-        prod_1, rho_1, flat_1, re_1, reals_1 = (
-            prod[0], rho[0], rho_flat[0], rho_re[0], rho_reals[0])
+        c, c_row, w_row, w_1, y_1, y_t1, ydag_1, ydag_re1 = (
+            coef[0, 0], coef[0], w_flat[0], w_mat[0], y_re[0], y_t[0], ydag[0], ydag_re[0])
+        re_1, flat_1, reals_1 = rho_re[0], rho_flat[0], rho_reals[0]
         gathered_1, jump_sum_1, diag_1, out_1 = gathered[0], jump_sum[0], diag[0], readouts[0]
         states_1 = states[0] if store_states else None
-        given = (record if increments is None else increments)[0]
-        m = out_1[:, 3]
-        for i in range(n):
-            y = given[i]
-            if increments is not None:  # m dt, then + dW
-                y = m[i] * dt + y
-            c[1] = y
-            c[2] = y * y - dt
-            np.matmul(c_row, basis_re, out=k_row)
-            if rows:
-                np.take(flat_1, jumps.idx, out=gathered_1, mode="clip")
-                np.multiply(w_dt, gathered_1, out=gathered_1)
-                if rows > 1:
-                    np.add.reduce(gathered_1, axis=0, out=jump_sum_1)
-            np.conjugate(k_1, out=k_conj_1)
-            np.matmul(k_1, rho_1, out=prod_1)
-            np.matmul(prod_1, k_dag_1, out=rho_1)
-            if rows:
-                flat_1 += jump_sum_1
-            t = np.add.reduce(diag_1).real
-            if not low <= t <= NORM_BOUND:
-                raise _abort(np.array([t]), i, dt, t0, seeds)
-            re_1 *= 1.0 / t
-            np.matmul(rho_reals, w, out=out_1[i + 1:i + 2])
-            if store_states:
-                np.take(reals_1, coords, out=states_1[i + 1])
-        return readouts[..., :3], states, readouts[:, :-1, 3]
-
+        given_1, m = given[0], out_1[:, 3]
     trace = np.empty(b, dtype=complex)
     tr = trace.real
     tr_col = tr[:, None, None]
     inv = np.empty((b, 1, 1))
-    for i in range(n):
-        if increments is not None:
-            np.multiply(readouts[:, i, 3], dt, out=dy)
-            dy += increments[:, i]
+    for lo in range(0, n, block):
+        k = min(block, n - lo)
+        if lo:  # row 0 carries the previous block's last point, whose m the next step reads
+            readouts[:, 0] = readouts[:, block]
+        if stream is not None:
+            stream.draw(given[:, :k])
+        if one_path:  # one block: lo = 0 and k = n
+            for i in range(k):
+                y = given_1[i]
+                if record is None:  # m dt, then + dW
+                    y = m[i] * dt + y
+                c[1] = y
+                c[2] = y * y - dt
+                np.matmul(c_row, basis_w, out=w_row)
+                if rows:
+                    np.take(flat_1, jumps.idx, out=gathered_1, mode="clip")
+                    np.multiply(w_dt, gathered_1, out=gathered_1)
+                    if rows > 1:
+                        np.add.reduce(gathered_1, axis=0, out=jump_sum_1)
+                np.matmul(re_1, w_1, out=y_1)
+                np.conjugate(y_t1, out=ydag_1)
+                np.matmul(ydag_re1, w_1, out=re_1)
+                if rows:
+                    flat_1 += jump_sum_1
+                t = np.add.reduce(diag_1).real
+                if not low <= t <= NORM_BOUND:
+                    raise _abort(np.array([t]), i, dt, t0, seeds)
+                re_1 *= 1.0 / t
+                np.matmul(rho_reals, w, out=out_1[i + 1:i + 2])
+                if store_states:
+                    np.take(reals_1, coords, out=states_1[i + 1])
         else:
-            dy[:] = record[:, i]
-        np.multiply(dy, dy, out=quad)
-        quad -= dt
-        np.matmul(coef, basis_re, out=k_re)
-        if rows:
-            np.take(rho_flat, jumps.idx, axis=1, out=gathered, mode="clip")
-            np.multiply(w_dt, gathered, out=gathered)
-            if rows > 1:
-                np.add.reduce(gathered, axis=1, out=jump_sum)
-        np.conjugate(k, out=k_conj)
-        np.matmul(k, rho, out=prod)
-        np.matmul(prod, k_dag, out=rho)
-        if rows:
-            rho_flat += jump_sum
-        np.add.reduce(diag, axis=1, out=trace)
-        if not (tr.min() >= low and tr.max() <= NORM_BOUND):
-            raise _abort(tr, i, dt, t0, seeds)
-        np.divide(1.0, tr_col, out=inv)
-        rho_re *= inv
-        np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])
-        if store_states:
-            np.take(rho_reals, coords, axis=1, out=states[:, i + 1])
-
-    return readouts[..., :3], states, readouts[:, :-1, 3]
+            for i in range(k):
+                if record is None:
+                    np.multiply(readouts[:, i, 3], dt, out=dy)
+                    dy += given[:, i]
+                else:
+                    dy[:] = given[:, i]
+                np.multiply(dy, dy, out=quad)
+                quad -= dt
+                np.matmul(coef, basis_w, out=w_flat)
+                if rows:
+                    np.take(rho_flat, jumps.idx, axis=1, out=gathered, mode="clip")
+                    np.multiply(w_dt, gathered, out=gathered)
+                    if rows > 1:
+                        np.add.reduce(gathered, axis=1, out=jump_sum)
+                np.matmul(rho_re, w_mat, out=y_re)
+                np.conjugate(y_t, out=ydag)
+                np.matmul(ydag_re, w_mat, out=rho_re)
+                if rows:
+                    rho_flat += jump_sum
+                np.add.reduce(diag, axis=1, out=trace)
+                if not (tr.min() >= low and tr.max() <= NORM_BOUND):
+                    raise _abort(tr, lo + i, dt, t0, seeds)
+                np.divide(1.0, tr_col, out=inv)
+                rho_re *= inv
+                np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])
+                if store_states:
+                    np.take(rho_reals, coords, axis=1, out=states[:, lo + i + 1])
+        if stream is not None:
+            stream.add(lo + 1, readouts[:, 1:k + 1, :3])
+    if stream is None:
+        return readouts[..., :3], states, readouts[:, :-1, 3]
 
 
 def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
@@ -338,7 +361,7 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
     return Trajectory(
         t_grid=t,
         layout=spec.layout,
-        bloch=bloch[0],
+        bloch=bloch[0].copy(),  # contiguous, without the signal column
         states=None if states is None else StoredStates(spec.layout, states[0]),
         record=signal[0] * dt + dw,
         innovations=dw,
@@ -373,19 +396,37 @@ def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
     return qubit_bloch(np.asarray(trajectory.states), trajectory.layout.dims)
 
 
+class _Moments:
+    """An ensemble worker's ``stream`` for ``_evolve``: the seeds' innovations,
+    drawn a block at a time, and per-time sums of Bloch rows and squares."""
+
+    def __init__(self, seeds, n: int, dt: float) -> None:
+        self.n = n
+        self.gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
+        self.sqrt_dt = np.sqrt(dt)
+        self.total = np.zeros((n + 1, 3))
+        self.total_sq = np.zeros((n + 1, 3))
+
+    def draw(self, out: np.ndarray) -> None:
+        for gen, row in zip(self.gens, out):
+            gen.standard_normal(out=row)
+        out *= self.sqrt_dt
+
+    def add(self, start: int, bloch: np.ndarray) -> None:
+        at = slice(start, start + bloch.shape[1])
+        self.total[at] += bloch.sum(axis=0)
+        self.total_sq[at] += np.square(bloch).sum(axis=0)
+
+
 def _ensemble_worker(args):
     rho0e, spec, l_op, n, dt, seeds = args
-    b = len(seeds)
-    dw = np.stack([wiener_increments(s, n, dt) for s in seeds])
-    rho0 = np.broadcast_to(rho0e, (b,) + rho0e.shape)
+    moments = _Moments(seeds, n, dt)
+    rho0 = np.broadcast_to(rho0e, (len(seeds),) + rho0e.shape)
     try:
-        bloch, _, _ = _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt,
-                              increments=dw, seeds=seeds)
+        _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt, stream=moments, seeds=seeds)
     except PositivityError as err:
         return None, None, tuple(getattr(err, "seeds", ()) or seeds)
-    total = bloch.sum(axis=0)
-    # the Bloch columns are this call's own, so they are squared in place
-    return total, np.square(bloch, out=bloch).sum(axis=0), ()
+    return moments.total, moments.total_sq, ()
 
 
 def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,

@@ -130,14 +130,16 @@ class JumpGather:
         self.idx[rank, target] = source
         self.w[rank, target] = w
 
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The jump sum on one (d, d) state or a (B, d, d) batch, written into
-        ``out`` if given.  The rows are summed in order, as a loop over them
-        would."""
+    def __call__(self, r: np.ndarray, out: np.ndarray | None = None,
+                 gathered: np.ndarray | None = None) -> np.ndarray:
+        """The jump sum on one (d, d) state or a (B, d, d) batch, into ``out``
+        and through the (..., S, d^2) scratch ``gathered`` if given.  The rows
+        are summed in order, as a loop over them would."""
         if out is None:
             out = np.empty(r.shape, dtype=complex)
         flat = r.reshape(r.shape[:-2] + (-1,))
-        gathered = np.empty(flat.shape[:-1] + self.w.shape, dtype=complex)
+        if gathered is None:
+            gathered = np.empty(flat.shape[:-1] + self.w.shape, dtype=complex)
         np.take(flat, self.idx, axis=-1, out=gathered, mode="clip")
         np.multiply(self.w, gathered, out=gathered)
         np.add.reduce(gathered, axis=-2, out=out.reshape(flat.shape))
@@ -243,6 +245,7 @@ def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: floa
     rho = np.empty((d, d), dtype=complex)
     y, x, k, jump_sum = (np.empty_like(rho) for _ in range(4))
     e, jumps, x_t = gen.e, gen.jumps, x.T
+    gathered = np.empty(jumps.w.shape, dtype=complex)
     coefs = (h / 4.0, h / 3.0, h / 2.0, h)
 
     def step(v: np.ndarray):
@@ -253,7 +256,7 @@ def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: floa
             np.matmul(e, src, out=x)
             np.conjugate(x_t, out=k)
             np.add(k, x, out=k)
-            np.add(k, jumps(src, jump_sum), out=k)
+            np.add(k, jumps(src, jump_sum, gathered), out=k)
             np.multiply(k, c, out=y)
             np.add(y, r, out=y)
             src = y

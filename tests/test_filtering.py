@@ -134,6 +134,40 @@ class TestSmeStep:
             want = m @ r @ m.conj().T + dt * (bank @ r @ bank.conj().T)
             assert_allclose(got, want / np.trace(want).real, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("bank, d", [("fig4", 10), ("bank2-shared", 50)])
+    def test_one_step_is_the_dense_kraus_map(self, rng, bank, d, b):
+        # M rho M^dag is taken as (rho M^dag)^dag M^dag on interleaved real
+        # views, which holds for an exactly Hermitian rho: one step from such
+        # states, alone (the batch-1 loop) and as a batch of two, against
+        # M rho M^dag + dt sum_k N_k rho N_k^dag written out densely.  The
+        # two-mode bank at truncation 5 probes through sigma_y, so L is complex
+        base = preset("paper-fig4")
+        if bank != "fig4":
+            extra = dataclasses.replace(base.ancillas[0], omega=1.5, gamma=0.8, kappa=0.5)
+            base = with_truncation(dataclasses.replace(
+                base, ancillas=base.ancillas + (extra,), field_mode="shared",
+                probe_kind="pauli_y"), 5)
+        model = build_probed_model(base.validate())
+        spec = generator_spec(model)
+        assert model.layout.total == d
+        l = model.collapse_ops[model.probe_index].entries
+        jumps = [op.entries for op in spec.collapse_ops if not np.array_equal(op.entries, l)]
+        rho0 = np.stack([rand_density(rng, model.layout.dims).entries for _ in range(b)])
+        rho0 = 0.5 * (rho0 + rho0.conj().swapaxes(1, 2))
+        assert np.array_equal(rho0, rho0.conj().swapaxes(1, 2))
+        dt, dys = 1e-3, np.array([[0.05], [-0.03]])[:b]
+        _, coords, _ = _evolve(rho0, CompiledGenerator(spec), l, dt, record=dys,
+                               store_states=True)
+        e = -1j * spec.hamiltonian.entries
+        for op in spec.collapse_ops:
+            e = e - 0.5 * (op.entries.conj().T @ op.entries)
+        for r, (dy,), c in zip(rho0, dys, coords):
+            m = np.eye(d) + dt * e + dy * l + 0.5 * (dy * dy - dt) * (l @ l)
+            want = m @ r @ m.conj().T + dt * sum(n @ r @ n.conj().T for n in jumps)
+            got = np.asarray(StoredStates(model.layout, c[1:]))[0]
+            assert_allclose(got, want / np.trace(want).real, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("bank", ["fig4", "bank2-shared"])
     def test_eight_steps_batch_of_three(self, rng, bank):
         # a replay of three paths over eight steps of 3e-3: every step is the
@@ -311,6 +345,9 @@ class TestTrajectory:
                                increments=traj.innovations[None])
         assert np.array_equal(signal[0] * dt + traj.innovations, traj.record)
         assert np.array_equal(conditional_qubit(traj), traj.bloch)
+        # the Bloch columns are a contiguous array of their own, which does
+        # not keep the filter's readout buffer (and its signal column) alive
+        assert traj.bloch.flags.c_contiguous and traj.bloch.base is None
         m = readout(traj.states[:-1], readout_weights(l_op.layout.dims, l_op.entries + l_op.entries.conj().T))[:, 3]
         assert np.max(np.abs(m - signal[0])) <= 1e-14
 
@@ -424,7 +461,8 @@ class TestStoredStates:
 
     def test_stored_states_are_the_propagated_states_hermitian_parts(self, rng):
         # under a zero generator and a zero probe M = I, so every propagated
-        # state is rho0 bit for bit, and rho0 is Hermitian only to 1e-13
+        # state is the Hermitian part (m + m^dag) / 2 that the filter takes
+        # of rho0 at entry, bit for bit; rho0 is Hermitian only to 1e-13
         layout = HilbertLayout((2, 2))
         zero = Operator(layout, np.zeros((4, 4)))
         spec = GeneratorSpec(zero, (zero,))
@@ -437,8 +475,7 @@ class TestStoredStates:
         assert not np.array_equal(m, m.conj().T) and np.trace(m).real == 1.0
         traj = simulate_trajectory(rho0, spec, zero, np.linspace(0.0, 0.01, 11), seed=2,
                                    store_states=True)
-        want = np.where(upper, m, m.conj().T)
-        want[np.diag_indices(4)] = m.diagonal().real
+        want = 0.5 * (m + m.conj().T)
         stack = np.asarray(traj.states)
         assert np.array_equal(stack, np.broadcast_to(want, stack.shape))
         assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
@@ -695,6 +732,25 @@ class TestEnsemble:
         assert all(7 <= s <= 10 for s in err.value.failing_seeds)
 
 
+#: steps per readout ring of a three-path worker in the streaming tests,
+#: which set DIAG_BLOCK_BYTES to 32 * 3 * RING (4 floats per path and step)
+RING = 8
+
+
+def spy_on_moments(monkeypatch):
+    """The (start, length) of every block of Bloch rows an ensemble worker's
+    ``_Moments`` takes, in order."""
+    blocks = []
+    add = filtering._Moments.add
+
+    def spy(self, start, bloch):
+        blocks.append((start, bloch.shape[1]))
+        add(self, start, bloch)
+
+    monkeypatch.setattr(filtering._Moments, "add", spy)
+    return blocks
+
+
 class TestEngineConsistency:
     def test_batched_matches_single(self):
         # one trajectory simulated alone and inside a batch must agree
@@ -779,6 +835,74 @@ class TestEngineConsistency:
         _, coords, _ = _evolve(batch, gen, l_op.entries, dt, record=signal * dt + dw,
                                store_states=True)
         assert np.array_equal(coords[1], replayed.coords)
+
+    @pytest.mark.parametrize("n", [RING - 1, RING, 2 * RING + 3])
+    def test_worker_moments_are_the_sums_of_full_columns(self, monkeypatch, n):
+        # a worker of three paths keeps its readouts in a ring of RING steps
+        # and draws each block's innovations in place: its sums of the Bloch
+        # rows and of their squares are those of ``_evolve``'s full columns
+        # on ``wiener_increments``, bit for bit, and every grid point is
+        # handed over once, block by block
+        monkeypatch.setattr(filtering, "DIAG_BLOCK_BYTES", 32 * 3 * RING)
+        blocks = spy_on_moments(monkeypatch)
+        cfg = preset("paper-fig4")
+        rho0, spec, l_op = filter_ingredients(cfg)
+        seeds = (60, 61, 62)
+        total, total_sq, failed = _ensemble_worker((rho0.entries, spec, l_op, n, cfg.dt, seeds))
+        assert not failed
+        assert blocks == [(0, 1)] + [(lo + 1, min(RING, n - lo)) for lo in range(0, n, RING)]
+        dw = np.stack([wiener_increments(s_, n, cfg.dt) for s_ in seeds])
+        batch = np.broadcast_to(rho0.entries, (3,) + rho0.entries.shape)
+        bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, cfg.dt,
+                              increments=dw, seeds=seeds)
+        assert np.array_equal(total, bloch.sum(axis=0))
+        assert np.array_equal(total_sq, np.square(bloch).sum(axis=0))
+
+    def test_worker_of_one_path_sums_its_trajectory(self, monkeypatch):
+        # a batch of one takes the batch-1 loop on all its n steps at once
+        blocks = spy_on_moments(monkeypatch)
+        cfg = short_cfg(t_final=0.3)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        grid = config_grid(cfg)
+        total, total_sq, failed = _ensemble_worker(
+            (rho0.entries, spec, l_op, len(grid) - 1, cfg.dt, (60,)))
+        bloch = simulate_trajectory(rho0, spec, l_op, grid, seed=60).bloch
+        assert not failed and blocks == [(0, 1), (1, len(grid) - 1)]
+        assert np.array_equal(total, bloch)
+        assert np.array_equal(total_sq, np.square(bloch))
+
+    def test_path_kicked_mid_block_names_its_seed(self, monkeypatch):
+        # path 1 of three gets a huge kick at step 22, inside the ring's third
+        # block (steps 16-23): the streamed abort has the text, seeds and step
+        # of the same run on full arrays, and the worker names seed 61 alone
+        monkeypatch.setattr(filtering, "DIAG_BLOCK_BYTES", 32 * 3 * RING)
+
+        class Kicked(filtering._Moments):
+            drawn = 0
+
+            def draw(self, out):
+                super().draw(out)
+                lo, self.drawn = self.drawn, self.drawn + out.shape[1]
+                if lo <= 22 < self.drawn:
+                    out[1, 22 - lo] = 1e6
+
+        cfg = preset("paper-fig4")
+        rho0, spec, l_op = filter_ingredients(cfg)
+        gen = CompiledGenerator(spec)
+        seeds = (60, 61, 62)
+        dw = np.stack([wiener_increments(s_, 50, cfg.dt) for s_ in seeds])
+        dw[1, 22] = 1e6
+        batch = np.broadcast_to(rho0.entries, (3,) + rho0.entries.shape)
+        with pytest.raises(PositivityError) as full:
+            _evolve(batch, gen, l_op.entries, cfg.dt, increments=dw, seeds=seeds)
+        with pytest.raises(PositivityError) as streamed:
+            _evolve(batch, gen, l_op.entries, cfg.dt, stream=Kicked(seeds, 50, cfg.dt),
+                    seeds=seeds)
+        assert str(streamed.value) == str(full.value)
+        assert (streamed.value.seeds, streamed.value.step) == ((61,), 22)
+        monkeypatch.setattr(filtering, "_Moments", Kicked)
+        task = (rho0.entries, spec, l_op, 50, cfg.dt, seeds)
+        assert _ensemble_worker(task) == (None, None, (61,))
 
     def test_ensemble_batches_of_two_and_one(self, monkeypatch):
         # with batches of two, three paths make one batch of two and a last

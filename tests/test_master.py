@@ -240,6 +240,43 @@ class TestJumpGather:
         assert np.array_equal(gen.apply(batch), row_loop(batch))
         assert np.array_equal(gen.apply(batch[1]), row_loop(batch[1]))
 
+    @pytest.mark.parametrize("field_mode, rows", [("independent", 3), ("shared", 5)])
+    def test_applied_step_gathers_into_its_own_buffer(self, field_mode, rows, rng):
+        # the applied RK4 step (d = 50) hands the jump gather one (S, d^2)
+        # buffer, allocated with its others: a step allocates no such array,
+        # and its states keep the bits of a gather that allocates per call
+        spec, _ = preset_problem(5, extra_mode=True, field_mode=field_mode)
+        gen = CompiledGenerator(spec)
+        d = spec.layout.total
+        assert gen.jumps.w.shape == (rows, d * d) and d == 50
+        coords = master._HermitianCoordinates(d)
+        step = master._applied_step(gen, coords, 1e-3)
+        v = coords.read(unit_trace_hermitian(rng, d))
+        step(v)  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step(v)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < gen.jumps.w.nbytes
+
+        class Allocating:  # the gather on a buffer of its own per call
+            w = gen.jumps.w
+
+            def __call__(self, r, out, gathered):
+                return gen.jumps(r, out)
+
+        other = CompiledGenerator(spec)
+        other._jumps = Allocating()
+        plain = master._applied_step(other, coords, 1e-3)
+        u = w = v
+        for _ in range(20):
+            (u, tr), (w, tr_w) = step(u), plain(w)
+            assert np.array_equal(u, w) and tr == tr_w
+            u, w = u / tr, w / tr_w
+
     def test_one_build_per_call(self, monkeypatch):
         # the all-channel gather is built on the first apply, so a filter
         # call builds only its own over the unmonitored channels
