@@ -87,27 +87,14 @@ MUTANTS = [
      "if not low <= t <= NORM_BOUND:", "if not t <= NORM_BOUND:",
      [f"{SME_STEP}::test_trace_below_lower_bound_aborts"]),
     ("one path's dY formed without dt", FILTERING,
-     "y = m[i] * dt + y", "y = m[i] + y",
+     "m[i] * dt + given[0, i]", "m[i] + given[0, i]",
      [f"{ENGINES}::test_path_alone_and_at_row_1_of_three"]),
-    ("only the first jump row summed on one path", FILTERING,
-     "np.add.reduce(gathered_1, axis=0, out=jump_sum_1)", "np.copyto(jump_sum_1, gathered_1[0])",
-     [f"{ENGINES}::test_path_alone_and_at_row_1_of_three"]),
+    ("only the first jump row summed", FILTERING,
+     "np.add.reduce(gathered, axis=1, out=jump_sum)", "np.copyto(jump_sum, gathered[:, 0])",
+     [f"{SME_STEP}::test_one_step_is_the_dense_kraus_map"]),
     ("one path's normalization skipped", FILTERING,
-     "                re_1 *= 1.0 / t\n", "",
+     "                rho_re *= 1.0 / t\n", "",
      [f"{ENGINES}::test_path_alone_and_at_row_1_of_three"]),
-    ("one path's state stored before its normalization", FILTERING,
-     "                re_1 *= 1.0 / t\n"
-     "                np.matmul(rho_reals, w, out=out_1[i + 1:i + 2])\n"
-     "                if store_states:\n"
-     "                    np.take(reals_1, coords, out=states_1[i + 1])\n",
-     "                if store_states:\n"
-     "                    np.take(reals_1, coords, out=states_1[i + 1])\n"
-     "                re_1 *= 1.0 / t\n"
-     "                np.matmul(rho_reals, w, out=out_1[i + 1:i + 2])\n",
-     [f"{ENGINES}::test_path_alone_and_at_row_1_of_three"]),
-    ("one path's coordinates written one step early", FILTERING,
-     "out=states_1[i + 1])", "out=states_1[i])",
-     ["tests/test_filtering.py::TestConditionalQubit::test_is_the_filter_readout"]),
     ("a batch of two stepped as one path", FILTERING,
      "one_path = b == 1", "one_path = b <= 2",
      [f"{ENGINES}::test_ensemble_batches_of_two_and_one"]),
@@ -122,18 +109,38 @@ MUTANTS = [
      "            states.setflags(write=False)\n", "",
      [f"{STORED}::test_items_iteration_and_array_agree"]),
     ("the state stored before its normalization", FILTERING,
+     "            np.add.reduce(diag, axis=1, out=trace)\n"
+     "            if one_path:\n"
+     "                t = tr[0]\n"
+     "                if not low <= t <= NORM_BOUND:\n"
+     "                    raise _abort(tr, lo + i, dt, t0, seeds)\n"
+     "                rho_re *= 1.0 / t\n"
+     "            else:\n"
+     "                if not (tr.min() >= low and tr.max() <= NORM_BOUND):\n"
+     "                    raise _abort(tr, lo + i, dt, t0, seeds)\n"
+     "                np.divide(1.0, tr_col, out=inv)\n"
      "                rho_re *= inv\n"
-     "                np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])\n"
-     "                if store_states:\n"
-     "                    np.take(rho_reals, coords, axis=1, out=states[:, lo + i + 1])\n",
-     "                if store_states:\n"
-     "                    np.take(rho_reals, coords, axis=1, out=states[:, lo + i + 1])\n"
+     "            np.matmul(rho_row, w, out=point[i + 1])\n"
+     "            if store_states:\n"
+     "                np.take(rho_reals, coords, axis=1, out=states[:, lo + i + 1], mode=\"clip\")\n",
+     "            if store_states:\n"
+     "                np.take(rho_reals, coords, axis=1, out=states[:, lo + i + 1], mode=\"clip\")\n"
+     "            np.add.reduce(diag, axis=1, out=trace)\n"
+     "            if one_path:\n"
+     "                t = tr[0]\n"
+     "                if not low <= t <= NORM_BOUND:\n"
+     "                    raise _abort(tr, lo + i, dt, t0, seeds)\n"
+     "                rho_re *= 1.0 / t\n"
+     "            else:\n"
+     "                if not (tr.min() >= low and tr.max() <= NORM_BOUND):\n"
+     "                    raise _abort(tr, lo + i, dt, t0, seeds)\n"
+     "                np.divide(1.0, tr_col, out=inv)\n"
      "                rho_re *= inv\n"
-     "                np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])\n",
+     "            np.matmul(rho_row, w, out=point[i + 1])\n",
      [f"{SME_STEP}::test_fused_step_batch_of_three"]),
     ("the coordinates written one step early", FILTERING,
-     "out=states[:, lo + i + 1])", "out=states[:, lo + i])",
-     [f"{ENGINES}::test_path_alone_and_at_row_1_of_three"]),
+     "out=states[:, lo + i + 1],", "out=states[:, lo + i],",
+     ["tests/test_filtering.py::TestConditionalQubit::test_is_the_filter_readout"]),
     ("a replay's initial state layout unchecked", FILTERING,
      "    _check_layout(rho0, spec.layout)\n    t, dt = grid_steps(t_grid)\n    rec =",
      "    t, dt = grid_steps(t_grid)\n    rec =",
@@ -147,9 +154,6 @@ MUTANTS = [
     ("Y^dag formed without the conjugate", FILTERING,
      "np.conjugate(y_t, out=ydag)", "np.copyto(ydag, y_t)",
      [f"{SME_STEP}::test_one_step_is_the_dense_kraus_map"]),
-    ("one path's Y^dag formed without the conjugate", FILTERING,
-     "np.conjugate(y_t1, out=ydag_1)", "np.copyto(ydag_1, y_t1)",
-     [f"{SME_STEP}::test_one_step_is_the_dense_kraus_map"]),
     ("the entry Hermitian part dropped", FILTERING,
      "np.add(rho0, rho0.conj().swapaxes(1, 2), out=rho)", "np.add(rho0, rho0, out=rho)",
      [f"{STORED}::test_stored_states_are_the_propagated_states_hermitian_parts"]),
@@ -160,11 +164,19 @@ MUTANTS = [
      "stream.add(lo + 1, readouts[:, 1:k + 1, :3])", "stream.add(lo, readouts[:, :k + 1, :3])",
      [f"{ENGINES}::test_worker_moments_are_the_sums_of_full_columns"]),
     ("a streamed abort's step counted from its block", FILTERING,
-     "raise _abort(tr, lo + i,", "raise _abort(tr, i,",
+     "raise _abort(tr, lo + i, dt, t0, seeds)\n                np.divide",
+     "raise _abort(tr, i, dt, t0, seeds)\n                np.divide",
+     [f"{ENGINES}::test_path_kicked_mid_block_names_its_seed"]),
+    ("one path's abort step counted from its block", FILTERING,
+     "raise _abort(tr, lo + i, dt, t0, seeds)\n                rho_re *= 1.0 / t",
+     "raise _abort(tr, i, dt, t0, seeds)\n                rho_re *= 1.0 / t",
      [f"{ENGINES}::test_path_kicked_mid_block_names_its_seed"]),
     ("squares summed unsquared", FILTERING,
-     "self.total_sq[at] += np.square(bloch).sum(axis=0)", "self.total_sq[at] += bloch.sum(axis=0)",
+     "np.square(dev, out=dev).sum(", "dev.sum(",
      [f"{ENGINES}::test_worker_moments_are_the_sums_of_full_columns"]),
+    ("batches merged without the term of their means' gap", FILTERING,
+     "                sq += delta * delta * (merged * len(batch) / (merged + len(batch)))\n", "",
+     ["tests/test_filtering.py::TestEnsemble::test_stderr_is_the_two_pass_standard_error"]),
     ("sqrt(dt) dropped from a per-block draw", FILTERING,
      "        out *= self.sqrt_dt\n", "",
      [f"{ENGINES}::test_worker_moments_are_the_sums_of_full_columns"]),

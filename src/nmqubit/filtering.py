@@ -35,19 +35,18 @@ rows, which BLAS may round differently depending on how many rows it holds.
 Stored states are kept as their d^2 real Hermitian coordinates
 (``master._HermitianCoordinates``) and handed out as ``StoredStates``.
 
-One path (B = 1: a simulated trajectory, a replay, an ensemble's last batch
-of one) steps in a loop of its own on 2-D views of the same buffers, with
-dY, dY^2 - dt and the trace as scalars, since the batched loop's per-call
-overhead is most of a step at B = 1.  It keeps a batched row's bits: numpy's
-stacked matmul calls the same per-item kernel as a 2-D matmul on the same
-operands, and the rest is the same arithmetic in the same order (m dt, then
-+ dW; dY dY, then - dt; the trace as the reduction of the strided diagonal;
-the normalization on the float view).  B alone chooses the loop.  An
-ensemble worker's batch streams: its readouts (x, y, z, m per path and grid
-point) go through a ring of about ``DIAG_BLOCK_BYTES`` whose row 0 carries
-the previous block's last point, every block is summed into the per-time
-moments, and every block's innovations are drawn in place, the numbers of
-``wiener_increments``, so a worker holds O(B block + n) floats.
+A step is one loop body whatever B: the products, the jump gather, the
+readout and the coordinate store are the same calls on the same (B, ...)
+buffers.  B only decides whether the O(B) bookkeeping is scalar: one path
+(B = 1: a simulated trajectory, a replay, an ensemble's batch of one) forms
+dY and dY^2 - dt as scalars and checks and divides by its trace as one, since
+at B = 1 the vector forms' per-call overhead is most of a step.  The scalar
+forms do the same arithmetic in the same order, so a path's bits do not
+depend on its batch.  An ensemble worker's batch streams: its readouts
+(x, y, z, m per path and grid point) go through a ring of about
+``DIAG_BLOCK_BYTES`` whose row 0 carries the previous block's last point,
+each block goes to the per-time moments, and each block's innovations are
+drawn in place, the numbers of ``wiener_increments``: O(B block + n) floats.
 """
 
 from __future__ import annotations
@@ -197,7 +196,8 @@ def _abort(tr: np.ndarray, i: int, dt: float, t0: float, seeds) -> PositivityErr
 def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
             *, increments: np.ndarray | None = None, record: np.ndarray | None = None,
             stream=None, seeds=(), store_states: bool = False, t0: float = 0.0):
-    """Batched Kraus-map propagation of the normalized SME (see the module
+    """Batched Kraus-map propagation of the normalized SME, one loop for
+    every B, with one path's dY and trace as scalars (see the module
     docstring).  ``increments`` (simulation: dW given, dY computed) or
     ``record`` (replay: dY given) is a (B, n) array for n steps of ``dt``.
     ``l`` must equal exactly one collapse operator of ``gen``; ``t0`` is the
@@ -256,29 +256,22 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
     jump_sum = gathered[:, 0] if rows == 1 else np.empty_like(rho_flat)  # one row is its own sum
     w_dt = dt * jumps.w
 
-    one_path = b == 1  # B alone chooses the loop (see the module docstring)
+    one_path = b == 1  # scalar bookkeeping for one path (see the module docstring)
     # readouts (x, y, z, m per path and grid point): a ring if streamed, else all n
-    block = n if stream is None or one_path else min(n, max(1, DIAG_BLOCK_BYTES // (32 * b)))
+    block = n if stream is None else min(n, max(1, DIAG_BLOCK_BYTES // (32 * b)))
     readouts = np.empty((b, block + 1, 4))
+    point = readouts.swapaxes(0, 1)[:, :, None]  # point[i]: the (B, 1, 4) rows of grid point i
     given = given if stream is None else np.empty((b, block))
     states = np.empty((b, n + 1, d * d)) if store_states else None
     if store_states:  # the gather of ``_HermitianCoordinates.read``, one per step
         coords = _HermitianCoordinates(d).coords
         np.take(rho_reals, coords, axis=1, out=states[:, 0])
-    np.matmul(rho_row, w, out=readouts[:, :1])
+    np.matmul(rho_row, w, out=point[0])
     if stream is not None:
         stream.add(0, readouts[:, :1, :3])
 
     low = 1.0 / NORM_BOUND
-    if one_path:
-        # one path: the batched loop's products on the 2-D views of row 0,
-        # dY, dY^2 - dt and the trace as scalars (see the module docstring)
-        c, c_row, w_row, w_1, y_1, y_t1, ydag_1, ydag_re1 = (
-            coef[0, 0], coef[0], w_flat[0], w_mat[0], y_re[0], y_t[0], ydag[0], ydag_re[0])
-        re_1, flat_1, reals_1 = rho_re[0], rho_flat[0], rho_reals[0]
-        gathered_1, jump_sum_1, diag_1, out_1 = gathered[0], jump_sum[0], diag[0], readouts[0]
-        states_1 = states[0] if store_states else None
-        given_1, m = given[0], out_1[:, 3]
+    c, m = coef[0, 0], readouts[0, :, 3]  # one path's coefficient row and signal
     trace = np.empty(b, dtype=complex)
     tr = trace.real
     tr_col = tr[:, None, None]
@@ -289,33 +282,12 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
             readouts[:, 0] = readouts[:, block]
         if stream is not None:
             stream.draw(given[:, :k])
-        if one_path:  # one block: lo = 0 and k = n
-            for i in range(k):
-                y = given_1[i]
-                if record is None:  # m dt, then + dW
-                    y = m[i] * dt + y
+        for i in range(k):
+            if one_path:  # m dt, then + dW; dY dY, then - dt
+                y = given[0, i] if record is not None else m[i] * dt + given[0, i]
                 c[1] = y
                 c[2] = y * y - dt
-                np.matmul(c_row, basis_w, out=w_row)
-                if rows:
-                    np.take(flat_1, jumps.idx, out=gathered_1, mode="clip")
-                    np.multiply(w_dt, gathered_1, out=gathered_1)
-                    if rows > 1:
-                        np.add.reduce(gathered_1, axis=0, out=jump_sum_1)
-                np.matmul(re_1, w_1, out=y_1)
-                np.conjugate(y_t1, out=ydag_1)
-                np.matmul(ydag_re1, w_1, out=re_1)
-                if rows:
-                    flat_1 += jump_sum_1
-                t = np.add.reduce(diag_1).real
-                if not low <= t <= NORM_BOUND:
-                    raise _abort(np.array([t]), i, dt, t0, seeds)
-                re_1 *= 1.0 / t
-                np.matmul(rho_reals, w, out=out_1[i + 1:i + 2])
-                if store_states:
-                    np.take(reals_1, coords, out=states_1[i + 1])
-        else:
-            for i in range(k):
+            else:
                 if record is None:
                     np.multiply(readouts[:, i, 3], dt, out=dy)
                     dy += given[:, i]
@@ -323,25 +295,31 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
                     dy[:] = given[:, i]
                 np.multiply(dy, dy, out=quad)
                 quad -= dt
-                np.matmul(coef, basis_w, out=w_flat)
-                if rows:
-                    np.take(rho_flat, jumps.idx, axis=1, out=gathered, mode="clip")
-                    np.multiply(w_dt, gathered, out=gathered)
-                    if rows > 1:
-                        np.add.reduce(gathered, axis=1, out=jump_sum)
-                np.matmul(rho_re, w_mat, out=y_re)
-                np.conjugate(y_t, out=ydag)
-                np.matmul(ydag_re, w_mat, out=rho_re)
-                if rows:
-                    rho_flat += jump_sum
-                np.add.reduce(diag, axis=1, out=trace)
+            np.matmul(coef, basis_w, out=w_flat)
+            if rows:
+                np.take(rho_flat, jumps.idx, axis=1, out=gathered, mode="clip")
+                np.multiply(w_dt, gathered, out=gathered)
+                if rows > 1:
+                    np.add.reduce(gathered, axis=1, out=jump_sum)
+            np.matmul(rho_re, w_mat, out=y_re)
+            np.conjugate(y_t, out=ydag)
+            np.matmul(ydag_re, w_mat, out=rho_re)
+            if rows:
+                rho_flat += jump_sum
+            np.add.reduce(diag, axis=1, out=trace)
+            if one_path:
+                t = tr[0]
+                if not low <= t <= NORM_BOUND:
+                    raise _abort(tr, lo + i, dt, t0, seeds)
+                rho_re *= 1.0 / t
+            else:
                 if not (tr.min() >= low and tr.max() <= NORM_BOUND):
                     raise _abort(tr, lo + i, dt, t0, seeds)
                 np.divide(1.0, tr_col, out=inv)
                 rho_re *= inv
-                np.matmul(rho_row, w, out=readouts[:, i + 1:i + 2])
-                if store_states:
-                    np.take(rho_reals, coords, axis=1, out=states[:, lo + i + 1])
+            np.matmul(rho_row, w, out=point[i + 1])
+            if store_states:
+                np.take(rho_reals, coords, axis=1, out=states[:, lo + i + 1], mode="clip")
         if stream is not None:
             stream.add(lo + 1, readouts[:, 1:k + 1, :3])
     if stream is None:
@@ -398,14 +376,15 @@ def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
 
 class _Moments:
     """An ensemble worker's ``stream`` for ``_evolve``: the seeds' innovations,
-    drawn a block at a time, and per-time sums of Bloch rows and squares."""
+    drawn a block at a time, and per time the sum of the Bloch rows and the
+    sum of their squares about the batch's mean."""
 
     def __init__(self, seeds, n: int, dt: float) -> None:
         self.n = n
         self.gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
         self.sqrt_dt = np.sqrt(dt)
         self.total = np.zeros((n + 1, 3))
-        self.total_sq = np.zeros((n + 1, 3))
+        self.centred = np.zeros((n + 1, 3))
 
     def draw(self, out: np.ndarray) -> None:
         for gen, row in zip(self.gens, out):
@@ -414,8 +393,10 @@ class _Moments:
 
     def add(self, start: int, bloch: np.ndarray) -> None:
         at = slice(start, start + bloch.shape[1])
-        self.total[at] += bloch.sum(axis=0)
-        self.total_sq[at] += np.square(bloch).sum(axis=0)
+        mean = bloch.sum(axis=0)
+        self.total[at] += mean
+        dev = bloch - np.divide(mean, len(bloch), out=mean)
+        self.centred[at] += np.square(dev, out=dev).sum(axis=0, out=mean)
 
 
 def _ensemble_worker(args):
@@ -426,7 +407,7 @@ def _ensemble_worker(args):
         _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt, stream=moments, seeds=seeds)
     except PositivityError as err:
         return None, None, tuple(getattr(err, "seeds", ()) or seeds)
-    return moments.total, moments.total_sq, ()
+    return moments.total, moments.centred, ()
 
 
 def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
@@ -450,19 +431,23 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
             if workers > 1 and len(tasks) > 1 else None)
     failing: list[int] = []
     total = np.zeros((len(t), 3))
-    total_sq = np.zeros((len(t), 3))
-    # each result is summed as it arrives, in task order, not kept to the end
+    centred = np.zeros((len(t), 3))  # squares about the mean of the paths merged so far
+    merged = 0
+    # each result is merged as it arrives, in task order, not kept to the end
     with pool or nullcontext():
-        for s, sq, failed in (pool.map if pool else map)(_ensemble_worker, tasks):
+        results = (pool.map if pool else map)(_ensemble_worker, tasks)
+        for (*_, batch), (s, sq, failed) in zip(tasks, results):
             if failed:
                 failing.extend(failed)
                 continue
+            if merged:  # the pairwise update of Chan, Golub & LeVeque (1979)
+                delta = s / len(batch) - total / merged
+                sq += delta * delta * (merged * len(batch) / (merged + len(batch)))
             total += s
-            total_sq += sq
+            centred += sq
+            merged += len(batch)
     if failing:
         raise EnsembleError(failing)
 
-    mean = total / n_traj
-    var = (total_sq - n_traj * mean * mean) / (n_traj - 1)
-    stderr = np.sqrt(np.maximum(var, 0.0) / n_traj)
-    return EnsembleResult(t, mean, stderr, n_traj, seeds)
+    stderr = np.sqrt(centred / (n_traj - 1) / n_traj)
+    return EnsembleResult(t, total / n_traj, stderr, n_traj, seeds)

@@ -139,7 +139,7 @@ class TestSmeStep:
     def test_one_step_is_the_dense_kraus_map(self, rng, bank, d, b):
         # M rho M^dag is taken as (rho M^dag)^dag M^dag on interleaved real
         # views, which holds for an exactly Hermitian rho: one step from such
-        # states, alone (the batch-1 loop) and as a batch of two, against
+        # states, alone (scalar dY and trace) and as a batch of two, against
         # M rho M^dag + dt sum_k N_k rho N_k^dag written out densely.  The
         # two-mode bank at truncation 5 probes through sigma_y, so L is complex
         base = preset("paper-fig4")
@@ -650,6 +650,20 @@ class TestEnsemble:
         ratio = np.mean(big.stderr[idx:] / np.maximum(small.stderr[idx:], 1e-30))
         assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.2)
 
+    def test_stderr_is_the_two_pass_standard_error(self):
+        # 120 paths make batches of 50, 50 and 20: merged batch by batch, the
+        # standard error is std(ddof=1) / sqrt(n) of the paths' Bloch columns
+        # at every grid point after t = 0, where all paths start alike; the
+        # sum-of-squares formula cancelled there, 1.5e-3 off at the first step
+        cfg = dataclasses.replace(preset("paper-fig4"), t_final=0.05)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        grid = config_grid(cfg)
+        ens = ensemble_average(rho0, spec, l_op, grid, 120, 0)
+        paths = np.stack([simulate_trajectory(rho0, spec, l_op, grid, seed=s_).bloch
+                          for s_ in range(120)])
+        two_pass = paths.std(axis=0, ddof=1) / math.sqrt(120)
+        assert_allclose(ens.stderr[1:], two_pass[1:], rtol=1e-9, atol=0)
+
     def test_seed_bookkeeping(self):
         cfg = short_cfg(t_final=0.1)
         rho0, spec, l_op = filter_ingredients(cfg)
@@ -689,8 +703,8 @@ class TestEnsemble:
         assert ens.n_traj == 100
 
     def test_results_summed_as_they_arrive(self, monkeypatch):
-        # when a pool yields a task's (sum, sum of squares), no more than one
-        # earlier task's arrays may still be alive, and the sums keep their bits
+        # when a pool yields a task's (sum, centred squares), no more than one
+        # earlier task's arrays may still be alive, and the merge keeps its bits
         live, refs = [], []
 
         class SerialPool:
@@ -781,7 +795,7 @@ class TestEngineConsistency:
                     increments=dw, seeds=seeds)
         assert err.value.seeds == (61,)
         assert err.value.step == 22
-        # path 1 alone takes the batch-1 loop and aborts with the same text
+        # path 1 alone, with its trace checked as a scalar, aborts with the same text
         with pytest.raises(PositivityError) as alone:
             _evolve(batch[1:2], CompiledGenerator(spec), l_op.entries, cfg.dt,
                     increments=dw[1:2], seeds=seeds[1:2])
@@ -808,10 +822,10 @@ class TestEngineConsistency:
         ("fig4", 1), ("bank2-independent", 2), ("bank2-shared", 4),
     ])
     def test_path_alone_and_at_row_1_of_three(self, rng, bank, rows):
-        # a path alone takes the batch-1 loop, at row 1 of three the batched
-        # one: simulated and replayed, its Bloch rows, signal and stored
+        # a path alone keeps dY and its trace as scalars, at row 1 of three
+        # as vectors: simulated and replayed, its Bloch rows, signal and stored
         # coordinates agree bit for bit.  ``rows`` counts the jump gather's
-        # rows, which the batch-1 loop sums on its own when there are several
+        # rows, which the step sums when there are several
         model = (build_probed_model(preset("paper-fig4")) if bank == "fig4"
                  else bank2_model(bank.split("-")[1]))
         spec = generator_spec(model)
@@ -836,47 +850,50 @@ class TestEngineConsistency:
                                store_states=True)
         assert np.array_equal(coords[1], replayed.coords)
 
-    @pytest.mark.parametrize("n", [RING - 1, RING, 2 * RING + 3])
-    def test_worker_moments_are_the_sums_of_full_columns(self, monkeypatch, n):
-        # a worker of three paths keeps its readouts in a ring of RING steps
-        # and draws each block's innovations in place: its sums of the Bloch
-        # rows and of their squares are those of ``_evolve``'s full columns
-        # on ``wiener_increments``, bit for bit, and every grid point is
-        # handed over once, block by block
-        monkeypatch.setattr(filtering, "DIAG_BLOCK_BYTES", 32 * 3 * RING)
+    @pytest.mark.parametrize("n, seeds", [
+        *(pytest.param(n, (60, 61, 62), id=str(n)) for n in (RING - 1, RING, 2 * RING + 3)),
+        *(pytest.param(n, (60,), id=f"{n}-one-path") for n in (RING - 1, RING, 2 * RING + 3)),
+    ])
+    def test_worker_moments_are_the_sums_of_full_columns(self, monkeypatch, n, seeds):
+        # a worker of three paths or of one keeps its readouts in a ring of
+        # RING steps and draws each block's innovations in place: its sums of
+        # the Bloch rows and of their squares about the batch mean are those
+        # of ``_evolve``'s full columns on ``wiener_increments``, bit for
+        # bit, and every grid point is handed over once, block by block
+        b = len(seeds)
+        monkeypatch.setattr(filtering, "DIAG_BLOCK_BYTES", 32 * b * RING)
         blocks = spy_on_moments(monkeypatch)
         cfg = preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
-        seeds = (60, 61, 62)
-        total, total_sq, failed = _ensemble_worker((rho0.entries, spec, l_op, n, cfg.dt, seeds))
+        total, centred, failed = _ensemble_worker((rho0.entries, spec, l_op, n, cfg.dt, seeds))
         assert not failed
         assert blocks == [(0, 1)] + [(lo + 1, min(RING, n - lo)) for lo in range(0, n, RING)]
         dw = np.stack([wiener_increments(s_, n, cfg.dt) for s_ in seeds])
-        batch = np.broadcast_to(rho0.entries, (3,) + rho0.entries.shape)
+        batch = np.broadcast_to(rho0.entries, (b,) + rho0.entries.shape)
         bloch, _, _ = _evolve(batch, CompiledGenerator(spec), l_op.entries, cfg.dt,
                               increments=dw, seeds=seeds)
         assert np.array_equal(total, bloch.sum(axis=0))
-        assert np.array_equal(total_sq, np.square(bloch).sum(axis=0))
+        assert np.array_equal(centred, np.square(bloch - bloch.sum(axis=0) / b).sum(axis=0))
 
     def test_worker_of_one_path_sums_its_trajectory(self, monkeypatch):
-        # a batch of one takes the batch-1 loop on all its n steps at once
+        # a batch of one, whose n steps fit one block of the ring, sums its
+        # own trajectory, and its squares about itself are zero
         blocks = spy_on_moments(monkeypatch)
         cfg = short_cfg(t_final=0.3)
         rho0, spec, l_op = filter_ingredients(cfg)
         grid = config_grid(cfg)
-        total, total_sq, failed = _ensemble_worker(
+        total, centred, failed = _ensemble_worker(
             (rho0.entries, spec, l_op, len(grid) - 1, cfg.dt, (60,)))
         bloch = simulate_trajectory(rho0, spec, l_op, grid, seed=60).bloch
         assert not failed and blocks == [(0, 1), (1, len(grid) - 1)]
         assert np.array_equal(total, bloch)
-        assert np.array_equal(total_sq, np.square(bloch))
+        assert np.array_equal(centred, np.zeros_like(bloch))
 
     def test_path_kicked_mid_block_names_its_seed(self, monkeypatch):
-        # path 1 of three gets a huge kick at step 22, inside the ring's third
-        # block (steps 16-23): the streamed abort has the text, seeds and step
-        # of the same run on full arrays, and the worker names seed 61 alone
-        monkeypatch.setattr(filtering, "DIAG_BLOCK_BYTES", 32 * 3 * RING)
-
+        # the path of seed 61, of three or alone, gets a huge kick at step 22,
+        # inside the ring's third block (steps 16-23): the streamed abort has
+        # the text, seeds and step, counted from the start of the run, of the
+        # same run on full arrays, and the worker names seed 61 alone
         class Kicked(filtering._Moments):
             drawn = 0
 
@@ -884,29 +901,31 @@ class TestEngineConsistency:
                 super().draw(out)
                 lo, self.drawn = self.drawn, self.drawn + out.shape[1]
                 if lo <= 22 < self.drawn:
-                    out[1, 22 - lo] = 1e6
+                    out[self.kicked, 22 - lo] = 1e6
 
         cfg = preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
         gen = CompiledGenerator(spec)
-        seeds = (60, 61, 62)
-        dw = np.stack([wiener_increments(s_, 50, cfg.dt) for s_ in seeds])
-        dw[1, 22] = 1e6
-        batch = np.broadcast_to(rho0.entries, (3,) + rho0.entries.shape)
-        with pytest.raises(PositivityError) as full:
-            _evolve(batch, gen, l_op.entries, cfg.dt, increments=dw, seeds=seeds)
-        with pytest.raises(PositivityError) as streamed:
-            _evolve(batch, gen, l_op.entries, cfg.dt, stream=Kicked(seeds, 50, cfg.dt),
-                    seeds=seeds)
-        assert str(streamed.value) == str(full.value)
-        assert (streamed.value.seeds, streamed.value.step) == ((61,), 22)
-        monkeypatch.setattr(filtering, "_Moments", Kicked)
-        task = (rho0.entries, spec, l_op, 50, cfg.dt, seeds)
-        assert _ensemble_worker(task) == (None, None, (61,))
+        for seeds in ((60, 61, 62), (61,)):
+            b, Kicked.kicked = len(seeds), seeds.index(61)
+            monkeypatch.setattr(filtering, "DIAG_BLOCK_BYTES", 32 * b * RING)
+            dw = np.stack([wiener_increments(s_, 50, cfg.dt) for s_ in seeds])
+            dw[Kicked.kicked, 22] = 1e6
+            batch = np.broadcast_to(rho0.entries, (b,) + rho0.entries.shape)
+            with pytest.raises(PositivityError) as full:
+                _evolve(batch, gen, l_op.entries, cfg.dt, increments=dw, seeds=seeds)
+            with pytest.raises(PositivityError) as streamed:
+                _evolve(batch, gen, l_op.entries, cfg.dt, stream=Kicked(seeds, 50, cfg.dt),
+                        seeds=seeds)
+            assert str(streamed.value) == str(full.value)
+            assert (streamed.value.seeds, streamed.value.step) == ((61,), 22)
+            monkeypatch.setattr(filtering, "_Moments", Kicked)
+            task = (rho0.entries, spec, l_op, 50, cfg.dt, seeds)
+            assert _ensemble_worker(task) == (None, None, (61,))
 
     def test_ensemble_batches_of_two_and_one(self, monkeypatch):
         # with batches of two, three paths make one batch of two and a last
-        # batch of one, which takes the batch-1 loop: the mean is the single
+        # batch of one, whose bookkeeping is scalar: the mean is the single
         # paths' Bloch rows summed in task order, bit for bit
         monkeypatch.setattr(filtering, "ENSEMBLE_BATCH", 2)
         cfg = short_cfg(t_final=0.2)
