@@ -68,6 +68,9 @@ MUTANTS = [
      'raise ConfigError(f"ancilla.{k}.{exc}")',
      ["tests/test_config_cli.py::TestMainEntry::test_ancilla_error_names_config_key",
       "tests/test_config_properties.py"]),
+    ("a mode's truncation off the config's accepted", CONFIG,
+     'raise ConfigError(f"ancilla.{k} truncation differs from config truncation")', "pass",
+     ["tests/test_config_cli.py::TestParsing::test_mode_truncation_off_the_config_named"]),
     ("jump weights not scaled by dt", FILTERING,
      "w_dt = dt * jumps.w", "w_dt = jumps.w",
      [f"{SME_STEP}::test_eight_steps_batch_of_three"]),

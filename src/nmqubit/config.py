@@ -64,8 +64,6 @@ class ExperimentConfig:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
         if self.t_final <= 0:
             raise ConfigError(f"t_final must be > 0, got {self.t_final}")
-        if self.truncation < 2:
-            raise ConfigError(f"truncation must be >= 2, got {self.truncation}")
         if self.n_traj < 2:  # an ensemble's standard error needs two paths
             raise ConfigError(f"n_traj must be >= 2, got {self.n_traj}")
         if self.base_seed < 0:

@@ -62,15 +62,15 @@ def initial_state(config: ExperimentConfig, model: GeneratorSpec) -> DensityMatr
     return augmented_initial_state(config.init_bloch, model.layout)
 
 
-def run_unconditional(config: ExperimentConfig, store_states: bool = False) -> MasterResult:
+def run_unconditional(config: ExperimentConfig) -> MasterResult:
     """Integrate the augmented master equation for the configured experiment."""
     model = build_probed_model(config)
     spec = generator_spec(model)
     rho0 = initial_state(config, model)
-    return integrate_master(rho0, spec, config_grid(config), store_states=store_states)
+    return integrate_master(rho0, spec, config_grid(config))
 
 
-def run_baseline(config: ExperimentConfig, store_states: bool = False) -> MasterResult:
+def run_baseline(config: ExperimentConfig) -> MasterResult:
     """Integrate the memoryless qubit-only reference dynamics."""
     spec = markovian_baseline_spec(
         config.omega_q, config.ancillas, config.gamma_q,
@@ -78,7 +78,7 @@ def run_baseline(config: ExperimentConfig, store_states: bool = False) -> Master
     )
     x, y, z = config.init_bloch
     rho0 = DensityMatrix.from_bloch(x, y, z)
-    return integrate_master(rho0, spec, config_grid(config), store_states=store_states)
+    return integrate_master(rho0, spec, config_grid(config))
 
 
 def filter_ingredients(config: ExperimentConfig) -> tuple[DensityMatrix, GeneratorSpec, Operator]:
@@ -86,14 +86,9 @@ def filter_ingredients(config: ExperimentConfig) -> tuple[DensityMatrix, Generat
     return initial_state(config, model), generator_spec(model), probe_operator(model)
 
 
-def run_filter_trajectory(config: ExperimentConfig, seed: int | None = None,
-                          store_states: bool = False) -> Trajectory:
+def run_filter_trajectory(config: ExperimentConfig) -> Trajectory:
     rho0, spec, l_op = filter_ingredients(config)
-    return simulate_trajectory(
-        rho0, spec, l_op, config_grid(config),
-        config.base_seed if seed is None else seed,
-        store_states=store_states,
-    )
+    return simulate_trajectory(rho0, spec, l_op, config_grid(config), config.base_seed)
 
 
 def run_ensemble(config: ExperimentConfig) -> EnsembleResult:
@@ -120,9 +115,7 @@ def decay_time(t: np.ndarray, series: np.ndarray) -> float:
     below = np.nonzero(mag < threshold)[0]
     if below.size == 0:
         return math.inf
-    i = int(below[0])
-    if i == 0:
-        return float(t[0])
+    i = int(below[0])  # >= 1: a magnitude m (or nan) is never below m/e
     s0, s1 = mag[i - 1], mag[i]
     frac = (s0 - threshold) / (s0 - s1)
     return float(t[i - 1] + frac * (t[i] - t[i - 1]))

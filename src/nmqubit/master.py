@@ -188,8 +188,8 @@ class CompiledGenerator:
 @dataclass
 class MasterResult:
     """An unconditional run on its time grid: the reduced qubit's Bloch
-    components (``None`` for a layout without a leading qubit factor), the
-    joint states if stored (else ``None``) and per-point diagnostics.
+    components, the joint states if stored (else ``None``) and per-point
+    diagnostics.
 
     ``tr_drift`` is the pre-renormalization |trace - 1| of each step and
     ``min_eig`` the smallest eigenvalue of each state, which is Hermitian by
@@ -197,7 +197,7 @@ class MasterResult:
     """
 
     t_grid: np.ndarray
-    bloch: np.ndarray | None
+    bloch: np.ndarray
     states: np.ndarray | None
     tr_drift: np.ndarray
     min_eig: np.ndarray
@@ -282,13 +282,12 @@ def _tabulated_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: fl
 
 
 def _diagnose(block: np.ndarray, lo: int, t: np.ndarray, result: MasterResult,
-              weights: np.ndarray | None) -> None:
-    """Bloch rows (by ``readout`` with the qubit's ``weights``, if any) and
-    smallest eigenvalue, as one stacked call, of the states of grid points
-    lo.. in ``block``; aborts at the first state below -POSITIVITY_ABORT."""
+              weights: np.ndarray) -> None:
+    """Bloch rows (by ``readout`` with the qubit's ``weights``) and smallest
+    eigenvalue, as one stacked call, of the states of grid points lo.. in
+    ``block``; aborts at the first state below -POSITIVITY_ABORT."""
     hi = lo + len(block)
-    if weights is not None:
-        result.bloch[lo:hi] = readout(block, weights)
+    result.bloch[lo:hi] = readout(block, weights)
     w = np.linalg.eigvalsh(block)[:, 0]
     result.min_eig[lo:hi] = w
     bad = np.flatnonzero(w < -POSITIVITY_ABORT)
@@ -324,6 +323,7 @@ def grid_steps(t_grid) -> tuple[np.ndarray, float]:
 def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid,
                      store_states: bool = False) -> MasterResult:
     """Propagate with classic RK4 by the one step size of a uniform time grid.
+    The layout's factor 0 must be the qubit, whose Bloch rows the run records.
 
     The state is carried as its d^2 real Hermitian coordinates, so every
     written state and step input is exactly Hermitian, as
@@ -345,12 +345,12 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid,
     _check_layout(rho0, spec.layout)
     t, h = grid_steps(t_grid)
     n = len(t)
-    dims, d = spec.layout.dims, spec.layout.total
+    d = spec.layout.total
+    weights = readout_weights(spec.layout.dims)
     coords = _HermitianCoordinates(d)
     step = (_tabulated_step if d <= TABLE_MAX_DIM else _applied_step)(CompiledGenerator(spec), coords, h)
-    weights = readout_weights(dims) if dims[0] == 2 else None
     # the largest per-point array first, so a grid too long to hold fails on it
-    bloch = None if weights is None else np.empty((n, 3))
+    bloch = np.empty((n, 3))
     block = max(2, DIAG_BLOCK_BYTES // (16 * d * d))
     stack = np.empty((n if store_states else block, d, d), dtype=complex)
     result = MasterResult(t, bloch, stack if store_states else None, np.empty(n), np.empty(n))

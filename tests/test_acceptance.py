@@ -17,7 +17,6 @@ from nmqubit.experiments import (
     build_probed_model,
     config_grid,
     filter_ingredients,
-    run_unconditional,
     truncation_deviation,
 )
 from nmqubit.filtering import replay_filter, simulate_trajectory
@@ -53,7 +52,8 @@ def preset_cfg():
 @pytest.fixture(scope="module")
 def uncond(preset_cfg):
     t0 = time.perf_counter()
-    result = run_unconditional(preset_cfg, store_states=True)
+    rho0, spec, _ = filter_ingredients(preset_cfg)
+    result = integrate_master(rho0, spec, config_grid(preset_cfg), store_states=True)
     return result, time.perf_counter() - t0
 
 

@@ -20,6 +20,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmqubit.config import preset
 from nmqubit.experiments import run_unconditional, truncation_deviation
@@ -131,6 +133,20 @@ def test_truncation_deviation_tracks_oracle_on_slow_mode():
     assert abs(dev / error - 1.0) <= 2e-3
 
 
+#: a few fixed examples each: the two tests below add about 1 s to Tier-1
+FEW = settings(derandomize=True, database=None, deadline=None, max_examples=5)
+
+
+# where truncation 8 converges: the worst of 308 scratch draws over these
+# ranges (the 8 corners among them) was 3.8e-8, at (1.5, 1.2, 1.0)
+@FEW
+@given(st.floats(1.5, 3.0), st.floats(0.3, 1.2), st.floats(0.1, 1.0))
+def test_random_single_mode_against_oracle(omega, gamma, kappa):
+    t, bloch = evolve_bloch([(omega, gamma, kappa)], "independent", 8, 3.0, 1e-2)
+    factor = coherence_factor([(omega, gamma, kappa)], "independent", t, substeps=4)
+    assert max_error(t, bloch, factor) <= 5e-8
+
+
 def bank_psd(modes):
     """The spectrum of modes (omega, gamma, kappa): kappa-weighted Lorentzians."""
     comps = [LorentzianComponent(center=w, linewidth=g, weight=k) for w, g, k in modes]
@@ -143,6 +159,19 @@ def test_dephasing_factor_matches_two_mode_oracle():
     t = np.linspace(0.0, 2.0, 201)
     want = coherence_factor(BANK2, "independent", t, substeps=10)
     assert np.max(np.abs(dephasing_factor(bank_psd(BANK2), t) - want)) <= 2e-9
+
+
+mode_params = st.tuples(st.floats(-3.0, 3.0), st.floats(0.3, 1.5), st.floats(0.1, 1.5))
+
+
+# the worst of 422 scratch draws over these ranges (corner pairs among them)
+# was 1.15e-8, at two modes (-3.0, 1.5, 1.5): the cut tails grow with kappa gamma
+@settings(FEW, max_examples=10)
+@given(st.lists(mode_params, min_size=2, max_size=2))
+def test_dephasing_factor_on_random_two_mode_banks(modes):
+    t = np.linspace(0.0, 2.0, 51)
+    want = coherence_factor(modes, "independent", t, substeps=10)
+    assert np.max(np.abs(dephasing_factor(bank_psd(modes), t) - want)) <= 1.5e-8
 
 
 def test_gaussian_band_through_fitted_bank():

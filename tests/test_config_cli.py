@@ -123,6 +123,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bloch"):
             dataclasses.replace(preset("paper-fig4"), init_bloch=(1.0, 0.5, 0.0)).validate()
 
+    @pytest.mark.parametrize("truncation", [1, 3])
+    def test_mode_truncation_off_the_config_named(self, truncation):
+        # the config's truncation is checked only against its modes', each of
+        # which is >= 2, so 1 fails as any other mismatch does
+        cfg = dataclasses.replace(preset("paper-fig4"), truncation=truncation)
+        assert cfg.ancillas[0].truncation == 5
+        with pytest.raises(ConfigError, match=r"^ancilla\.1 truncation differs from config truncation$"):
+            cfg.validate()
+
     def test_repeated_text_key_named_with_line(self, tmp_path):
         path = tmp_path / "dup.cfg"
         path.write_text(MINIMAL + "dt = 0.1\ndt = 0.001\n")
@@ -385,6 +394,31 @@ class TestMainEntry:
     def test_invalid_spectrum_row_names_file_and_line(self, tmp_path, capsys, row, reason):
         err = self.fit_exit(tmp_path, capsys, f"omega,psd\n0.0,1.0\n{row}\n2.0,1.0\n")
         assert "samples.csv, line 3" in err and reason in err
+
+    @pytest.mark.parametrize("text,argv,message", [
+        ("omega_q = 2.0\nprobe.gamma_q = 0.8\n", ["evolve"],
+         "at least one ancilla.<k> group is required"),
+        (MINIMAL.replace("ancilla.1.", "ancilla.2."), ["evolve"],
+         "ancilla groups must be numbered 1..n, got [2]"),
+        (MINIMAL + "field_mode = common\n", ["evolve"],
+         "field_mode must be one of ('independent', 'shared')"),
+        (None, ["evolve", "--preset", "nope"], "unknown preset 'nope'; available: ['paper-fig4']"),
+        (MINIMAL, ["evolve", "--preset", "paper-fig4"],
+         "give either --config or --preset, not both"),
+        (None, ["fit", "--preset", "paper-fig4"],
+         "missing required field 'fit.input' for the fit command"),
+        (MINIMAL + "t_final = 0.0004\n", ["evolve"],
+         "t_final=0.0004 spans no full step of dt=0.001"),
+    ], ids=["no-ancilla", "ancilla-gap", "field-mode", "unknown-preset", "config-and-preset",
+            "fit-without-input", "no-full-step"])
+    def test_user_error_named(self, tmp_path, capsys, text, argv, message):
+        if text is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(text)
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -54,6 +54,12 @@ def short_cfg(t_final=0.5, **kw):
     return cfg
 
 
+def stored_trajectory(cfg, seed):
+    """The filter path of ``cfg`` from ``seed``, with its states stored."""
+    rho0, spec, l_op = filter_ingredients(cfg)
+    return simulate_trajectory(rho0, spec, l_op, config_grid(cfg), seed, store_states=True)
+
+
 class TestWienerIncrements:
     def test_deterministic(self):
         assert_allclose(wiener_increments(7, 100, 1e-3), wiener_increments(7, 100, 1e-3))
@@ -316,16 +322,16 @@ class TestSmeStep:
 class TestTrajectory:
     def test_determinism(self):
         cfg = short_cfg()
-        t1 = run_filter_trajectory(cfg, seed=5, store_states=True)
-        t2 = run_filter_trajectory(cfg, seed=5, store_states=True)
+        t1 = stored_trajectory(cfg, 5)
+        t2 = stored_trajectory(cfg, 5)
         assert np.array_equal(t1.states, t2.states)
         assert np.array_equal(t1.record, t2.record)
         assert np.array_equal(t1.innovations, t2.innovations)
 
     def test_zero_probe_matches_unconditional(self):
         # L = 0 carries no information; conditional equals unconditional
-        cfg = short_cfg(gamma_q=0.0)
-        traj = run_filter_trajectory(cfg, seed=11)
+        cfg = short_cfg(gamma_q=0.0, base_seed=11)
+        traj = run_filter_trajectory(cfg)
         uncond = run_unconditional(cfg).bloch
         assert np.max(np.abs(traj.bloch - uncond)) < 5e-3  # Euler vs RK4 drift only
 
@@ -338,7 +344,7 @@ class TestTrajectory:
         # this path, bound 1e-14, where a signal one step late is at least
         # 3.8e-6 off
         cfg = short_cfg()
-        traj = run_filter_trajectory(cfg, store_states=True)
+        traj = stored_trajectory(cfg, cfg.base_seed)
         rho0, spec, l_op = filter_ingredients(cfg)
         dt = grid_steps(traj.t_grid)[1]
         _, _, signal = _evolve(rho0.entries[None], CompiledGenerator(spec), l_op.entries, dt,
@@ -362,8 +368,8 @@ class TestTrajectory:
         assert abs(np.var(dw) / dt - 1) <= 0.05
 
     def test_bloch_norm_bounded(self):
-        cfg = short_cfg(t_final=2.0)
-        traj = run_filter_trajectory(cfg, seed=3)
+        cfg = short_cfg(t_final=2.0, base_seed=3)
+        traj = run_filter_trajectory(cfg)
         norms = np.linalg.norm(traj.bloch, axis=1)
         assert norms.max() <= 1 + 1e-8
 
@@ -371,7 +377,7 @@ class TestTrajectory:
 class TestReplay:
     def test_round_trip(self):
         cfg = short_cfg(t_final=2.0)
-        traj = run_filter_trajectory(cfg, seed=9, store_states=True)
+        traj = stored_trajectory(cfg, 9)
         rho0, spec, l_op = filter_ingredients(cfg)
         states = replay_filter(rho0, spec, l_op, traj.record, traj.t_grid)
         dev = max(
@@ -381,8 +387,8 @@ class TestReplay:
         assert dev <= 1e-10
 
     def test_states_are_read_only_and_the_coordinate_stack_written_out(self):
-        cfg = short_cfg(t_final=0.05)
-        traj = run_filter_trajectory(cfg, seed=9)
+        cfg = short_cfg(t_final=0.05, base_seed=9)
+        traj = run_filter_trajectory(cfg)
         rho0, spec, l_op = filter_ingredients(cfg)
         states = replay_filter(rho0, spec, l_op, traj.record, traj.t_grid)
         assert isinstance(states, StoredStates) and len(states) == len(traj.t_grid)
@@ -396,13 +402,13 @@ class TestReplay:
         assert np.array_equal([s.entries for s in states], written)
 
     def test_zero_probe_record_is_noise(self):
-        cfg = short_cfg(gamma_q=0.0)
-        traj = run_filter_trajectory(cfg, seed=13)
+        cfg = short_cfg(gamma_q=0.0, base_seed=13)
+        traj = run_filter_trajectory(cfg)
         assert np.array_equal(traj.record, traj.innovations)
 
     def test_corrupted_record_aborts(self):
-        cfg = short_cfg()
-        traj = run_filter_trajectory(cfg, seed=4)
+        cfg = short_cfg(base_seed=4)
+        traj = run_filter_trajectory(cfg)
         rho0, spec, l_op = filter_ingredients(cfg)
         bad = traj.record.copy()
         bad[100] += 1e6
@@ -411,8 +417,8 @@ class TestReplay:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_record_rejected(self, value):
-        cfg = short_cfg()
-        traj = run_filter_trajectory(cfg, seed=4)
+        cfg = short_cfg(base_seed=4)
+        traj = run_filter_trajectory(cfg)
         rho0, spec, l_op = filter_ingredients(cfg)
         bad = traj.record.copy()
         bad[10] = value
@@ -420,8 +426,8 @@ class TestReplay:
             replay_filter(rho0, spec, l_op, bad, traj.t_grid)
 
     def test_length_mismatch(self):
-        cfg = short_cfg()
-        traj = run_filter_trajectory(cfg, seed=4)
+        cfg = short_cfg(base_seed=4)
+        traj = run_filter_trajectory(cfg)
         rho0, spec, l_op = filter_ingredients(cfg)
         with pytest.raises(ValueError):
             replay_filter(rho0, spec, l_op, traj.record[:-5], traj.t_grid)
@@ -431,7 +437,7 @@ class TestStoredStates:
     def test_items_iteration_and_array_agree(self):
         # 1501 states at d = 10: two whole blocks of 655 and a partial one
         cfg = short_cfg(t_final=1.5)
-        traj = run_filter_trajectory(cfg, seed=3, store_states=True)
+        traj = stored_trajectory(cfg, 3)
         states = traj.states
         d = traj.layout.total
         block = DIAG_BLOCK_BYTES // (16 * d * d)
@@ -583,7 +589,7 @@ class TestQndOracle:
 class TestConditionalQubit:
     def test_matches_direct_expectations(self):
         cfg = short_cfg()
-        traj = run_filter_trajectory(cfg, seed=21, store_states=True)
+        traj = stored_trajectory(cfg, 21)
         bloch = conditional_qubit(traj)
         lay = traj.layout
         paulis = [np.kron(qubit_operator(k), np.eye(lay.total // 2))
@@ -603,18 +609,18 @@ class TestConditionalQubit:
             extra = dataclasses.replace(cfg.ancillas[0], omega=1.5, gamma=0.8, kappa=0.5)
             cfg = dataclasses.replace(cfg, ancillas=cfg.ancillas + (extra,),
                                       probe_kind="pauli_y").validate()
-        traj = run_filter_trajectory(cfg, seed=4, store_states=True)
+        traj = stored_trajectory(cfg, 4)
         assert traj.layout.total == (10 if modes == 1 else 32)
         assert np.array_equal(conditional_qubit(traj), traj.bloch)
 
     def test_initial_point_is_input_bloch(self):
         cfg = short_cfg()
-        traj = run_filter_trajectory(cfg, seed=2, store_states=True)
+        traj = stored_trajectory(cfg, 2)
         assert_allclose(conditional_qubit(traj)[0], cfg.init_bloch, atol=1e-12)
 
     def test_requires_states(self):
-        cfg = short_cfg()
-        traj = run_filter_trajectory(cfg, seed=2, store_states=False)
+        cfg = short_cfg(base_seed=2)
+        traj = run_filter_trajectory(cfg)
         with pytest.raises(UnsupportedModeError):
             conditional_qubit(traj)
 

@@ -301,8 +301,8 @@ class TestIntegrate:
     def test_hamiltonian_only_matches_exponential(self, rng):
         # eigendecomposition-based propagation as an independent oracle
         h = rand_hermitian(rng, 4)
-        spec = GeneratorSpec(Operator(HilbertLayout((4,)), h), ())
-        rho0 = rand_density(rng, (4,))
+        spec = GeneratorSpec(Operator(HilbertLayout((2, 2)), h), ())
+        rho0 = rand_density(rng, (2, 2))
         t_grid = np.linspace(0, 1.0, 501)
         result = integrate_master(rho0, spec, t_grid, store_states=True)
         w, v = np.linalg.eigh(h)
@@ -313,8 +313,8 @@ class TestIntegrate:
             assert np.max(np.abs(result.states[idx] - want)) < 1e-8
 
     def test_zero_generator_constant(self, rng):
-        spec = GeneratorSpec(tagged(np.zeros((3, 3))), ())
-        rho0 = rand_density(rng, (3,))
+        spec = GeneratorSpec(Operator(HilbertLayout((2, 3)), np.zeros((6, 6))), ())
+        rho0 = rand_density(rng, (2, 3))
         result = integrate_master(rho0, spec, np.linspace(0, 5, 11), store_states=True)
         for s in result.states:
             assert_allclose(s, rho0.entries, atol=1e-14)
@@ -330,10 +330,8 @@ class TestIntegrate:
         assert_allclose(purity, purity[0], atol=1e-8)
 
     def test_conservation_short_run(self):
-        cfg = dataclasses.replace(preset("paper-fig4"), t_final=1.0)
-        from nmqubit.experiments import run_unconditional
-
-        result = run_unconditional(cfg, store_states=True)
+        spec, rho0 = preset_problem()
+        result = integrate_master(rho0, spec, time_grid(1.0, 1e-3), store_states=True)
         assert result.tr_drift.max() <= 1e-8
         assert np.array_equal(result.states, result.states.conj().swapaxes(1, 2))
         assert result.min_eig.min() >= -1e-8
@@ -364,6 +362,12 @@ class TestIntegrate:
             return build
 
         fig4 = preset("paper-fig4")
+
+        def stored(problem):
+            spec, rho0 = problem()
+            return lambda cfg: integrate_master(rho0, spec, config_grid(cfg), store_states=True)
+
+        stored_unconditional, stored_baseline = stored(preset_problem), stored(baseline_problem)
         # 0: every run applies the generator.  Only the stepper the loop calls
         # is recorded: the tabulated map is read off applied steps on basis
         # vectors, which are no states of the run
@@ -372,17 +376,21 @@ class TestIntegrate:
             monkeypatch.setattr(master, name, recording(getattr(master, name)))
             for dt in (0.5, 5.0, 50.0):
                 cfg = dataclasses.replace(fig4, dt=dt, t_final=400 * dt)
-                # the memoryless qubit stays positive at the smallest step
-                for run in (run_unconditional,) + ((run_baseline,) if dt > 0.5 else ()):
-                    for store_states in (False, True):
-                        over.clear()
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("error")
-                            with pytest.raises(PositivityError,
-                                               match=rf"t={dt:.6g} \(grid point 1\)"):
-                                run(cfg, store_states=store_states)
-                        # no step is taken after the first state that cannot pass
-                        assert over.index(True) == len(over) - 1
+                # each pipeline streams, and the same model is also run with
+                # its states stored; the memoryless qubit stays positive at
+                # the smallest step
+                runs = [run_unconditional, stored_unconditional]
+                if dt > 0.5:
+                    runs += [run_baseline, stored_baseline]
+                for run in runs:
+                    over.clear()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        with pytest.raises(PositivityError,
+                                           match=rf"t={dt:.6g} \(grid point 1\)"):
+                            run(cfg)
+                    # no step is taken after the first state that cannot pass
+                    assert over.index(True) == len(over) - 1
 
     @pytest.mark.parametrize("name", RK4_PROBLEMS)
     @pytest.mark.parametrize("grid", ["linspace", "offset-blocks"])
@@ -493,11 +501,10 @@ class TestIntegrate:
             tracemalloc.stop()
         assert peak <= 6 * 2**20 < 16 * len(t) * spec.layout.total**2
 
-    def test_layout_without_qubit_factor_has_no_bloch(self, rng):
+    def test_layout_without_qubit_factor_rejected(self, rng):
         spec = GeneratorSpec(tagged(rand_hermitian(rng, 3)), ())
-        result = integrate_master(rand_density(rng, (3,)), spec, np.linspace(0.0, 1.0, 11))
-        assert result.bloch is None and result.states is None
-        assert result.min_eig.min() > 0.0
+        with pytest.raises(ValueError, match="does not start with a qubit factor"):
+            integrate_master(rand_density(rng, (3,)), spec, np.linspace(0.0, 1.0, 11))
 
     @pytest.mark.parametrize("truncation", [5, 9])
     def test_weak_error_against_exact_propagator(self, truncation):
