@@ -44,8 +44,11 @@ def run_tests(edit: tuple[str, str, str] | None, tests: list[str]) -> subprocess
                 raise LookupError(f"{file}: old text occurs {text.count(old)} times: {old!r}")
             path.write_text(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(Path(tmp, "src")))
+        # hypothesis's pytest plugin is most of a run's start-up; its
+        # ``@given`` tests still run without it
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "-p", "no:hypothesispytest", *tests],
             cwd=tmp, env=env, capture_output=True, text=True,
         )
 

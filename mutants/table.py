@@ -14,6 +14,7 @@ FILTERING = "src/nmqubit/filtering.py"
 SME_STEP = "tests/test_filtering.py::TestSmeStep"
 STORED = "tests/test_filtering.py::TestStoredStates"
 ENGINES = "tests/test_filtering.py::TestEngineConsistency"
+ENSEMBLE = "tests/test_filtering.py::TestEnsemble"
 MASTER = "src/nmqubit/master.py"
 STEPPERS = "tests/test_master.py::TestIntegrate::test_steppers_match_plain_rk4"
 TABLE = "tests/test_master.py::TestIntegrate::test_tabulated_step_is_the_applied_step"
@@ -180,6 +181,9 @@ MUTANTS = [
     ("batches merged without the term of their means' gap", FILTERING,
      "                sq += delta * delta * (merged * len(batch) / (merged + len(batch)))\n", "",
      ["tests/test_filtering.py::TestEnsemble::test_stderr_is_the_two_pass_standard_error"]),
+    ("an ensemble abort keeps only the first failing batch's seeds", FILTERING,
+     "tuple(s for abort in aborts for s in abort.seeds)", "tuple(aborts[0].seeds)",
+     [f"{ENSEMBLE}::test_two_failing_batches_raise_one_abort"]),
     ("sqrt(dt) dropped from a per-block draw", FILTERING,
      "        out *= self.sqrt_dt\n", "",
      [f"{ENGINES}::test_worker_moments_are_the_sums_of_full_columns"]),

@@ -31,7 +31,6 @@ from .experiments import (
     run_unconditional,
 )
 from .master import PositivityError
-from .filtering import EnsembleError
 from .spectra import LorentzianComponent, SpectrumSamples, mixture_psd, nested_fits
 
 
@@ -229,7 +228,7 @@ def main(argv=None) -> int:
         if overrides:
             config = dataclasses.replace(config, **overrides).validate()
         paths = run_command(args.command, config)
-    except (ConfigError, PositivityError, EnsembleError, ValueError, OSError) as exc:
+    except (PositivityError, ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

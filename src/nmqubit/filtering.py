@@ -86,14 +86,6 @@ class UnsupportedModeError(RuntimeError):
     """The trajectory was stored without the data this operation needs."""
 
 
-class EnsembleError(RuntimeError):
-    """One or more ensemble members aborted; carries the failing seeds."""
-
-    def __init__(self, failing_seeds):
-        self.failing_seeds = tuple(failing_seeds)
-        super().__init__(f"trajectories failed for seeds {sorted(self.failing_seeds)}")
-
-
 def wiener_increments(seed: int, n: int, dt: float) -> np.ndarray:
     """``n`` Normal(0, dt) increments from a Philox stream keyed by ``seed``.
 
@@ -406,8 +398,8 @@ def _ensemble_worker(args):
     try:
         _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt, stream=moments, seeds=seeds)
     except PositivityError as err:
-        return None, None, tuple(getattr(err, "seeds", ()) or seeds)
-    return moments.total, moments.centred, ()
+        return None, None, err
+    return moments.total, moments.centred, None
 
 
 def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
@@ -418,7 +410,8 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
 
     Trajectories are partitioned into batches of ``ENSEMBLE_BATCH``, so the
     result does not depend on ``workers`` or scheduling.  Any aborted
-    trajectory fails the whole ensemble with the offending seeds listed.
+    trajectory fails the whole ensemble with one ``PositivityError``: every
+    failing seed, in seed order, and the first abort's step and text.
     """
     if n_traj < 2:
         raise ValueError("n_traj must be >= 2")
@@ -429,16 +422,16 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
              for i in range(0, n_traj, ENSEMBLE_BATCH)]
     pool = (ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
             if workers > 1 and len(tasks) > 1 else None)
-    failing: list[int] = []
+    aborts: list[PositivityError] = []
     total = np.zeros((len(t), 3))
     centred = np.zeros((len(t), 3))  # squares about the mean of the paths merged so far
     merged = 0
     # each result is merged as it arrives, in task order, not kept to the end
     with pool or nullcontext():
         results = (pool.map if pool else map)(_ensemble_worker, tasks)
-        for (*_, batch), (s, sq, failed) in zip(tasks, results):
-            if failed:
-                failing.extend(failed)
+        for (*_, batch), (s, sq, abort) in zip(tasks, results):
+            if abort is not None:
+                aborts.append(abort)
                 continue
             if merged:  # the pairwise update of Chan, Golub & LeVeque (1979)
                 delta = s / len(batch) - total / merged
@@ -446,8 +439,11 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
             total += s
             centred += sq
             merged += len(batch)
-    if failing:
-        raise EnsembleError(failing)
+    if aborts:
+        failing = tuple(s for abort in aborts for s in abort.seeds)
+        err = PositivityError(f"trajectories failed for seeds {list(failing)}; first abort: {aborts[0]}")
+        err.seeds, err.step = failing, aborts[0].step
+        raise err
 
     stderr = np.sqrt(centred / (n_traj - 1) / n_traj)
     return EnsembleResult(t, total / n_traj, stderr, n_traj, seeds)

@@ -459,6 +459,16 @@ class TestMainEntry:
         assert err.startswith("error:") and "dt=1e-15" in err and "10000000000000000 steps" in err
         assert "Traceback" not in err
 
+    def test_ensemble_abort_names_seed_step_and_time(self, tmp_path, capsys):
+        # at dt = 0.5 the path of seed 1000 aborts at its first step, and the
+        # ensemble's error names its seed, step and time as ``filter`` does
+        rc = main(["ensemble", "--preset", "paper-fig4", "--dt", "0.5", "--n-traj", "4",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectories failed for seeds [1000]; first abort: ")
+        assert "after step 0 (t=0.5)" in err and "Traceback" not in err
+
     def test_time_grid_rounds_step_count(self):
         # 0.3/0.1 is 2.9999999999999996, so truncating it would drop a step
         grid = time_grid(0.3, 0.1)

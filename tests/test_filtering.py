@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from nmqubit.experiments import (
     run_unconditional,
 )
 from nmqubit.filtering import (
-    EnsembleError,
     StoredStates,
     UnsupportedModeError,
     _ensemble_worker,
@@ -625,6 +625,23 @@ class TestConditionalQubit:
             conditional_qubit(traj)
 
 
+class SerialPool:
+    """A stand-in for ``ProcessPoolExecutor`` that runs its tasks in order,
+    in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 class TestEnsemble:
     def test_zero_probe_mean_equals_unconditional(self):
         cfg = short_cfg(gamma_q=0.0)
@@ -743,13 +760,48 @@ class TestEnsemble:
         assert np.array_equal(pooled.stderr, serial.stderr)
 
     def test_failures_reported_with_seeds(self):
-        # a huge dt makes every trajectory abort; the error must name seeds
+        # a huge dt makes the trajectories abort; the ensemble's one
+        # PositivityError names the failing seeds in order, and its step and
+        # text are those of the first failing path run alone
         cfg = dataclasses.replace(preset("paper-fig4"), dt=0.4, t_final=8.0)
         rho0, spec, l_op = filter_ingredients(cfg)
-        with pytest.raises(EnsembleError) as err:
-            ensemble_average(rho0, spec, l_op, config_grid(cfg), 4, 7)
-        assert len(err.value.failing_seeds) >= 1
-        assert all(7 <= s <= 10 for s in err.value.failing_seeds)
+        grid = config_grid(cfg)
+        with pytest.raises(PositivityError) as err:
+            ensemble_average(rho0, spec, l_op, grid, 4, 7)
+        seeds = err.value.seeds
+        assert len(seeds) >= 1
+        assert all(7 <= s <= 10 for s in seeds)
+        assert list(seeds) == sorted(seeds)
+        with pytest.raises(PositivityError) as alone:
+            simulate_trajectory(rho0, spec, l_op, grid, seed=seeds[0])
+        assert alone.value.step == err.value.step
+        assert str(err.value) == f"trajectories failed for seeds {list(seeds)}; first abort: {alone.value}"
+
+    def test_two_failing_batches_raise_one_abort(self, monkeypatch):
+        # in batches of two, seeds 7-10 at dt = 0.4 make two batches that
+        # abort at steps 0 and 1: the ensemble raises one PositivityError
+        # with both batches' failing seeds, in seed order, and the first
+        # batch's step and text, alike in this process and on 2 workers
+        monkeypatch.setattr(filtering, "ENSEMBLE_BATCH", 2)
+        cfg = dataclasses.replace(preset("paper-fig4"), dt=0.4, t_final=8.0)
+        rho0, spec, l_op = filter_ingredients(cfg)
+        grid = config_grid(cfg)
+        _, dt = grid_steps(grid)
+        first, second = (_ensemble_worker((rho0.entries, spec, l_op, len(grid) - 1, dt, batch))[2]
+                         for batch in ((7, 8), (9, 10)))
+        assert (first.step, second.step) == (0, 1)
+        raised = []
+        for pool in (SerialPool, ProcessPoolExecutor):
+            monkeypatch.setattr(filtering, "ProcessPoolExecutor", pool)
+            with pytest.raises(PositivityError) as err:
+                ensemble_average(rho0, spec, l_op, grid, 4, 7, workers=2)
+            raised.append(err.value)
+        for err in raised:
+            assert err.seeds == first.seeds + second.seeds
+            assert err.step == first.step
+            assert str(err) == (f"trajectories failed for seeds {list(err.seeds)}; "
+                                f"first abort: {first}")
+            assert "after step 0 (t=0.4)" in str(err)
 
 
 #: steps per readout ring of a three-path worker in the streaming tests,
@@ -927,7 +979,9 @@ class TestEngineConsistency:
             assert (streamed.value.seeds, streamed.value.step) == ((61,), 22)
             monkeypatch.setattr(filtering, "_Moments", Kicked)
             task = (rho0.entries, spec, l_op, 50, cfg.dt, seeds)
-            assert _ensemble_worker(task) == (None, None, (61,))
+            total, centred, abort = _ensemble_worker(task)
+            assert total is None and centred is None
+            assert (str(abort), abort.seeds, abort.step) == (str(full.value), (61,), 22)
 
     def test_ensemble_batches_of_two_and_one(self, monkeypatch):
         # with batches of two, three paths make one batch of two and a last
