@@ -39,6 +39,14 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def extract(rev: str, dest: Path) -> None:
+    """Write the committed files of ``rev`` from ``git archive`` to ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run from the checkout at ``root``: its last
     two output lines, the detail and the result."""
@@ -107,10 +115,7 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp, "parent")
-        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent, filter="data")
+        extract(base, parent)
         for workload in (w["name"] for w in spec["workloads"]):
             for seed in range(1, PAIRS + 1):
                 sides = {"parent": parent, "change": ROOT}

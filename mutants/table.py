@@ -72,6 +72,9 @@ MUTANTS = [
     ("a mode's truncation off the config's accepted", CONFIG,
      'raise ConfigError(f"ancilla.{k} truncation differs from config truncation")', "pass",
      ["tests/test_config_cli.py::TestParsing::test_mode_truncation_off_the_config_named"]),
+    ("an override flag sets another field", "src/nmqubit/cli.py",
+     '"--workers": ("workers", int)', '"--workers": ("n_traj", int)',
+     ["tests/test_config_cli.py::TestMainEntry::test_override_flag_sets_its_own_field"]),
     ("jump weights not scaled by dt", FILTERING,
      "w_dt = dt * jumps.w", "w_dt = jumps.w",
      [f"{SME_STEP}::test_eight_steps_batch_of_three"]),
@@ -187,6 +190,10 @@ MUTANTS = [
     ("sqrt(dt) dropped from a per-block draw", FILTERING,
      "        out *= self.sqrt_dt\n", "",
      [f"{ENGINES}::test_worker_moments_are_the_sums_of_full_columns"]),
+    ("an ensemble worker counts times from 0", FILTERING,
+     "stream=moments, seeds=seeds,\n                t0=t0)",
+     "stream=moments, seeds=seeds,\n                t0=0.0)",
+     [f"{ENSEMBLE}::test_abort_on_a_shifted_grid_names_grid_time"]),
     ("step count truncated, not rounded", "src/nmqubit/experiments.py",
      "n = int(round(steps))", "n = int(steps)",
      ["tests/test_config_cli.py::TestMainEntry::test_time_grid_rounds_step_count"]),

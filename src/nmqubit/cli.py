@@ -191,6 +191,11 @@ def run_command(command: str, config: ExperimentConfig) -> list[Path]:
     return _DISPATCH[command](config, out)
 
 
+#: command-line flag -> (the ExperimentConfig field it overrides, its type)
+_OVERRIDES = {"--out": ("out_dir", str), "--seed": ("base_seed", int),
+              "--n-traj": ("n_traj", int), "--dt": ("dt", float), "--workers": ("workers", int)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmqubit",
@@ -199,17 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--config", help="path to a key-value or JSON config file")
     parser.add_argument("--preset", help="built-in preset name (e.g. paper-fig4)")
-    parser.add_argument("--out", help="output directory (default from config)")
-    parser.add_argument("--seed", type=int, help="override base_seed")
-    parser.add_argument("--n-traj", type=int, help="override n_traj")
-    parser.add_argument("--dt", type=float, help="override dt")
-    parser.add_argument("--workers", type=int, help="override worker count")
+    for flag, (field, kind) in _OVERRIDES.items():
+        parser.add_argument(flag, dest=field, type=kind, help=f"override {field}")
     return parser
-
-
-#: command-line flag (argparse dest) -> the ExperimentConfig field it overrides
-_OVERRIDES = {"out": "out_dir", "seed": "base_seed", "n_traj": "n_traj", "dt": "dt",
-              "workers": "workers"}
 
 
 def main(argv=None) -> int:
@@ -223,8 +220,8 @@ def main(argv=None) -> int:
             config = preset(args.preset)
         else:
             raise ConfigError("one of --config or --preset is required")
-        overrides = {field: getattr(args, flag) for flag, field in _OVERRIDES.items()
-                     if getattr(args, flag) is not None}
+        overrides = {field: getattr(args, field) for field, _ in _OVERRIDES.values()
+                     if getattr(args, field) is not None}
         if overrides:
             config = dataclasses.replace(config, **overrides).validate()
         paths = run_command(args.command, config)

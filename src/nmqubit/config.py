@@ -105,21 +105,11 @@ def with_truncation(config: ExperimentConfig, n: int) -> ExperimentConfig:
 def _paper_fig4() -> ExperimentConfig:
     """The built-in resonant single-mode example in rescaled units: the qubit
     and the mode share frequency 2, with coupling weight 1, probe rate 0.8,
-    mode damping 0.6, and the qubit starting along +x."""
+    mode damping 0.6, and the qubit starting along +x.  Every value not
+    given here is an ``ExperimentConfig`` or ``AncillaParams`` default."""
     return ExperimentConfig(
-        omega_q=2.0,
-        gamma_q=0.8,
-        ancillas=(
-            AncillaParams(omega=2.0, gamma=0.6, kappa=1.0, sigma_kind="pauli_y",
-                          truncation=5),
-        ),
-        probe_kind="pauli_x",
-        init_bloch=(1.0, 0.0, 0.0),
-        truncation=5,
-        dt=1e-3,
-        t_final=10.0,
-        n_traj=500,
-        base_seed=1000,
+        omega_q=2.0, gamma_q=0.8,
+        ancillas=(AncillaParams(omega=2.0, gamma=0.6, kappa=1.0),),
     ).validate()
 
 

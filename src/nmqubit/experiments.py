@@ -64,9 +64,7 @@ def initial_state(config: ExperimentConfig, model: GeneratorSpec) -> DensityMatr
 
 def run_unconditional(config: ExperimentConfig) -> MasterResult:
     """Integrate the augmented master equation for the configured experiment."""
-    model = build_probed_model(config)
-    spec = generator_spec(model)
-    rho0 = initial_state(config, model)
+    rho0, spec, _ = filter_ingredients(config)
     return integrate_master(rho0, spec, config_grid(config))
 
 

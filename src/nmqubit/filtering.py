@@ -392,11 +392,12 @@ class _Moments:
 
 
 def _ensemble_worker(args):
-    rho0e, spec, l_op, n, dt, seeds = args
+    rho0e, spec, l_op, n, dt, t0, seeds = args
     moments = _Moments(seeds, n, dt)
     rho0 = np.broadcast_to(rho0e, (len(seeds),) + rho0e.shape)
     try:
-        _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt, stream=moments, seeds=seeds)
+        _evolve(rho0, CompiledGenerator(spec), l_op.entries, dt, stream=moments, seeds=seeds,
+                t0=t0)
     except PositivityError as err:
         return None, None, err
     return moments.total, moments.centred, None
@@ -418,7 +419,7 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
     _check_layout(rho0, spec.layout)
     t, dt = grid_steps(t_grid)
     seeds = tuple(int(base_seed) + k for k in range(n_traj))
-    tasks = [(rho0.entries, spec, l_op, len(t) - 1, dt, seeds[i:i + ENSEMBLE_BATCH])
+    tasks = [(rho0.entries, spec, l_op, len(t) - 1, dt, t[0], seeds[i:i + ENSEMBLE_BATCH])
              for i in range(0, n_traj, ENSEMBLE_BATCH)]
     pool = (ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
             if workers > 1 and len(tasks) > 1 else None)

@@ -53,6 +53,9 @@ class TestParsing:
         assert len(cfg.ancillas) == 1
         assert cfg.ancillas[0].sigma_kind == "pauli_y"  # documented default
         assert cfg.truncation == 5
+        # the preset gives only these five numbers; the rest are the defaults
+        assert cfg == preset("paper-fig4")
+        assert config_hash(cfg) == config_hash(preset("paper-fig4"))
 
     def test_round_trip(self, tmp_path):
         cfg = preset("paper-fig4")
@@ -365,6 +368,22 @@ class TestMainEntry:
         ])
         assert rc == 0
         assert (tmp_path / "filter_record_seed99.csv").exists()
+
+    @pytest.mark.parametrize("flag, text, field, value", [
+        ("--out", "elsewhere", "out_dir", "elsewhere"),
+        ("--seed", "99", "base_seed", 99),
+        ("--n-traj", "7", "n_traj", 7),
+        ("--dt", "0.25", "dt", 0.25),
+        ("--workers", "3", "workers", 3),
+    ])
+    def test_override_flag_sets_its_own_field(self, monkeypatch, flag, text, field, value):
+        # the config handed to the command differs from the preset in this
+        # one field, which holds the flag's value with the field's type
+        seen = []
+        monkeypatch.setattr(cli, "run_command", lambda command, config: seen.append(config) or [])
+        assert main(["evolve", "--preset", "paper-fig4", flag, text]) == 0
+        assert seen == [dataclasses.replace(preset("paper-fig4"), **{field: value})]
+        assert type(getattr(seen[0], field)) is type(value)
 
     def fit_exit(self, tmp_path, capsys, samples: str) -> str:
         target = tmp_path / "samples.csv"

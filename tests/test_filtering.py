@@ -787,8 +787,9 @@ class TestEnsemble:
         rho0, spec, l_op = filter_ingredients(cfg)
         grid = config_grid(cfg)
         _, dt = grid_steps(grid)
-        first, second = (_ensemble_worker((rho0.entries, spec, l_op, len(grid) - 1, dt, batch))[2]
-                         for batch in ((7, 8), (9, 10)))
+        first, second = (
+            _ensemble_worker((rho0.entries, spec, l_op, len(grid) - 1, dt, 0.0, batch))[2]
+            for batch in ((7, 8), (9, 10)))
         assert (first.step, second.step) == (0, 1)
         raised = []
         for pool in (SerialPool, ProcessPoolExecutor):
@@ -802,6 +803,23 @@ class TestEnsemble:
             assert str(err) == (f"trajectories failed for seeds {list(err.seeds)}; "
                                 f"first abort: {first}")
             assert "after step 0 (t=0.4)" in str(err)
+
+    @pytest.mark.parametrize("pool", [SerialPool, ProcessPoolExecutor])
+    def test_abort_on_a_shifted_grid_names_grid_time(self, monkeypatch, pool):
+        # on a grid from t = 5 the path of seed 1000 aborts at its first
+        # step; the ensemble's abort names the same time as the path alone,
+        # in this process and on 2 workers
+        monkeypatch.setattr(filtering, "ENSEMBLE_BATCH", 2)
+        monkeypatch.setattr(filtering, "ProcessPoolExecutor", pool)
+        rho0, spec, l_op = filter_ingredients(preset("paper-fig4"))
+        grid = 5.0 + 0.5 * np.arange(5)
+        with pytest.raises(PositivityError) as alone:
+            simulate_trajectory(rho0, spec, l_op, grid, seed=1000)
+        with pytest.raises(PositivityError) as ensemble:
+            ensemble_average(rho0, spec, l_op, grid, 4, 1000, workers=2)
+        assert "after step 0 (t=5.5)" in str(alone.value)
+        assert ensemble.value.seeds[0] == 1000
+        assert str(ensemble.value).endswith(f"; first abort: {alone.value}")
 
 
 #: steps per readout ring of a three-path worker in the streaming tests,
@@ -831,7 +849,8 @@ class TestEngineConsistency:
         grid = config_grid(cfg)
         single = simulate_trajectory(rho0, spec, l_op, grid, seed=60)
         _, dt = grid_steps(grid)
-        s, sq, failed = _ensemble_worker((rho0.entries, spec, l_op, len(grid) - 1, dt, (60, 61, 62)))
+        s, sq, failed = _ensemble_worker(
+            (rho0.entries, spec, l_op, len(grid) - 1, dt, 0.0, (60, 61, 62)))
         three = [simulate_trajectory(rho0, spec, l_op, grid, seed=s_) for s_ in (60, 61, 62)]
         total = sum(t.bloch for t in three)
         assert not failed
@@ -923,7 +942,7 @@ class TestEngineConsistency:
         blocks = spy_on_moments(monkeypatch)
         cfg = preset("paper-fig4")
         rho0, spec, l_op = filter_ingredients(cfg)
-        total, centred, failed = _ensemble_worker((rho0.entries, spec, l_op, n, cfg.dt, seeds))
+        total, centred, failed = _ensemble_worker((rho0.entries, spec, l_op, n, cfg.dt, 0.0, seeds))
         assert not failed
         assert blocks == [(0, 1)] + [(lo + 1, min(RING, n - lo)) for lo in range(0, n, RING)]
         dw = np.stack([wiener_increments(s_, n, cfg.dt) for s_ in seeds])
@@ -941,7 +960,7 @@ class TestEngineConsistency:
         rho0, spec, l_op = filter_ingredients(cfg)
         grid = config_grid(cfg)
         total, centred, failed = _ensemble_worker(
-            (rho0.entries, spec, l_op, len(grid) - 1, cfg.dt, (60,)))
+            (rho0.entries, spec, l_op, len(grid) - 1, cfg.dt, 0.0, (60,)))
         bloch = simulate_trajectory(rho0, spec, l_op, grid, seed=60).bloch
         assert not failed and blocks == [(0, 1), (1, len(grid) - 1)]
         assert np.array_equal(total, bloch)
@@ -978,7 +997,7 @@ class TestEngineConsistency:
             assert str(streamed.value) == str(full.value)
             assert (streamed.value.seeds, streamed.value.step) == ((61,), 22)
             monkeypatch.setattr(filtering, "_Moments", Kicked)
-            task = (rho0.entries, spec, l_op, 50, cfg.dt, seeds)
+            task = (rho0.entries, spec, l_op, 50, cfg.dt, 0.0, seeds)
             total, centred, abort = _ensemble_worker(task)
             assert total is None and centred is None
             assert (str(abort), abort.seeds, abort.step) == (str(full.value), (61,), 22)
