@@ -13,7 +13,8 @@ into a temporary directory that is removed afterwards.  Each side runs
 ``python -m nmqubit`` on its own ``src`` from a working directory of its own,
 with the same relative paths on both sides, since the config hash in every
 CSV header covers ``out_dir`` and ``fit.input``.  Prints every file that
-differs and exits 1 if any does.  Uses the standard library and git only.
+differs and each tree's line count over ``src/nmqubit/*.py`` with the delta,
+and exits 1 if any file differs.  Uses the standard library and git only.
 """
 
 from __future__ import annotations
@@ -90,6 +91,12 @@ def differing(a: Path, b: Path) -> tuple[list[str], int]:
     return diff, len(files)
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/nmqubit/*.py`` in the checkout at ``tree``, as ``wc -l``
+    counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "nmqubit").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD~1", help="the parent commit")
@@ -100,6 +107,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-golden-") as tmp:
         parent = Path(tmp, "parent")
         extract(base, parent)
+        old_lines, new_lines = src_lines(parent), src_lines(ROOT)
         sides = ((parent, Path(tmp, "parent-run")), (ROOT, Path(tmp, "change-run")))
         with ThreadPoolExecutor(max_workers=2) as pool:  # one process per side at a time
             old, new = pool.map(lambda side: outputs(*side), sides)
@@ -109,6 +117,7 @@ def main(argv=None) -> int:
         print(f"differs: {f}")
     print(f"{total - len(diff)} of {total} outputs byte-identical to {base[:12]}; "
           f"preset hash {preset_hash}")
+    print(f"src/nmqubit/*.py: {old_lines} -> {new_lines} lines ({new_lines - old_lines:+d})")
     return 1 if diff else 0
 
 

@@ -72,6 +72,10 @@ MUTANTS = [
     ("a mode's truncation off the config's accepted", CONFIG,
      'raise ConfigError(f"ancilla.{k} truncation differs from config truncation")', "pass",
      ["tests/test_config_cli.py::TestParsing::test_mode_truncation_off_the_config_named"]),
+    ("workers 0 accepted", CONFIG,
+     "if self.workers < 1:", "if self.workers < 0:",
+     ["tests/test_config_cli.py::TestParsing::test_zero_workers_named",
+      "tests/test_config_cli.py::TestMainEntry::test_zero_workers_flag_rejected"]),
     ("an override flag sets another field", "src/nmqubit/cli.py",
      '"--workers": ("workers", int)', '"--workers": ("n_traj", int)',
      ["tests/test_config_cli.py::TestMainEntry::test_override_flag_sets_its_own_field"]),
@@ -213,7 +217,7 @@ MUTANTS = [
      "h / 3.0", "h / 2.0",
      [STEPPERS]),
     ("the applied step's gather buffer reallocated", MASTER,
-     "jumps(src, jump_sum, gathered)", "jumps(src, jump_sum)",
+     "jumps(src, jump_sum, gathered)", "jumps(src, jump_sum, np.empty_like(gathered))",
      ["tests/test_master.py::TestJumpGather::test_applied_step_gathers_into_its_own_buffer"]),
     ("jump weights without the conjugate", MASTER,
      "np.outer(v, v.conj())", "np.outer(v, v)",

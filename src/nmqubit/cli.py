@@ -126,7 +126,7 @@ def cmd_ensemble(config: ExperimentConfig, out: Path) -> list[Path]:
     ens = run_ensemble(config)
     return [write_table(out / "ensemble.csv", config, "ensemble", {
         "t": ens.t_grid, **_xyz("mean_", ens.mean), **_xyz("se_", ens.stderr),
-    }, n_traj=ens.n_traj)]
+    }, n_traj=len(ens.seeds))]
 
 
 def cmd_fit(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -222,9 +222,7 @@ def main(argv=None) -> int:
             raise ConfigError("one of --config or --preset is required")
         overrides = {field: getattr(args, field) for field, _ in _OVERRIDES.values()
                      if getattr(args, field) is not None}
-        if overrides:
-            config = dataclasses.replace(config, **overrides).validate()
-        paths = run_command(args.command, config)
+        paths = run_command(args.command, dataclasses.replace(config, **overrides))
     except (PositivityError, ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

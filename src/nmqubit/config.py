@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"field_mode must be one of {FIELD_MODES}")
         if math.sqrt(sum(c * c for c in self.init_bloch)) > 1.0 + 1e-12:
             raise ConfigError(f"init.bloch norm exceeds 1: {self.init_bloch}")
-        if self.workers < 0:
-            raise ConfigError(f"workers must be >= 0, got {self.workers}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.fit_components < 1:
             raise ConfigError(f"fit.components must be >= 1, got {self.fit_components}")
         if self.spectrum_grid is not None:

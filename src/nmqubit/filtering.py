@@ -68,7 +68,7 @@ from .operators import (
     DensityMatrix,
     HilbertLayout,
     Operator,
-    qubit_bloch,
+    readout,
     readout_weights,
 )
 from .slh import GeneratorSpec
@@ -151,7 +151,6 @@ class Trajectory:
     the seed."""
 
     t_grid: np.ndarray
-    layout: HilbertLayout
     bloch: np.ndarray
     states: StoredStates | None
     record: np.ndarray
@@ -167,7 +166,6 @@ class EnsembleResult:
     t_grid: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
-    n_traj: int
     seeds: tuple[int, ...]
 
 
@@ -330,7 +328,6 @@ def simulate_trajectory(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator
     )
     return Trajectory(
         t_grid=t,
-        layout=spec.layout,
         bloch=bloch[0].copy(),  # contiguous, without the signal column
         states=None if states is None else StoredStates(spec.layout, states[0]),
         record=signal[0] * dt + dw,
@@ -363,7 +360,8 @@ def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
         raise UnsupportedModeError(
             "trajectory stores expectations only; rerun with store_states=True"
         )
-    return qubit_bloch(np.asarray(trajectory.states), trajectory.layout.dims)
+    states = trajectory.states
+    return readout(np.asarray(states), readout_weights(states.layout.dims))
 
 
 class _Moments:
@@ -447,4 +445,4 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
         raise err
 
     stderr = np.sqrt(centred / (n_traj - 1) / n_traj)
-    return EnsembleResult(t, total / n_traj, stderr, n_traj, seeds)
+    return EnsembleResult(t, total / n_traj, stderr, seeds)

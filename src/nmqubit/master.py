@@ -42,27 +42,21 @@ class PositivityError(RuntimeError):
     """The integrated state left the positive cone beyond tolerance."""
 
 
-def _entries(rho) -> np.ndarray:
-    if isinstance(rho, (DensityMatrix, Operator)):
-        return rho.entries
-    return np.asarray(rho, dtype=complex)
-
-
-def _check_layout(rho, layout: HilbertLayout) -> None:
-    if isinstance(rho, (DensityMatrix, Operator)) and rho.layout != layout:
+def _check_layout(rho: DensityMatrix, layout: HilbertLayout) -> None:
+    if rho.layout != layout:
         raise LayoutMismatchError(
             f"state layout {rho.layout.dims} does not match generator layout {layout.dims}"
         )
 
 
 def lindblad_apply(rho, spec: GeneratorSpec) -> np.ndarray:
-    """Time derivative -i[H, rho] + sum of dissipators (+ direct terms).
+    """Time derivative -i[H, rho] + sum of dissipators (+ direct terms) of a
+    (d, d) array ``rho``.
 
     This is the term-by-term reference for ``CompiledGenerator``, which every
     integrator and filter applies instead.
     """
-    _check_layout(rho, spec.layout)
-    r = _entries(rho)
+    r = np.asarray(rho, dtype=complex)
     h = spec.hamiltonian.entries
     out = -1j * (h @ r - r @ h)
     for op in spec.collapse_ops:
@@ -130,16 +124,11 @@ class JumpGather:
         self.idx[rank, target] = source
         self.w[rank, target] = w
 
-    def __call__(self, r: np.ndarray, out: np.ndarray | None = None,
-                 gathered: np.ndarray | None = None) -> np.ndarray:
-        """The jump sum on one (d, d) state or a (B, d, d) batch, into ``out``
-        and through the (..., S, d^2) scratch ``gathered`` if given.  The rows
-        are summed in order, as a loop over them would."""
-        if out is None:
-            out = np.empty(r.shape, dtype=complex)
+    def __call__(self, r: np.ndarray, out: np.ndarray, gathered: np.ndarray) -> np.ndarray:
+        """The jump sum on one (d, d) state or a (B, d, d) batch, into the
+        complex ``out`` of r's shape, through the (..., S, d^2) complex scratch
+        ``gathered``.  The rows are summed in order, as a loop over them would."""
         flat = r.reshape(r.shape[:-2] + (-1,))
-        if gathered is None:
-            gathered = np.empty(flat.shape[:-1] + self.w.shape, dtype=complex)
         np.take(flat, self.idx, axis=-1, out=gathered, mode="clip")
         np.multiply(self.w, gathered, out=gathered)
         np.add.reduce(gathered, axis=-2, out=out.reshape(flat.shape))
@@ -182,7 +171,8 @@ class CompiledGenerator:
         """The generator on one Hermitian (d, d) state or a (B, d, d) batch of
         them; a non-Hermitian input gets a wrong result."""
         x = self.e @ r
-        return x + x.conj().swapaxes(-1, -2) + self.jumps(r)
+        gathered = np.empty(r.shape[:-2] + self.jumps.w.shape, dtype=complex)
+        return x + x.conj().swapaxes(-1, -2) + self.jumps(r, np.empty_like(x), gathered)
 
 
 @dataclass

@@ -145,11 +145,3 @@ def readout(states: np.ndarray, w: np.ndarray) -> np.ndarray:
     stack may round a row differently depending on how many rows it holds."""
     flat = np.ascontiguousarray(states, dtype=complex).reshape(-1, 1, w.shape[0] // 2)
     return (flat.view(float) @ w)[:, 0]
-
-
-def qubit_bloch(states: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Bloch components of the leading qubit factor of a stack of joint states
-    on ``dims``: shape (n, d, d) -> (n, 3).  The filter's own per-row
-    ``readout`` contraction, so a row does not depend on the stack's size."""
-    return readout(states, readout_weights(dims))
-

@@ -29,3 +29,13 @@ def test_identical_trees_differ_nowhere(tmp_path):
         (tmp_path / root / "preset" / "compare.csv").write_bytes(b"# artifact: nmqubit\n")
     assert golden.differing(tmp_path / "parent", tmp_path / "change") == ([], 1)
 
+
+
+def test_src_lines_count_the_package_modules_only(tmp_path):
+    pkg = tmp_path / "src" / "nmqubit"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("import numpy\n\nx = 1\n")
+    (pkg / "b.py").write_text("y = 2\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert golden.src_lines(tmp_path) == 4

@@ -25,7 +25,7 @@ from nmqubit.config import (
 )
 from nmqubit.experiments import decay_time, filter_ingredients, time_grid
 from nmqubit.filtering import replay_filter
-from nmqubit.operators import qubit_bloch
+from nmqubit.operators import readout, readout_weights
 
 
 def coarse(cfg, **kw):
@@ -100,6 +100,13 @@ class TestParsing:
         path = tmp_path / "bad.cfg"
         path.write_text(MINIMAL + "n_traj = 1\n")
         with pytest.raises(ConfigError, match="n_traj must be >= 2"):
+            parse_config(path)
+
+    def test_zero_workers_named(self, tmp_path):
+        # 0 would run serially like 1, under another config hash
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL + "workers = 0\n")
+        with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
             parse_config(path)
 
     def test_missing_required_named(self):
@@ -216,7 +223,7 @@ class TestCommands:
         record = np.loadtxt(record_path, delimiter=",", skiprows=7)
         rho0, spec, l_op = filter_ingredients(cfg)
         states = replay_filter(rho0, spec, l_op, record[:, 2], bloch[:, 0])
-        got = qubit_bloch(np.array([s.entries for s in states]), spec.layout.dims)
+        got = readout(np.array([s.entries for s in states]), readout_weights(spec.layout.dims))
         assert np.max(np.abs(got - bloch[:, 1:])) <= 1e-11
 
     def test_ensemble_then_compare_bit_identical_means(self, tmp_path):
@@ -384,6 +391,13 @@ class TestMainEntry:
         assert main(["evolve", "--preset", "paper-fig4", flag, text]) == 0
         assert seen == [dataclasses.replace(preset("paper-fig4"), **{field: value})]
         assert type(getattr(seen[0], field)) is type(value)
+
+    def test_zero_workers_flag_rejected(self, tmp_path, capsys):
+        # an overridden config is validated once, by run_command, before any output
+        out = tmp_path / "out"
+        assert main(["evolve", "--preset", "paper-fig4", "--out", str(out), "--workers", "0"]) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+        assert not out.exists()
 
     def fit_exit(self, tmp_path, capsys, samples: str) -> str:
         target = tmp_path / "samples.csv"

@@ -56,7 +56,7 @@ configs = st.builds(
     n_traj=st.integers(2, 10**6),
     base_seed=st.integers(0, 2**64),
     out_dir=text,
-    workers=st.integers(0, 64),
+    workers=st.integers(1, 64),
     spectrum_grid=st.none() | st.builds(lambda b, n: (*b, n), bounds, st.integers(2, 10**6)),
     fit_input=st.none() | text,
     fit_components=st.integers(1, 5),

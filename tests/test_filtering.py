@@ -40,7 +40,7 @@ from nmqubit.master import (
     lindblad_apply,
 )
 from nmqubit.operators import (
-    DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bloch, readout,
+    DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, readout,
     readout_weights,
 )
 from nmqubit.slh import AncillaParams, GeneratorSpec, qubit_operator
@@ -212,7 +212,8 @@ class TestSmeStep:
             q = reduce_ref(s.entries)
             assert_allclose(row[:3], [np.trace(p @ q).real for p in paulis], rtol=0, atol=1e-14)
             assert_allclose(row[3], np.trace((l + l.conj().T) @ s.entries).real, rtol=0, atol=1e-14)
-            assert_allclose(qubit_bloch(s.entries, s.layout.dims)[0], row[:3], rtol=0, atol=1e-14)
+            assert_allclose(readout(s.entries, readout_weights(s.layout.dims))[0], row[:3],
+                            rtol=0, atol=1e-14)
 
     def test_single_step_readout_value(self):
         # from the +x product state: tr[(L+L^dag) rho] = 2 sqrt(0.8)
@@ -439,7 +440,7 @@ class TestStoredStates:
         cfg = short_cfg(t_final=1.5)
         traj = stored_trajectory(cfg, 3)
         states = traj.states
-        d = traj.layout.total
+        d = traj.states.layout.total
         block = DIAG_BLOCK_BYTES // (16 * d * d)
         assert len(states) == 1501 and len(states) > block and len(states) % block
         stack = np.asarray(states)
@@ -449,7 +450,7 @@ class TestStoredStates:
         assert np.array_equal([s.entries for s in iterated], stack)
         for i in (0, block - 1, block, 2 * block, len(states) - 1, -1, -len(states)):
             item = states[i]
-            assert item.layout == traj.layout and not item.entries.flags.writeable
+            assert item.layout == traj.states.layout and not item.entries.flags.writeable
             assert np.array_equal(item.entries, stack[i])
         assert np.array_equal(states[np.int64(-1)].entries, iterated[-1].entries)
         for s in (iterated[0], iterated[block], iterated[-1]):
@@ -551,7 +552,7 @@ class TestQndOracle:
         for record in seed_records(rho0, spec, l_op, grid):
             want = qnd_final_bloch(cfg, record.sum(), grid[-1])
             final = replay_filter(rho0, spec, l_op, record, grid)[-1]
-            got = qubit_bloch(final.entries, final.layout.dims)
+            got = readout(final.entries, readout_weights(final.layout.dims))
             errors.append(float(np.max(np.abs(got - want))))
         # Kraus step at dt = 1e-3: median 4.3e-5, max 8.7e-4 (Euler-Maruyama
         # plus repair gave 5.0e-4 and 9.0e-3); tighten, never loosen
@@ -591,7 +592,7 @@ class TestConditionalQubit:
         cfg = short_cfg()
         traj = stored_trajectory(cfg, 21)
         bloch = conditional_qubit(traj)
-        lay = traj.layout
+        lay = traj.states.layout
         paulis = [np.kron(qubit_operator(k), np.eye(lay.total // 2))
                   for k in ("pauli_x", "pauli_y", "pauli_z")]
         for idx in (0, len(traj.t_grid) // 2, -1):
@@ -610,7 +611,7 @@ class TestConditionalQubit:
             cfg = dataclasses.replace(cfg, ancillas=cfg.ancillas + (extra,),
                                       probe_kind="pauli_y").validate()
         traj = stored_trajectory(cfg, 4)
-        assert traj.layout.total == (10 if modes == 1 else 32)
+        assert traj.states.layout.total == (10 if modes == 1 else 32)
         assert np.array_equal(conditional_qubit(traj), traj.bloch)
 
     def test_initial_point_is_input_bloch(self):
@@ -692,7 +693,7 @@ class TestEnsemble:
         rho0, spec, l_op = filter_ingredients(cfg)
         ens = ensemble_average(rho0, spec, l_op, config_grid(cfg), 3, 42)
         assert ens.seeds == (42, 43, 44)
-        assert ens.n_traj == 3
+        assert len(ens.seeds) == 3
 
     def test_n_traj_minimum(self):
         cfg = short_cfg(t_final=0.1)
@@ -723,7 +724,7 @@ class TestEnsemble:
         rho0, spec, l_op = filter_ingredients(cfg)
         ens = ensemble_average(rho0, spec, l_op, config_grid(cfg), 100, 0, workers=5000)
         assert sizes == [2]
-        assert ens.n_traj == 100
+        assert len(ens.seeds) == 100
 
     def test_results_summed_as_they_arrive(self, monkeypatch):
         # when a pool yields a task's (sum, centred squares), no more than one

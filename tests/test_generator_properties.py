@@ -19,7 +19,7 @@ from nmqubit.master import (
     lindblad_apply,
     reduce_to_qubit,
 )
-from nmqubit.operators import DensityMatrix, qubit_bloch
+from nmqubit.operators import DensityMatrix, readout, readout_weights
 from nmqubit.slh import (
     FIELD_MODES,
     QUBIT_COUPLING_KINDS,
@@ -78,7 +78,7 @@ def test_generator_forms_and_compiled_apply_agree(model, seed):
 def test_qubit_bloch_is_reduced_state_bloch(model, seed):
     states = random_states(seed, model.layout.dims, 3)
     want = [reduce_to_qubit(DensityMatrix.wrap(model.layout, s)).bloch() for s in states]
-    assert_allclose(qubit_bloch(states, model.layout.dims), want, rtol=0, atol=1e-14)
+    assert_allclose(readout(states, readout_weights(model.layout.dims)), want, rtol=0, atol=1e-14)
 
 
 @BOUNDED

@@ -19,6 +19,7 @@ from nmqubit.experiments import (
     time_grid,
 )
 from nmqubit.filtering import (
+    StoredStates,
     Trajectory,
     conditional_qubit,
     ensemble_average,
@@ -37,7 +38,9 @@ from nmqubit.master import (
     markovian_baseline_spec,
     reduce_to_qubit,
 )
-from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, qubit_bloch
+from nmqubit.operators import (
+    DensityMatrix, HilbertLayout, Operator, readout, readout_weights,
+)
 from nmqubit.slh import AncillaParams, GeneratorSpec, qubit_operator
 
 from conftest import bank2_model, ladder, plain_rk4, rand_density, rand_hermitian, tagged
@@ -266,7 +269,7 @@ class TestJumpGather:
             w = gen.jumps.w
 
             def __call__(self, r, out, gathered):
-                return gen.jumps(r, out)
+                return gen.jumps(r, out, np.empty_like(gathered))
 
         other = CompiledGenerator(spec)
         other._jumps = Allocating()
@@ -485,7 +488,8 @@ class TestIntegrate:
         assert streamed.states is None
         for field in ("bloch", "min_eig", "tr_drift"):
             assert np.array_equal(getattr(streamed, field), getattr(stored, field))
-        assert np.array_equal(streamed.bloch, qubit_bloch(stored.states, spec.layout.dims))
+        assert np.array_equal(streamed.bloch,
+                              readout(stored.states, readout_weights(spec.layout.dims)))
         assert np.array_equal(streamed.min_eig, np.linalg.eigvalsh(stored.states)[:, 0])
 
     def test_streamed_run_holds_no_state_stack(self):
@@ -519,7 +523,8 @@ class TestIntegrate:
             for _ in range(steps):
                 exact.append(prop @ exact[-1])
             exact = np.array(exact).reshape(-1, layout.total, layout.total)
-            return float(np.max(np.abs(result.bloch - qubit_bloch(exact, layout.dims))))
+            exact_bloch = readout(exact, readout_weights(layout.dims))
+            return float(np.max(np.abs(result.bloch - exact_bloch)))
 
         # errors measured when pinned: 2.0e-13 (d = 10) and 2.1e-13 (d = 18)
         # at dt = 1e-3, 1.12e-6 and 6.9e-8 at dt = 0.05 and 0.025 on both
@@ -643,18 +648,19 @@ class TestReduce:
             for s in states
         ])
         t = np.arange(len(states), dtype=float)
-        traj = Trajectory(t, layout, None, states, np.zeros(3), np.zeros(3), seed=0)
+        stored = StoredStates(layout, master._HermitianCoordinates(layout.total).read(states))
+        traj = Trajectory(t, None, stored, np.zeros(3), np.zeros(3), seed=0)
         singles = [reduce_to_qubit(DensityMatrix.wrap(layout, s)).bloch() for s in states]
-        assert_allclose(qubit_bloch(states, dims), want, atol=1e-12)
+        assert_allclose(readout(states, readout_weights(dims)), want, atol=1e-12)
         assert_allclose(conditional_qubit(traj), want, atol=1e-12)
         assert_allclose(singles, want, atol=1e-12)
 
     def test_qubit_bloch_row_independent_of_stack(self, rng):
         dims = (2, 5)
         states = np.stack([rand_density(rng, dims).entries for _ in range(64)])
-        bloch = qubit_bloch(states, dims)
+        bloch = readout(states, readout_weights(dims))
         for i in range(len(states)):
-            assert np.array_equal(bloch[i], qubit_bloch(states[i:i + 1], dims)[0])
+            assert np.array_equal(bloch[i], readout(states[i:i + 1], readout_weights(dims))[0])
 
     def test_linearity(self, rng):
         lay = (2, 3)
@@ -704,20 +710,21 @@ class TestMarkovianBaseline:
         sx = qubit_operator("pauli_x")
         for kappa in (1.0, 0.7):
             bank = [AncillaParams(omega=2.0, gamma=0.6, kappa=kappa, sigma_kind="pauli_y")]
-            out = lindblad_apply(rho, markovian_baseline_spec(omega_q, bank, gamma_q, "pauli_x"))
+            spec = markovian_baseline_spec(omega_q, bank, gamma_q, "pauli_x")
+            out = lindblad_apply(rho.entries, spec)
             rate = float(np.real(np.trace(sx @ out)))
             assert rate == pytest.approx(-2.0 * kappa)
 
     def test_pure_precession(self):
         rho = DensityMatrix.from_bloch(1, 0, 0)
-        out = lindblad_apply(rho, markovian_baseline_spec(2.0, (), 0.0, "pauli_x"))
+        out = lindblad_apply(rho.entries, markovian_baseline_spec(2.0, (), 0.0, "pauli_x"))
         sz = qubit_operator("pauli_z")
         assert abs(np.trace(sz @ out)) < 1e-14
 
     def test_trace_preserved(self, rng):
         rho = rand_density(rng, (2,))
         bank = [AncillaParams(omega=1.0, gamma=0.5, kappa=1.0, sigma_kind="pauli_y")]
-        out = lindblad_apply(rho, markovian_baseline_spec(1.3, bank, 0.25, "pauli_x"))
+        out = lindblad_apply(rho.entries, markovian_baseline_spec(1.3, bank, 0.25, "pauli_x"))
         assert abs(np.trace(out)) < 1e-13
 
     def test_spec_builder_matches(self, rng):
@@ -725,13 +732,13 @@ class TestMarkovianBaseline:
         spec = markovian_baseline_spec(cfg.omega_q, cfg.ancillas, cfg.gamma_q,
                                        cfg.probe_kind)
         rho = rand_density(rng, (2,))
-        via_spec = lindblad_apply(rho, spec)
+        via_spec = lindblad_apply(rho.entries, spec)
         hand = GeneratorSpec(
             tagged(0.5 * cfg.omega_q * qubit_operator("pauli_z")),
             (tagged(math.sqrt(1.0) * qubit_operator("pauli_y")),
              tagged(math.sqrt(0.8) * qubit_operator("pauli_x"))),
         )
-        direct = lindblad_apply(rho, hand)
+        direct = lindblad_apply(rho.entries, hand)
         assert_allclose(via_spec, direct, atol=1e-14)
 
 
