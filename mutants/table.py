@@ -159,9 +159,10 @@ MUTANTS = [
     ("record formed as m + dW", FILTERING,
      "record=signal[0] * dt + dw", "record=signal[0] + dw",
      ["tests/test_filtering.py::TestTrajectory::test_bookkeeping_identity_exact"]),
-    ("the sign of one entry of R(A) flipped", FILTERING,
+    ("the sign of one entry of R(A) flipped", "src/nmqubit/operators.py",
      "np.stack([-im, re], -1)", "np.stack([im, re], -1)",
-     [f"{SME_STEP}::test_one_step_is_the_dense_kraus_map"]),
+     ["tests/test_operators.py::TestRealRight", f"{SME_STEP}::test_one_step_is_the_dense_kraus_map",
+      STEPPERS]),
     ("Y^dag formed without the conjugate", FILTERING,
      "np.conjugate(y_t, out=ydag)", "np.copyto(ydag, y_t)",
      [f"{SME_STEP}::test_one_step_is_the_dense_kraus_map"]),
@@ -217,8 +218,12 @@ MUTANTS = [
      "h / 3.0", "h / 2.0",
      [STEPPERS]),
     ("the applied step's gather buffer reallocated", MASTER,
-     "jumps(src, jump_sum, gathered)", "jumps(src, jump_sum, np.empty_like(gathered))",
+     'np.take(src_flat, jumps.idx, out=gathered, mode="clip")',
+     'np.copyto(gathered, np.take(src_flat, jumps.idx, mode="clip"))',
      ["tests/test_master.py::TestJumpGather::test_applied_step_gathers_into_its_own_buffer"]),
+    ("stage operator built from E, not E^dag", MASTER,
+     "real_right(coefs * gen.e.conj().T)", "real_right(coefs * gen.e)",
+     [STEPPERS]),
     ("jump weights without the conjugate", MASTER,
      "np.outer(v, v.conj())", "np.outer(v, v)",
      ["tests/test_master.py::TestJumpGather"]),

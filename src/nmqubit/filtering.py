@@ -70,6 +70,7 @@ from .operators import (
     Operator,
     readout,
     readout_weights,
+    real_right,
 )
 from .slh import GeneratorSpec
 
@@ -218,14 +219,11 @@ def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
         np.linalg.cholesky(rho + POSITIVITY_TOL * ident)
     except np.linalg.LinAlgError:
         raise ValueError(f"initial state has an eigenvalue below -{POSITIVITY_TOL:g}") from None
-    # W = R(M^dag) = coef @ basis_w with the row (1, dY, dY^2 - dt), the
-    # basis R([I + dt E, L, L^2 / 2]^dag) and R(A) the (2d, 2d) matrix with
-    # x.view(float) @ R(A) = (x @ A).view(float): its 2x2 block (k, j) is
-    # [[Re A_kj, Im A_kj], [-Im A_kj, Re A_kj]].  The 1/2 of the last term
-    # sits in the basis, where scaling by 1/2 rounds exactly as in coef
+    # W = R(M^dag) = coef @ basis_w with the row (1, dY, dY^2 - dt) and the
+    # basis R([I + dt E, L, L^2 / 2]^dag) (``real_right``).  The 1/2 of the
+    # last term sits in the basis, where scaling by 1/2 rounds exactly as in coef
     adj = np.array([ident + dt * gen.e, l, 0.5 * (l @ l)], dtype=complex).conj().swapaxes(1, 2)
-    re, im = adj.real, adj.imag
-    basis_w = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], -3).reshape(3, -1)
+    basis_w = real_right(adj).reshape(3, -1)
 
     # buffers allocated once per call and filled in place every step, most of
     # them through the views named here

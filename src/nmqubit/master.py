@@ -15,6 +15,7 @@ import numpy as np
 
 from .operators import (
     QUBIT, DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, readout, readout_weights,
+    real_right,
 )
 from .slh import GeneratorSpec, qubit_operator
 
@@ -34,7 +35,11 @@ GRID_STEP_TOL = 1e-6
 #: bytes of stored states written out from their coordinates and checked for
 #: eigenvalues in one stacked call.  numpy releases the GIL in that call only
 #: when states times d exceeds 500, so the check overlaps the integration
-#: only from there: 1 MiB holds 26 states at d = 50 (256 KiB held 6)
+#: only from there: 1 MiB holds 26 states at d = 50 (256 KiB held 6).  It
+#: overlaps only while a second core is free: on 2 cores shared with other
+#: loads, two concurrent stacked eigvalsh loops took 1.0-2.0x one loop's time,
+#: and a threaded d = 50 run of 2,000 steps 0.60-0.74 s (inline 0.84-1.02 s),
+#: its CPU time equal to its wall time where the check serialized
 DIAG_BLOCK_BYTES = 1 << 20
 
 
@@ -229,27 +234,37 @@ def _applied_step(gen: CompiledGenerator, coords: _HermitianCoordinates, h: floa
     r + hL(r + h/2 L(r + h/3 L(r + h/4 L r))), the only place the polynomial
     sum_{j<=4} (h L)^j/j! is written.  ``step(v)`` writes the coordinates v
     out as a matrix, steps it by h and returns the coordinates of the result
-    and its trace.  Every stage applies the generator into buffers allocated
-    here, once per run."""
+    and its trace.
+
+    A stage y = r + c L(src) carries its coefficient c in operators built
+    here, once per run: Z = src (cE)^dag is one real product of src's
+    interleaved (d, 2d) view with R((cE)^dag) (``operators.real_right``), so
+    c(E src + src E^dag) = Z^dag + Z for a Hermitian src, and the jump rows
+    are gathered with weights c w.  Z^dag, Z, the jump rows and r are rows
+    of one buffer that one reduce sums into y, in that order: a stage makes
+    no complex product and scales no full matrix.  The four R((cE)^dag) and
+    c w take 4 ((2d)^2 8 + S d^2 16) bytes for S jump rows: 0.8-1.1 MB at
+    d = 50 (S = 3-5) and 24 MB at d = 250 (S = 4)."""
     d = coords.d
-    rho = np.empty((d, d), dtype=complex)
-    y, x, k, jump_sum = (np.empty_like(rho) for _ in range(4))
-    e, jumps, x_t = gen.e, gen.jumps, x.T
-    gathered = np.empty(jumps.w.shape, dtype=complex)
-    coefs = (h / 4.0, h / 3.0, h / 2.0, h)
+    coefs = np.array([h / 4.0, h / 3.0, h / 2.0, h])[:, None, None]
+    jumps = gen.jumps
+    ops, weights = real_right(coefs * gen.e.conj().T), coefs * jumps.w
+    terms = np.empty((len(jumps.idx) + 3, d, d), dtype=complex)
+    zdag, z, rho = terms[0], terms[1], terms[-1]
+    gathered = terms[2:-1].reshape(-1, d * d)
+    z_re, z_t = z.view(float), z.T
+    y = np.empty_like(rho)
+    # each stage's input: its interleaved real view and its flat view
+    inputs = [(rho.view(float), rho.reshape(-1))] + [(y.view(float), y.reshape(-1))] * 3
 
     def step(v: np.ndarray):
-        r = coords.write(v, rho)
-        src = r
-        for c in coefs:
-            # k = L src as in ``CompiledGenerator.apply``, then y = r + c k
-            np.matmul(e, src, out=x)
-            np.conjugate(x_t, out=k)
-            np.add(k, x, out=k)
-            np.add(k, jumps(src, jump_sum, gathered), out=k)
-            np.multiply(k, c, out=y)
-            np.add(y, r, out=y)
-            src = y
+        coords.write(v, rho)
+        for (src_re, src_flat), op, w in zip(inputs, ops, weights):
+            np.matmul(src_re, op, out=z_re)
+            np.conjugate(z_t, out=zdag)
+            np.take(src_flat, jumps.idx, out=gathered, mode="clip")
+            np.multiply(w, gathered, out=gathered)
+            np.add.reduce(terms, axis=0, out=y)
         u = coords.read(y)
         return u, u[:d].sum()
 

@@ -116,6 +116,16 @@ class DensityMatrix:
         return (m[0, 1] + m[1, 0]).real, (m[1, 0] - m[0, 1]).imag, (m[0, 0] - m[1, 1]).real
 
 
+def real_right(a: np.ndarray) -> np.ndarray:
+    """R(A) of a (..., d, d) stack: the real (..., 2d, 2d) matrices with
+    x.view(float) @ R(A) = (x @ A).view(float) for a complex (..., m, d) x, so a
+    right product with A on x's interleaved real view is one real product.
+    The 2x2 block (k, j) of R(A) is [[Re A_kj, Im A_kj], [-Im A_kj, Re A_kj]]."""
+    re, im, d = a.real, a.imag, a.shape[-1]
+    r = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], -3)
+    return r.reshape(a.shape[:-2] + (2 * d, 2 * d))
+
+
 def readout_weights(dims: tuple[int, ...], *ops: np.ndarray) -> np.ndarray:
     """Real weights W, shape (2 d^2, 3 + len(ops)), for ``readout``: the
     columns give the Bloch components (2 Re q01, -2 Im q01, q00 - q11) of the

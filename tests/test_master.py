@@ -100,6 +100,7 @@ RK4_PROBLEMS = {
     "shared-d8": (lambda: preset_problem(2, extra_mode=True, field_mode="shared"), True),
     "crossover-d16": (lambda: preset_problem(8), True),
     "apply-d18": (lambda: preset_problem(9), False),
+    "shared-d18": (lambda: preset_problem(3, extra_mode=True, field_mode="shared"), False),
 }
 
 
@@ -245,9 +246,10 @@ class TestJumpGather:
 
     @pytest.mark.parametrize("field_mode, rows", [("independent", 3), ("shared", 5)])
     def test_applied_step_gathers_into_its_own_buffer(self, field_mode, rows, rng):
-        # the applied RK4 step (d = 50) hands the jump gather one (S, d^2)
-        # buffer, allocated with its others: a step allocates no such array,
-        # and its states keep the bits of a gather that allocates per call
+        # the applied RK4 step (d = 50) gathers its jump rows into one buffer
+        # allocated with its others: a step allocates no (S, d^2) array, and
+        # two steps of one generator hold no buffer in common, so called
+        # alternately on different inputs each keeps the bits it has alone
         spec, _ = preset_problem(5, extra_mode=True, field_mode=field_mode)
         gen = CompiledGenerator(spec)
         d = spec.layout.total
@@ -265,19 +267,23 @@ class TestJumpGather:
             tracemalloc.stop()
         assert peak < gen.jumps.w.nbytes
 
-        class Allocating:  # the gather on a buffer of its own per call
-            w = gen.jumps.w
+        other = master._applied_step(gen, coords, 2e-3)
+        w = coords.read(unit_trace_hermitian(rng, d))
 
-            def __call__(self, r, out, gathered):
-                return gen.jumps(r, out, np.empty_like(gathered))
+        def alone(stepper, x):
+            out = []
+            for _ in range(5):
+                x, tr = stepper(x)
+                out.append((x.copy(), tr))
+                x = x / tr
+            return out
 
-        other = CompiledGenerator(spec)
-        other._jumps = Allocating()
-        plain = master._applied_step(other, coords, 1e-3)
-        u = w = v
-        for _ in range(20):
-            (u, tr), (w, tr_w) = step(u), plain(w)
-            assert np.array_equal(u, w) and tr == tr_w
+        want_u, want_w = alone(step, v), alone(other, w)
+        u = v
+        for (want, want_tr), (want_o, want_o_tr) in zip(want_u, want_w):
+            (u, tr), (w, tr_w) = step(u), other(w)
+            assert np.array_equal(u, want) and tr == want_tr
+            assert np.array_equal(w, want_o) and tr_w == want_o_tr
             u, w = u / tr, w / tr_w
 
     def test_one_build_per_call(self, monkeypatch):

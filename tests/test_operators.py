@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nmqubit.master import reduce_to_qubit
-from nmqubit.operators import DensityMatrix, HilbertLayout, Operator
+from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, real_right
 from nmqubit.slh import ladder_operators, qubit_operator
 
 from conftest import ladder, on_factor, rand_density, rand_matrix
@@ -200,3 +200,17 @@ class TestAdjointAndDensity:
     def test_non_finite_bloch_rejected(self, bloch):
         with pytest.raises(ValueError, match=r"Bloch vector \("):
             DensityMatrix.from_bloch(*bloch)
+
+
+class TestRealRight:
+    """R(A): a right product with A on the interleaved real view."""
+
+    @pytest.mark.parametrize("stack, m, d", [((), 4, 5), ((3,), 2, 6), ((2, 3), 7, 3)])
+    def test_real_product_is_the_complex_one(self, rng, stack, m, d):
+        a = rng.normal(size=stack + (d, d)) + 1j * rng.normal(size=stack + (d, d))
+        x = rng.normal(size=stack + (m, d)) + 1j * rng.normal(size=stack + (m, d))
+        r = real_right(a)
+        assert r.shape == stack + (2 * d, 2 * d) and r.dtype == float
+        got = x.view(float) @ r
+        want = (x @ a).view(float)
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
