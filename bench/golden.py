@@ -13,14 +13,18 @@ into a temporary directory that is removed afterwards.  Each side runs
 ``python -m nmqubit`` on its own ``src`` from a working directory of its own,
 with the same relative paths on both sides, since the config hash in every
 CSV header covers ``out_dir`` and ``fit.input``.  Prints every file that
-differs and each tree's line count over ``src/nmqubit/*.py`` with the delta,
-and exits 1 if any file differs.  Uses the standard library and git only.
+differs, and for a CSV that both sides hold with the same header and row
+count, how far it moved: each meta line that differs and the largest |delta|
+of each numeric column.  Then prints each tree's line count over
+``src/nmqubit/*.py`` with the delta, and exits 1 if any file differs.  Uses
+the standard library and git only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import subprocess
@@ -91,6 +95,41 @@ def differing(a: Path, b: Path) -> tuple[list[str], int]:
     return diff, len(files)
 
 
+def _table(path: Path) -> tuple[dict[str, str], list[str], list[list[str]]]:
+    """The ``# key: value`` meta lines, the header and the rows of a CSV."""
+    lines = path.read_text().splitlines()
+    meta = dict(line[2:].partition(": ")[::2] for line in lines if line.startswith("# "))
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    return meta, body[0] if body else [], body[1:]
+
+
+def _gap(x: str, y: str) -> float:
+    """|x - y| of two printed numbers; a NaN on one side only reads as inf."""
+    gap = abs(float(x) - float(y))
+    return 0.0 if x == y else math.inf if math.isnan(gap) else gap
+
+
+def moved(a: Path, b: Path) -> list[str] | None:
+    """How far the CSV ``b`` moved from ``a``: a line for each meta key whose
+    value differs, then the largest |delta| of each numeric column.  None
+    unless both are CSVs with the same header and row count."""
+    if a.suffix != ".csv" or not (a.is_file() and b.is_file()):
+        return None
+    (meta_a, head, rows_a), (meta_b, head_b, rows_b) = _table(a), _table(b)
+    if head != head_b or len(rows_a) != len(rows_b):
+        return None
+    out = [f"meta {k}: {meta_a.get(k)} -> {meta_b.get(k)}"
+           for k in dict.fromkeys([*meta_a, *meta_b]) if meta_a.get(k) != meta_b.get(k)]
+    gaps = []
+    for j, name in enumerate(head):
+        try:
+            gap = max((_gap(x[j], y[j]) for x, y in zip(rows_a, rows_b)), default=0.0)
+        except (ValueError, IndexError):  # not a numeric column
+            continue
+        gaps.append(f"{name} {gap:.3g}")
+    return out + ([f"max |delta|: {', '.join(gaps)}"] if gaps else [])
+
+
 def src_lines(tree: Path) -> int:
     """Lines of ``src/nmqubit/*.py`` in the checkout at ``tree``, as ``wc -l``
     counts them."""
@@ -112,9 +151,12 @@ def main(argv=None) -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:  # one process per side at a time
             old, new = pool.map(lambda side: outputs(*side), sides)
         diff, total = differing(old, new)
+        how = {f: moved(old / f, new / f) or [] for f in diff}
         preset_hash = (new / "preset_hash.txt").read_text().strip()
     for f in diff:
         print(f"differs: {f}")
+        for line in how[f]:
+            print(f"    {line}")
     print(f"{total - len(diff)} of {total} outputs byte-identical to {base[:12]}; "
           f"preset hash {preset_hash}")
     print(f"src/nmqubit/*.py: {old_lines} -> {new_lines} lines ({new_lines - old_lines:+d})")

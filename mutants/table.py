@@ -269,4 +269,7 @@ MUTANTS = [
     ("y Bloch weight with the wrong sign", "src/nmqubit/operators.py",
      "w[r, top, 1, 1] = -2.0", "w[r, top, 1, 1] = 2.0",
      ["tests/test_master.py::TestReduce::test_bloch_reductions_match_reshape_trace"]),
+    ("qubit factor unchecked", "src/nmqubit/operators.py",
+     "if dims[:1] != (2,):", "if False:",
+     ["tests/test_operators.py::test_one_qubit_factor_rule_at_every_entry_point"]),
 ]

@@ -83,10 +83,6 @@ NORM_BOUND = 4.0
 ENSEMBLE_BATCH = 50
 
 
-class UnsupportedModeError(RuntimeError):
-    """The trajectory was stored without the data this operation needs."""
-
-
 def wiener_increments(seed: int, n: int, dt: float) -> np.ndarray:
     """``n`` Normal(0, dt) increments from a Philox stream keyed by ``seed``.
 
@@ -355,9 +351,7 @@ def replay_filter(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
 def conditional_qubit(trajectory: Trajectory) -> np.ndarray:
     """Reduce every stored conditional state to qubit Bloch components."""
     if trajectory.states is None:
-        raise UnsupportedModeError(
-            "trajectory stores expectations only; rerun with store_states=True"
-        )
+        raise ValueError("trajectory stores expectations only; rerun with store_states=True")
     states = trajectory.states
     return readout(np.asarray(states), readout_weights(states.layout.dims))
 

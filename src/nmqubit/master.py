@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import (
-    QUBIT, DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, readout, readout_weights,
-    real_right,
+    QUBIT, DensityMatrix, HilbertLayout, LayoutMismatchError, Operator, qubit_bank, readout,
+    readout_weights, real_right,
 )
 from .slh import GeneratorSpec, qubit_operator
 
@@ -96,8 +96,9 @@ def generator_spec(model: GeneratorSpec, form: str = "lindblad") -> GeneratorSpe
 
 
 class JumpGather:
-    """sum_k N_k rho N_k^dag as one gather on the row-major flattened state,
-    out[p] = sum_s w[s, p] rho_flat[idx[s, p]].
+    """The ``idx`` and ``w`` tables of sum_k N_k rho N_k^dag as one gather on
+    the row-major flattened state, out[p] = sum_s w[s, p] rho_flat[idx[s, p]];
+    each caller gathers from them into buffers of its own.
 
     Entry (i, j) of N rho N^dag is sum_{k,l} N[i,k] conj(N[j,l]) rho[k, l], so
     every pair of non-zeros of N adds one weight at source (k, l).  Pairs that
@@ -129,16 +130,6 @@ class JumpGather:
         self.idx[rank, target] = source
         self.w[rank, target] = w
 
-    def __call__(self, r: np.ndarray, out: np.ndarray, gathered: np.ndarray) -> np.ndarray:
-        """The jump sum on one (d, d) state or a (B, d, d) batch, into the
-        complex ``out`` of r's shape, through the (..., S, d^2) complex scratch
-        ``gathered``.  The rows are summed in order, as a loop over them would."""
-        flat = r.reshape(r.shape[:-2] + (-1,))
-        np.take(flat, self.idx, axis=-1, out=gathered, mode="clip")
-        np.multiply(self.w, gathered, out=gathered)
-        np.add.reduce(gathered, axis=-2, out=out.reshape(flat.shape))
-        return out
-
 
 class CompiledGenerator:
     """Precomputed arrays for fast repeated application.
@@ -147,11 +138,11 @@ class CompiledGenerator:
     with E = -iH - (1/2) sum N^dag N, H in the folded form of
     ``generator_spec``, so a direct coupling D enters as i(D - D^dag) in H.
     ``apply`` takes one product X = E rho and forms E rho + rho E^dag as
-    X + X^dag, which holds only for a Hermitian rho; the jump sum is a
-    ``JumpGather`` over all channels, built on the first ``apply`` (the filter
-    builds its own over the unmonitored ones and never needs it).  numpy fancy
-    indexing is used rather than ``scipy.sparse``, whose import alone would
-    double the start-up time of the command line.
+    X + X^dag, which holds only for a Hermitian rho; the jump sum gathers by
+    the ``JumpGather`` tables of all channels, built on the first use (the
+    filter builds its own over the unmonitored ones and never needs them).
+    numpy fancy indexing is used rather than ``scipy.sparse``, whose import
+    alone would double the start-up time of the command line.
     """
 
     __slots__ = ("layout", "e", "collapse", "_jumps")
@@ -174,10 +165,12 @@ class CompiledGenerator:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """The generator on one Hermitian (d, d) state or a (B, d, d) batch of
-        them; a non-Hermitian input gets a wrong result."""
+        them; a non-Hermitian input gets a wrong result.  The jump rows are
+        summed in order, as a loop over them would."""
         x = self.e @ r
-        gathered = np.empty(r.shape[:-2] + self.jumps.w.shape, dtype=complex)
-        return x + x.conj().swapaxes(-1, -2) + self.jumps(r, np.empty_like(x), gathered)
+        flat = r.reshape(r.shape[:-2] + (-1,))
+        gathered = self.jumps.w * np.take(flat, self.jumps.idx, axis=-1, mode="clip")
+        return x + x.conj().swapaxes(-1, -2) + np.add.reduce(gathered, axis=-2).reshape(r.shape)
 
 
 @dataclass
@@ -395,18 +388,14 @@ def integrate_master(rho0: DensityMatrix, spec: GeneratorSpec, t_grid,
 def reduce_to_qubit(rho: DensityMatrix) -> DensityMatrix:
     """Trace out everything but the leading qubit factor: the state viewed as
     (2, D, 2, D), traced over both bank axes."""
-    if rho.layout.dims[0] != 2:
-        raise ValueError("layout does not start with a qubit factor")
-    d = rho.layout.total // 2
+    d = qubit_bank(rho.layout.dims)
     return DensityMatrix.wrap(QUBIT, rho.entries.reshape(2, d, 2, d).trace(axis1=1, axis2=3))
 
 
 def augmented_initial_state(bloch, layout: HilbertLayout) -> DensityMatrix:
     """Product state: qubit with the given Bloch vector, the bank in its
     vacuum (the first basis state)."""
-    if layout.dims[0] != 2:
-        raise ValueError("layout does not start with a qubit factor")
-    vacuum = np.zeros((layout.total // 2,) * 2, dtype=complex)
+    vacuum = np.zeros((qubit_bank(layout.dims),) * 2, dtype=complex)
     vacuum[0, 0] = 1.0
     x, y, z = bloch
     return DensityMatrix(layout, np.kron(DensityMatrix.from_bloch(x, y, z).entries, vacuum))

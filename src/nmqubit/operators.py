@@ -126,14 +126,20 @@ def real_right(a: np.ndarray) -> np.ndarray:
     return r.reshape(a.shape[:-2] + (2 * d, 2 * d))
 
 
+def qubit_bank(dims: tuple[int, ...]) -> int:
+    """The dimension D of everything after the qubit in a layout (2, ...): the
+    one check that factor 0 is the qubit, on which every reduction rests."""
+    if dims[:1] != (2,):
+        raise ValueError("layout does not start with a qubit factor")
+    return math.prod(dims[1:])
+
+
 def readout_weights(dims: tuple[int, ...], *ops: np.ndarray) -> np.ndarray:
     """Real weights W, shape (2 d^2, 3 + len(ops)), for ``readout``: the
     columns give the Bloch components (2 Re q01, -2 Im q01, q00 - q11) of the
     leading qubit's reduced state q, then Re tr[A rho] for each (d, d) array A
     of ``ops``."""
-    if dims[0] != 2:
-        raise ValueError("layout does not start with a qubit factor")
-    d = math.prod(dims)
+    d = 2 * qubit_bank(dims)
     r = np.arange(d // 2)
     top = r + d // 2
     # axis 2 picks Re or Im of rho[i, j], the interleaved pair of a complex

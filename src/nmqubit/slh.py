@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import HERMITIAN_TOL, HilbertLayout, LayoutMismatchError, Operator
+from .operators import HERMITIAN_TOL, HilbertLayout, LayoutMismatchError, Operator, qubit_bank
 
 FIELD_MODES = ("independent", "shared")
 
@@ -178,10 +178,8 @@ def build_probed(augmented: GeneratorSpec, gamma_q: float, probe_kind: str,
     """Append the monitored probe channel sqrt(gamma_q) * (qubit operator)."""
     if gamma_q < 0:
         raise ValueError(f"gamma_q must be >= 0, got {gamma_q}")
-    if augmented.layout.dims[:1] != (2,):
-        raise ValueError("probed model requires the qubit as factor 0")
     probe = Operator(augmented.layout, np.kron(
         qubit_operator(probe_kind, probe_scale) * math.sqrt(gamma_q),
-        np.eye(augmented.layout.total // 2, dtype=complex)))
+        np.eye(qubit_bank(augmented.layout.dims), dtype=complex)))
     return replace(augmented, collapse_ops=augmented.collapse_ops + (probe,),
                    probe_index=len(augmented.collapse_ops))

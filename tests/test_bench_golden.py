@@ -30,6 +30,22 @@ def test_identical_trees_differ_nowhere(tmp_path):
     assert golden.differing(tmp_path / "parent", tmp_path / "change") == ([], 1)
 
 
+def test_moved_csv_names_its_meta_lines_and_column_gaps(tmp_path):
+    meta = "# artifact: nmqubit 0.1.0\n# config_hash: {}\n# base_seed: 7\n"
+    header = "t,label,x,z\n"
+    (tmp_path / "a.csv").write_text(meta.format("aa") + header + "0,p,1,nan\n1,q,0.5,nan\n")
+    (tmp_path / "b.csv").write_text(meta.format("bb") + header + "0,p,1,nan\n1,q,0.25,2\n")
+    assert golden.moved(tmp_path / "a.csv", tmp_path / "b.csv") == [
+        "meta config_hash: aa -> bb", "max |delta|: t 0, x 0.25, z inf"]
+    # another header or row count, or a file that is not a CSV, gives no gaps
+    (tmp_path / "c.csv").write_text(meta.format("aa") + header + "0,p,1,nan\n")
+    (tmp_path / "d.csv").write_text(meta.format("aa") + "t,label,x,y\n0,p,1,nan\n1,q,1,1\n")
+    (tmp_path / "a.txt").write_text("1\n")
+    (tmp_path / "b.txt").write_text("2\n")
+    for other in ("c.csv", "d.csv"):
+        assert golden.moved(tmp_path / "a.csv", tmp_path / other) is None
+    assert golden.moved(tmp_path / "a.txt", tmp_path / "b.txt") is None
+
 
 def test_src_lines_count_the_package_modules_only(tmp_path):
     pkg = tmp_path / "src" / "nmqubit"

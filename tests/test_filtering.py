@@ -19,7 +19,6 @@ from nmqubit.experiments import (
 )
 from nmqubit.filtering import (
     StoredStates,
-    UnsupportedModeError,
     _ensemble_worker,
     _evolve,
     conditional_qubit,
@@ -622,7 +621,7 @@ class TestConditionalQubit:
     def test_requires_states(self):
         cfg = short_cfg(base_seed=2)
         traj = run_filter_trajectory(cfg)
-        with pytest.raises(UnsupportedModeError):
+        with pytest.raises(ValueError, match="store_states=True"):
             conditional_qubit(traj)
 
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nmqubit.master import reduce_to_qubit
-from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, real_right
-from nmqubit.slh import ladder_operators, qubit_operator
+from nmqubit.filtering import simulate_trajectory
+from nmqubit.master import augmented_initial_state, integrate_master, reduce_to_qubit
+from nmqubit.operators import DensityMatrix, HilbertLayout, Operator, readout_weights, real_right
+from nmqubit.slh import (
+    AncillaParams, build_ancilla_bank, build_probed, ladder_operators, qubit_operator,
+)
 
 from conftest import ladder, on_factor, rand_density, rand_matrix
 
@@ -214,3 +217,25 @@ class TestRealRight:
         got = x.view(float) @ r
         want = (x @ a).view(float)
         assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+# a bank on its own, layout (3,): no factor of it is a qubit
+BANK = build_ancilla_bank([AncillaParams(omega=1.0, gamma=0.5, kappa=0.7, truncation=3)])
+BANK_STATE = DensityMatrix(BANK.layout, np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: readout_weights(BANK.layout.dims),
+    lambda: readout_weights(()),
+    lambda: reduce_to_qubit(BANK_STATE),
+    lambda: augmented_initial_state((0.0, 0.0, 1.0), BANK.layout),
+    lambda: build_probed(BANK, 0.5, "pauli_x"),
+    lambda: integrate_master(BANK_STATE, BANK, [0.0, 1e-3]),
+    lambda: simulate_trajectory(BANK_STATE, BANK, BANK.collapse_ops[0], [0.0, 1e-3], seed=1),
+], ids=["readout_weights", "readout_weights-empty", "reduce_to_qubit", "augmented_initial_state",
+        "build_probed", "integrate_master", "simulate_trajectory"])
+def test_one_qubit_factor_rule_at_every_entry_point(call):
+    # every reduction and builder rests on factor 0 being the qubit, and
+    # each refuses another layout with the same error
+    with pytest.raises(ValueError, match="^layout does not start with a qubit factor$"):
+        call()
