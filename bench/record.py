@@ -11,8 +11,9 @@ parent first in odd pairs and the change first in even ones, so a drift of
 the machine's speed hits both sides alike.  The JSON written holds the machine,
 cores, Python, numpy and BLAS that perfbench reports, every run's metrics,
 and per workload and metric the medians and quartiles of each side and the
-per-pair ratios change/parent, the steadier statistic on a noisy machine.
-Uses the standard library and git only.
+per-pair ratios change/parent, the steadier statistic on a noisy machine,
+and the verdict that the benchmark's rules give (``verdict``).  Uses the
+standard library and git only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: pairs per workload: the fewest from which a gain can be claimed
 PAIRS = 10
+
+#: a gain must win at least this share of the pairs: 9 of 10
+GAIN_SHARE = (9, 10)
 
 
 def git(*args: str) -> str:
@@ -70,9 +74,37 @@ def spread(values: list[float]) -> dict:
     return {"median": q[1], "q1": q[0], "q3": q[2]}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], wins: int, better: str,
+            bound: float) -> str:
+    """One metric's verdict on paired runs, ``bound`` its relative bound:
+
+    - ``gain``: the change won at least ``GAIN_SHARE`` of the pairs, and its
+      median beats the parent's by more than the parent's quartile distance;
+    - ``regression``: its median is worse than the parent's by more than
+      ``bound`` of the parent's median;
+    - ``unresolved``: the parent's quartile distance exceeds ``bound`` of its
+      median, and not every change run beats every parent run;
+    - ``held``: none of these.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    old, new = spread(parent), spread(change)
+    scale, iqr = abs(old["median"]), old["q3"] - old["q1"]
+    gain = sign * (new["median"] - old["median"])
+    won, of = GAIN_SHARE
+    if wins * of >= won * len(parent) and gain > iqr:
+        return "gain"
+    if -gain > bound * scale:
+        return "regression"
+    if iqr > bound * scale and not min(sign * v for v in change) > max(sign * v for v in parent):
+        return "unresolved"
+    return "held"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per workload and metric: each side's median and quartiles, the ratio
-    change/parent of every pair, their median, and the pairs the change won.
+    change/parent of every pair, their median, the pairs the change won and,
+    for a metric with a relative bound in ``bounds``, its ``verdict``.
 
     ``pairs`` holds {"workload", "seed", "parent", "change"}, each side a
     perfbench result {"metrics": {name: {"value": v}}}; ``better`` maps a
@@ -90,13 +122,16 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             row["change"].append(new)
             row["ratios"].append(new / old if old else None)
     for rows in out.values():
-        for row in rows.values():
+        for name, row in rows.items():
             sign = 1.0 if row["better"] == "higher" else -1.0
             row["wins"] = sum(sign * (new - old) > 0
                               for old, new in zip(row["parent"], row["change"]))
             row["pairs"] = len(row["ratios"])
             ratios = [r for r in row["ratios"] if r is not None]
             row["ratio_median"] = statistics.median(ratios) if ratios else None
+            if bounds and name in bounds:
+                row["verdict"] = verdict(row["parent"], row["change"], row["wins"],
+                                         row["better"], bounds[name])
             row["parent"], row["change"] = spread(row["parent"]), spread(row["change"])
     return out
 
@@ -110,6 +145,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     base = git("rev-parse", args.base)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so the copy is removed
     runs = []
@@ -138,7 +174,7 @@ def main(argv=None) -> int:
         "machine": {k: env[k] for k in ("cpu_model", "nproc", "usable_cpus", "python",
                                         "numpy", "blas", "blas_threads")},
         "summary": summarize([{**r, "parent": r["parent"]["result"],
-                               "change": r["change"]["result"]} for r in runs], better),
+                               "change": r["change"]["result"]} for r in runs], better, bounds),
         "runs": [{"workload": r["workload"], "seed": r["seed"], "first": r["first"],
                   **{side: {"correct": r[side]["result"]["correct"],
                             "metrics": {n: m["value"]

@@ -102,26 +102,6 @@ def with_truncation(config: ExperimentConfig, n: int) -> ExperimentConfig:
     return dataclasses.replace(config, truncation=n, ancillas=ancillas)
 
 
-def _paper_fig4() -> ExperimentConfig:
-    """The built-in resonant single-mode example in rescaled units: the qubit
-    and the mode share frequency 2, with coupling weight 1, probe rate 0.8,
-    mode damping 0.6, and the qubit starting along +x.  Every value not
-    given here is an ``ExperimentConfig`` or ``AncillaParams`` default."""
-    return ExperimentConfig(
-        omega_q=2.0, gamma_q=0.8,
-        ancillas=(AncillaParams(omega=2.0, gamma=0.6, kappa=1.0),),
-    ).validate()
-
-
-PRESETS = {"paper-fig4": _paper_fig4}
-
-
-def preset(name: str) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return PRESETS[name]()
-
-
 #: config key -> (ExperimentConfig attribute, value type), in the order
 #: ``serialize_config`` writes them; consecutive keys sharing an attribute fill
 #: its tuple in order, and the ``tuple`` type is three comma-separated floats
@@ -213,6 +193,22 @@ def _all_items(config: ExperimentConfig):
     yield from _items(config, _KEYS)
     for k, a in enumerate(config.ancillas, start=1):
         yield from _items(a, _ANCILLA_KEYS, f"ancilla.{k}.")
+
+
+#: the built-in configs.  paper-fig4 is the resonant single-mode example in
+#: rescaled units: the qubit and the mode share frequency 2, with coupling
+#: weight 1, probe rate 0.8, mode damping 0.6, and the qubit starting along
+#: +x; every value not given here is an ``ExperimentConfig`` or
+#: ``AncillaParams`` default
+PRESETS = {"paper-fig4": ExperimentConfig(
+    omega_q=2.0, gamma_q=0.8, ancillas=(AncillaParams(omega=2.0, gamma=0.6, kappa=1.0),),
+).validate()}
+
+
+def preset(name: str) -> ExperimentConfig:
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    return PRESETS[name]
 
 
 def _unique(pairs) -> dict:

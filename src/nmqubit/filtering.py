@@ -170,14 +170,11 @@ def _abort(tr: np.ndarray, i: int, dt: float, t0: float, seeds) -> PositivityErr
     """The abort of step i, given the traces ``tr`` of a batch's rows: names
     the first failing row's trace and every failing row's seed."""
     bad = np.flatnonzero(~((tr >= 1.0 / NORM_BOUND) & (tr <= NORM_BOUND)))
-    err = PositivityError(
+    return PositivityError(
         f"normalization factor {tr[bad[0]]:.3e} outside [1/{NORM_BOUND:g}, "
         f"{NORM_BOUND:g}] after step {i} (t={t0 + (i + 1) * dt:.6g}); "
-        f"the record is corrupted or the step size far too large"
-    )
-    err.seeds = tuple(seeds[j] for j in bad) if len(seeds) else ()
-    err.step = i
-    return err
+        f"the record is corrupted or the step size far too large",
+        i, [seeds[j] for j in bad] if len(seeds) else ())
 
 
 def _evolve(rho0: np.ndarray, gen: CompiledGenerator, l: np.ndarray, dt: float,
@@ -432,9 +429,8 @@ def ensemble_average(rho0: DensityMatrix, spec: GeneratorSpec, l_op: Operator,
             merged += len(batch)
     if aborts:
         failing = tuple(s for abort in aborts for s in abort.seeds)
-        err = PositivityError(f"trajectories failed for seeds {list(failing)}; first abort: {aborts[0]}")
-        err.seeds, err.step = failing, aborts[0].step
-        raise err
+        raise PositivityError(f"trajectories failed for seeds {list(failing)}; first abort: "
+                              f"{aborts[0]}", aborts[0].step, failing)
 
     stderr = np.sqrt(centred / (n_traj - 1) / n_traj)
     return EnsembleResult(t, total / n_traj, stderr, seeds)

@@ -44,7 +44,12 @@ DIAG_BLOCK_BYTES = 1 << 20
 
 
 class PositivityError(RuntimeError):
-    """The integrated state left the positive cone beyond tolerance."""
+    """A state left the positive cone beyond tolerance: the result of ``step``,
+    grid point step + 1, on the paths ``seeds`` (none for an unconditional run)."""
+
+    def __init__(self, message: str, step: int | None = None, seeds=()) -> None:
+        super().__init__(message)  # a pickle rebuilds it from the message, then its attributes
+        self.step, self.seeds = step, tuple(seeds)
 
 
 def _check_layout(rho: DensityMatrix, layout: HilbertLayout) -> None:
@@ -283,7 +288,8 @@ def _diagnose(block: np.ndarray, lo: int, t: np.ndarray, result: MasterResult,
               weights: np.ndarray) -> None:
     """Bloch rows (by ``readout`` with the qubit's ``weights``) and smallest
     eigenvalue, as one stacked call, of the states of grid points lo.. in
-    ``block``; aborts at the first state below -POSITIVITY_ABORT."""
+    ``block``; aborts at the first state below -POSITIVITY_ABORT, the result
+    of step i - 1 at grid point i."""
     hi = lo + len(block)
     result.bloch[lo:hi] = readout(block, weights)
     w = np.linalg.eigvalsh(block)[:, 0]
@@ -293,8 +299,7 @@ def _diagnose(block: np.ndarray, lo: int, t: np.ndarray, result: MasterResult,
         i = lo + int(bad[0])
         raise PositivityError(
             f"state at t={t[i]:.6g} (grid point {i}) has eigenvalue {w[bad[0]]:.3e} "
-            f"< -{POSITIVITY_ABORT:g}; reduce the step size"
-        )
+            f"< -{POSITIVITY_ABORT:g}; reduce the step size", i - 1)
 
 
 def grid_steps(t_grid) -> tuple[np.ndarray, float]:

@@ -20,6 +20,8 @@ import numpy as np
 FIT_MAX_ITER = 200
 #: the fit converges when the squared residual changes by less than this share
 FIT_REL_TOL = 1e-10
+#: widest fitted linewidth, in grid spans: wider, a line is flat to 4% on the grid
+FIT_MAX_SPANS = 10.0
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,8 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
     convergence flag and the number of iterations spent.  Linewidths stay
     positive and weights nonnegative through internal log/sqrt transforms,
     and a step whose cost or Jacobian is not finite, or whose linewidths
-    leave (0, inf), is refused like a step that raises the cost.
+    leave [smallest grid spacing, ``FIT_MAX_SPANS`` grid spans], is refused
+    like a step that raises the cost.
     """
     comps = tuple(init)
     n = len(comps)
@@ -222,6 +225,7 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
         )
     omega = samples.omega
     target = samples.values
+    narrowest, widest = np.min(np.diff(omega)), FIT_MAX_SPANS * (omega[-1] - omega[0])
 
     theta = _pack(comps)
     resid, jac = _residual_and_jacobian(theta, omega, target)
@@ -245,7 +249,7 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
         trial_cost = float(trial_resid @ trial_resid)
         widths = np.exp(trial.reshape(-1, 3)[:, 1])
         if (trial_cost < cost and np.isfinite(trial_jac).all()
-                and np.all((widths > 0) & (widths < np.inf))):
+                and np.all((widths >= narrowest) & (widths <= widest))):
             change = (cost - trial_cost) / max(cost, 1e-300)
             theta, resid, jac, cost = trial, trial_resid, trial_jac, trial_cost
             lam = max(lam / 3.0, 1e-12)

@@ -396,10 +396,12 @@ class TestIntegrate:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         with pytest.raises(PositivityError,
-                                           match=rf"t={dt:.6g} \(grid point 1\)"):
+                                           match=rf"t={dt:.6g} \(grid point 1\)") as err:
                             run(cfg)
                     # no step is taken after the first state that cannot pass
                     assert over.index(True) == len(over) - 1
+                    # grid point 1 is the result of step 0, as a filter abort counts
+                    assert (err.value.step, err.value.seeds) == (0, ())
 
     @pytest.mark.parametrize("name", RK4_PROBLEMS)
     @pytest.mark.parametrize("grid", ["linspace", "offset-blocks"])
@@ -468,8 +470,9 @@ class TestIntegrate:
         assert np.all(np.sum(np.abs(want) ** 2, axis=(1, 2)) <= (1.0 + d * master.POSITIVITY_ABORT) ** 2)
         monkeypatch.setattr(master, "DIAG_BLOCK_BYTES", 5 * 16 * d**2)
         for store_states in (False, True):
-            with pytest.raises(PositivityError, match=rf"t=5.1 \(grid point 17\) has eigenvalue {w[17]:.3e} "):
+            with pytest.raises(PositivityError, match=rf"t=5.1 \(grid point 17\) has eigenvalue {w[17]:.3e} ") as err:
                 integrate_master(rho0, spec, t, store_states=store_states)
+            assert (err.value.step, err.value.seeds) == (16, ())
 
     @pytest.mark.parametrize("name", ["preset-d10", "apply-d18"])
     def test_streamed_equals_stored(self, name, monkeypatch):

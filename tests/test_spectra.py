@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nmqubit.spectra import (
+    FIT_MAX_SPANS,
     FitResult,
     LorentzianComponent,
     SpectrumSamples,
+    _cost,
     _peak_pick,
     fit_lorentzian_mixture,
     lorentzian_psd,
@@ -188,10 +190,30 @@ class TestFitting:
         assert abs(pick.linewidth - 1.0) < 1e-3
 
     def test_flat_spectrum_nested_residuals_non_increasing(self):
-        # no line fits a flat spectrum, so later lines help only from a zero-weight start
+        # no line in the width box is flat, so later lines fit the remainder
         w = np.linspace(0, 5, 40)
         rmse = [fit.rmse for fit in nested_fits(SpectrumSamples(w, np.full(40, 0.3)), 3)]
         assert rmse[1] <= rmse[0] and rmse[2] <= rmse[1]
+
+    def test_surplus_lines_keep_an_exact_fit(self):
+        # any weight on a line added to an exact fit raises the residual, so
+        # only its zero-weight start keeps the residual from rising
+        samples = self.samples([LorentzianComponent(2.0, 0.8, 1.3)], lo=-1.0, hi=5.0, n=60)
+        rmse = [fit.rmse for fit in nested_fits(samples, 3)]
+        assert rmse[0] <= 1e-10
+        assert rmse[1] <= rmse[0] and rmse[2] <= rmse[1]
+
+    def test_start_off_the_grid_overflows_silently(self):
+        # a line started far off the grid has almost no gradient, so the first
+        # steps overflow the model; they are refused without a numpy warning
+        w = np.linspace(-2.0, 6.0, 20)
+        samples = SpectrumSamples(w, np.random.default_rng(1).uniform(0.0, 1.0, 20))
+        start = (LorentzianComponent(50.0, 0.5, 1.0),)
+        fit = fit_lorentzian_mixture(samples, start)
+        (line,) = fit.components
+        assert np.isfinite([line.center, line.linewidth, line.weight]).all()
+        assert w[1] - w[0] <= line.linewidth <= FIT_MAX_SPANS * (w[-1] - w[0])
+        assert fit.rmse <= np.sqrt(_cost(samples, start) / len(w))
 
     def test_exact_start_is_returned(self):
         # pack then unpack moves linewidth and weight by an ULP; the start is
@@ -201,19 +223,25 @@ class TestFitting:
         assert fit.rmse == 0.0
         assert fit.components == start
 
-    @pytest.mark.parametrize("n,seed,n_max", [(40, 9, 3), (20, 9, 2)]
+    @pytest.mark.parametrize("n,seed,n_max", [(40, 9, 3), (20, 9, 2), (40, 17, 3), (20, 48, 3)]
                              + [(n, seed, 3) for n in (20, 40, 55) for seed in range(7)])
     def test_unstructured_spectrum_fits_stay_valid(self, n, seed, n_max):
         # steps that underflow a linewidth to 0 or overflow the model are
-        # refused, silently: a numpy warning fails the suite
+        # refused, silently: a numpy warning fails the suite.  Without the
+        # linewidth box, seed 17 at n = 40 fitted a line of width 1.6e149 and
+        # seed 48 at n = 20 one of width 2.2e-116
         w = np.linspace(-2.0, 6.0, n)
         samples = SpectrumSamples(w, np.random.default_rng(seed).uniform(0.0, 1.0, n))
         fits = nested_fits(samples, n_max)
+        # the box, up to the ULPs by which the fitter's log transform moves a
+        # linewidth: a line started at the grid spacing may come back below it
+        box = np.min(np.diff(w)) * (1 - 1e-12), FIT_MAX_SPANS * (w[-1] - w[0]) * (1 + 1e-12)
         for fit in fits:
             assert np.isfinite(fit.rmse)
             for c in fit.components:
                 assert np.isfinite([c.center, c.linewidth, c.weight]).all()
                 assert c.linewidth > 0 and c.weight >= 0
+                assert box[0] <= c.linewidth <= box[1]
         assert all(b.rmse <= a.rmse for a, b in zip(fits, fits[1:]))
 
     def test_transforms_keep_constraints(self):
