@@ -34,9 +34,6 @@ ROOT = Path(__file__).resolve().parents[1]
 #: pairs per workload: the fewest from which a gain can be claimed
 PAIRS = 10
 
-#: a gain must win at least this share of the pairs: 9 of 10
-GAIN_SHARE = (9, 10)
-
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
@@ -74,46 +71,46 @@ def spread(values: list[float]) -> dict:
     return {"median": q[1], "q1": q[0], "q3": q[2]}
 
 
-def verdict(parent: list[float], change: list[float], wins: int, better: str,
-            bound: float) -> str:
-    """One metric's verdict on paired runs, ``bound`` its relative bound:
+def verdict(row: dict, sign: float, bound: float, apart: bool) -> str:
+    """One metric's verdict from its summary ``row`` (both sides' spreads,
+    ``wins`` and ``pairs``), ``sign`` +1 where higher is better and -1
+    where lower is, ``bound`` its relative bound, and ``apart`` whether
+    every change run beats every parent run:
 
-    - ``gain``: the change won at least ``GAIN_SHARE`` of the pairs, and its
-      median beats the parent's by more than the parent's quartile distance;
+    - ``gain``: the change won at least 9 of 10 pairs, and its median beats
+      the parent's by more than the parent's quartile distance;
     - ``regression``: its median is worse than the parent's by more than
       ``bound`` of the parent's median;
     - ``unresolved``: the parent's quartile distance exceeds ``bound`` of its
-      median, and not every change run beats every parent run;
+      median, and the sides are not ``apart``;
     - ``held``: none of these.
     """
-    sign = 1.0 if better == "higher" else -1.0
-    old, new = spread(parent), spread(change)
+    old, new = row["parent"], row["change"]
     scale, iqr = abs(old["median"]), old["q3"] - old["q1"]
     gain = sign * (new["median"] - old["median"])
-    won, of = GAIN_SHARE
-    if wins * of >= won * len(parent) and gain > iqr:
+    if 10 * row["wins"] >= 9 * row["pairs"] and gain > iqr:
         return "gain"
     if -gain > bound * scale:
         return "regression"
-    if iqr > bound * scale and not min(sign * v for v in change) > max(sign * v for v in parent):
+    if iqr > bound * scale and not apart:
         return "unresolved"
     return "held"
 
 
-def summarize(pairs: list[dict], better: dict[str, str],
-              bounds: dict[str, float] | None = None) -> dict:
+def summarize(pairs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
     """Per workload and metric: each side's median and quartiles, the ratio
-    change/parent of every pair, their median, the pairs the change won and,
-    for a metric with a relative bound in ``bounds``, its ``verdict``.
+    change/parent of every pair, their median, the pairs the change won and
+    the ``verdict``.
 
     ``pairs`` holds {"workload", "seed", "parent", "change"}, each side a
-    perfbench result {"metrics": {name: {"value": v}}}; ``better`` maps a
-    metric to "lower" or "higher".  A tie wins nothing.
+    perfbench result {"metrics": {name: {"value": v}}}; ``metrics`` maps a
+    metric to its (better, bound): "lower" or "higher", and its relative
+    bound.  A tie wins nothing.
     """
     out: dict = {}
     for pair in pairs:
         rows = out.setdefault(pair["workload"], {})
-        for name, way in better.items():
+        for name, (way, _) in metrics.items():
             row = rows.setdefault(name, {"better": way, "parent": [], "change": [],
                                          "ratios": []})
             old = pair["parent"]["metrics"][name]["value"]
@@ -124,15 +121,14 @@ def summarize(pairs: list[dict], better: dict[str, str],
     for rows in out.values():
         for name, row in rows.items():
             sign = 1.0 if row["better"] == "higher" else -1.0
-            row["wins"] = sum(sign * (new - old) > 0
-                              for old, new in zip(row["parent"], row["change"]))
+            parent, change = row["parent"], row["change"]
+            row["wins"] = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
             row["pairs"] = len(row["ratios"])
             ratios = [r for r in row["ratios"] if r is not None]
             row["ratio_median"] = statistics.median(ratios) if ratios else None
-            if bounds and name in bounds:
-                row["verdict"] = verdict(row["parent"], row["change"], row["wins"],
-                                         row["better"], bounds[name])
-            row["parent"], row["change"] = spread(row["parent"]), spread(row["change"])
+            row["parent"], row["change"] = spread(parent), spread(change)
+            apart = min(sign * v for v in change) > max(sign * v for v in parent)
+            row["verdict"] = verdict(row, sign, metrics[name][1], apart)
     return out
 
 
@@ -144,8 +140,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     base = git("rev-parse", args.base)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so the copy is removed
     runs = []
@@ -174,7 +169,7 @@ def main(argv=None) -> int:
         "machine": {k: env[k] for k in ("cpu_model", "nproc", "usable_cpus", "python",
                                         "numpy", "blas", "blas_threads")},
         "summary": summarize([{**r, "parent": r["parent"]["result"],
-                               "change": r["change"]["result"]} for r in runs], better, bounds),
+                               "change": r["change"]["result"]} for r in runs], metrics),
         "runs": [{"workload": r["workload"], "seed": r["seed"], "first": r["first"],
                   **{side: {"correct": r[side]["result"]["correct"],
                             "metrics": {n: m["value"]

@@ -209,11 +209,11 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
     at least 3n samples.
 
     Returns the fitted components, the root-mean-square residual, a
-    convergence flag and the number of iterations spent.  Linewidths stay
-    positive and weights nonnegative through internal log/sqrt transforms,
-    and a step whose cost or Jacobian is not finite, or whose linewidths
-    leave [smallest grid spacing, ``FIT_MAX_SPANS`` grid spans], is refused
-    like a step that raises the cost.
+    convergence flag and the number of iterations spent.  Log/sqrt transforms
+    keep linewidths positive and weights nonnegative.  A start outside the
+    box [grid spacing, ``FIT_MAX_SPANS`` grid spans] begins at its edge, a
+    step that leaves it or whose cost or Jacobian is not finite is refused,
+    and ``init`` itself, box or not, is returned when no fit beats it.
     """
     comps = tuple(init)
     n = len(comps)
@@ -225,9 +225,10 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
         )
     omega = samples.omega
     target = samples.values
-    narrowest, widest = np.min(np.diff(omega)), FIT_MAX_SPANS * (omega[-1] - omega[0])
+    box = np.log(np.min(np.diff(omega))), np.log(FIT_MAX_SPANS * (omega[-1] - omega[0]))
 
     theta = _pack(comps)
+    theta[1::3] = np.clip(theta[1::3], *box)
     resid, jac = _residual_and_jacobian(theta, omega, target)
     cost = float(resid @ resid)
     lam = 1e-3
@@ -247,9 +248,8 @@ def fit_lorentzian_mixture(samples: SpectrumSamples, init) -> FitResult:
         trial = theta + step
         trial_resid, trial_jac = _residual_and_jacobian(trial, omega, target)
         trial_cost = float(trial_resid @ trial_resid)
-        widths = np.exp(trial.reshape(-1, 3)[:, 1])
         if (trial_cost < cost and np.isfinite(trial_jac).all()
-                and np.all((widths >= narrowest) & (widths <= widest))):
+                and np.all((box[0] <= trial[1::3]) & (trial[1::3] <= box[1]))):
             change = (cost - trial_cost) / max(cost, 1e-300)
             theta, resid, jac, cost = trial, trial_resid, trial_jac, trial_cost
             lam = max(lam / 3.0, 1e-12)

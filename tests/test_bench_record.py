@@ -26,7 +26,7 @@ def test_summary_of_three_pairs():
         pair(2, {"peak": 102.0, "rate": 11.0}, {"peak": 72.0, "rate": 11.0}),
         pair(3, {"peak": 98.0, "rate": 12.0}, {"peak": 75.0, "rate": 9.0}),
     ]
-    out = record.summarize(pairs, {"peak": "lower", "rate": "higher"})
+    out = record.summarize(pairs, {"peak": ("lower", 0.05), "rate": ("higher", 0.24)})
     assert sorted(out) == ["w"] and sorted(out["w"]) == ["peak", "rate"]
     peak, rate = out["w"]["peak"], out["w"]["rate"]
     assert peak["parent"] == {"median": 100.0, "q1": 99.0, "q3": 101.0}
@@ -43,7 +43,7 @@ def test_summary_of_three_pairs():
 def test_one_pair_per_workload_and_a_zero_parent():
     pairs = [pair(1, {"fails": 0.0}, {"fails": 0.0}, "a"),
              pair(1, {"fails": 2.0}, {"fails": 1.0}, "b")]
-    out = record.summarize(pairs, {"fails": "lower"})
+    out = record.summarize(pairs, {"fails": ("lower", 0.01)})
     a, b = out["a"]["fails"], out["b"]["fails"]
     assert a["ratios"] == [None] and a["ratio_median"] is None and a["wins"] == 0
     assert a["parent"] == a["change"] == {"median": 0.0, "q1": 0.0, "q3": 0.0}
@@ -57,9 +57,8 @@ STEADY = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.05, 9.95]
 
 
 def verdict(parent, change, better="lower", bound=0.24):
-    sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
-    return record.verdict(parent, change, wins, better, bound)
+    pairs = [pair(k, {"m": old}, {"m": new}) for k, (old, new) in enumerate(zip(parent, change))]
+    return record.summarize(pairs, {"m": (better, bound)})["w"]["m"]["verdict"]
 
 
 def test_gain_takes_nine_of_ten_pairs_and_a_gap_beyond_the_quartiles():
@@ -96,11 +95,9 @@ def test_unresolved_is_a_parent_spread_beyond_the_bound():
     assert verdict(wide, [10.5] * 10, bound=0.3) == "held"
 
 
-def test_summary_states_a_verdict_for_each_bounded_metric():
+def test_summary_states_a_verdict_for_each_metric():
     pairs = [pair(k, {"wall": p, "peak": 50.0}, {"wall": p - 1.0, "peak": 70.0})
              for k, p in enumerate(STEADY, start=1)]
-    out = record.summarize(pairs, {"wall": "lower", "peak": "lower"},
-                           {"wall": 0.24, "peak": 0.05})
+    out = record.summarize(pairs, {"wall": ("lower", 0.24), "peak": ("lower", 0.05)})
     assert out["w"]["wall"]["verdict"] == "gain"
     assert out["w"]["peak"]["verdict"] == "regression"
-    assert "verdict" not in record.summarize(pairs, {"wall": "lower"})["w"]["wall"]

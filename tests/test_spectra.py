@@ -215,6 +215,24 @@ class TestFitting:
         assert w[1] - w[0] <= line.linewidth <= FIT_MAX_SPANS * (w[-1] - w[0])
         assert fit.rmse <= np.sqrt(_cost(samples, start) / len(w))
 
+    def test_start_outside_the_box_begins_at_its_edge(self):
+        # a line started too narrow or too wide for the grid begins at the
+        # box's edge and fits the line inside; left where it started, it would
+        # refuse every step that does not bring it inside at once
+        w = np.linspace(-2.0, 6.0, 20)
+        truth = LorentzianComponent(2.0, 1.0, 1.0)
+        samples = SpectrumSamples(w, mixture_psd(w, (truth,)))
+        for width in (1e-3, 1e3):
+            fit = fit_lorentzian_mixture(samples, (LorentzianComponent(2.0, width, 1.0),))
+            (line,) = fit.components
+            assert fit.rmse < 1e-12
+            assert_allclose([line.center, line.linewidth, line.weight], [2.0, 1.0, 1.0],
+                            rtol=1e-12)
+        # a start outside the box that no line inside it matches is returned
+        narrow = (LorentzianComponent(2.1, 0.01, 1.0),)
+        samples = SpectrumSamples(w, mixture_psd(w, narrow))
+        assert fit_lorentzian_mixture(samples, narrow).components == narrow
+
     def test_exact_start_is_returned(self):
         # pack then unpack moves linewidth and weight by an ULP; the start is
         # exact, so the fit reports the start itself
@@ -233,9 +251,10 @@ class TestFitting:
         w = np.linspace(-2.0, 6.0, n)
         samples = SpectrumSamples(w, np.random.default_rng(seed).uniform(0.0, 1.0, n))
         fits = nested_fits(samples, n_max)
-        # the box, up to the ULPs by which the fitter's log transform moves a
+        # the box, up to the ULP by which the fitter's log transform moves a
         # linewidth: a line started at the grid spacing may come back below it
-        box = np.min(np.diff(w)) * (1 - 1e-12), FIT_MAX_SPANS * (w[-1] - w[0]) * (1 + 1e-12)
+        ulp = 4 * np.finfo(float).eps
+        box = np.min(np.diff(w)) * (1 - ulp), FIT_MAX_SPANS * (w[-1] - w[0]) * (1 + ulp)
         for fit in fits:
             assert np.isfinite(fit.rmse)
             for c in fit.components:
